@@ -237,14 +237,14 @@ type (
 	// Stream delivers a dynamic trace as a bounded sequence of reusable
 	// chunks; see trace.Stream for the lifecycle contract.
 	Stream = trace.Stream
-	// Chunk is one window of streamed trace events.
+	// Chunk is one run of streamed trace events.
 	Chunk = trace.Chunk
 	// MemUsage is a point-in-time heap snapshot (see emu.MemSnapshot).
 	MemUsage = emu.MemUsage
 )
 
 // NewSliceStream adapts a materialized trace into the Stream interface,
-// cutting it into chunkEvents-sized windows (<= 0 selects the default).
+// cutting it into chunkEvents-sized chunks (<= 0 selects the default).
 var NewSliceStream = trace.NewSliceStream
 
 // StochasticStream streams maxBlocks events out of the stochastic
@@ -254,26 +254,6 @@ var StochasticStream = emu.StochasticStream
 // StochasticStreamOps streams events until at least maxOps dynamic
 // operations have been delivered.
 var StochasticStreamOps = emu.StochasticStreamOps
-
-// RunSharded replays a streamed trace through window-sharded workers
-// with warm-state handoff; the merged Result is bit-identical to the
-// sequential replay of the same stream.
-var RunSharded = cache.RunSharded
-
-// RunShardedSpec replays a streamed trace through checkpointed
-// speculative sample windows: workers replay on private pipeline forks
-// from predicted warm states, verify against the true seam state, and
-// retry on mispredictions — bit-identical to the sequential replay, in
-// parallel when the workload's seam states recur.
-var RunShardedSpec = cache.RunShardedSpec
-
-// SpecStats reports the speculative scheduler's window/hit/retry counts.
-type SpecStats = cache.SpecStats
-
-// SteadyStream streams a deterministic periodic workload (blocks 0..n-1
-// in order, lap after lap) — the recurring-state regime the speculative
-// scheduler parallelizes.
-var SteadyStream = emu.SteadyStream
 
 // MemSnapshot forces a GC and returns the current heap usage — the
 // instrument behind the streaming pipeline's bounded-memory assertions.

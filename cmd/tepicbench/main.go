@@ -22,7 +22,7 @@
 //	tepicbench -sweep superblocks   # §7 complex fetch units
 //	tepicbench -sweep speculation   # treegion-style hoisting study
 //	tepicbench -sweep dict          # §7 beyond-Huffman dictionary scheme
-//	tepicbench -stream -ops 100000000 -simshards 4 -json BENCH_stream.json
+//	tepicbench -stream -ops 100000000 -json BENCH_stream.json
 //	tepicbench -stream -streammin 10 -streammaxmb 256   # gated streaming run
 package main
 
@@ -113,16 +113,13 @@ func run(args []string, out io.Writer) error {
 	serveMin := fs.Float64("servemin", 0,
 		"minimum fleet throughput in req/s; non-zero exit below it (-serve, 0 = no check)")
 	streamMode := fs.Bool("stream", false,
-		"streaming benchmark: window-sharded replay of a never-materialized trace, differentially gated against the sequential replay")
+		"streaming benchmark: incremental replay of a never-materialized trace, differentially gated against a replay at another chunk size")
 	streamOps := fs.Int64("ops", 100_000_000, "dynamic-operation horizon (-stream)")
-	simShards := fs.Int("simshards", 0, "window-shard worker count, 0 = GOMAXPROCS (-stream)")
 	streamPairing := fs.String("streampairing", "Compressed", "registry pairing for the streamed run (-stream)")
 	streamMin := fs.Float64("streammin", 0,
 		"minimum streaming throughput in Mops/s; non-zero exit below it (-stream, 0 = no check)")
 	streamMaxMB := fs.Int64("streammaxmb", 0,
 		"maximum HeapSys growth in MB over the streamed replays; non-zero exit above it (-stream, 0 = no check)")
-	streamSpecMin := fs.Float64("streamspecmin", 0,
-		"minimum speculative-over-serialized speedup on the steady workload; non-zero exit below it (-stream, 0 = no check)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -133,15 +130,13 @@ func run(args []string, out io.Writer) error {
 			bench = strings.Split(*benchCSV, ",")[0]
 		}
 		return runStreamBench(streamRun{
-			bench:      bench,
-			pairing:    *streamPairing,
-			ops:        *streamOps,
-			shards:     *simShards,
-			check:      *check,
-			jsonPath:   *jsonPath,
-			minMops:    *streamMin,
-			maxHeapMB:  *streamMaxMB,
-			minSpeedup: *streamSpecMin,
+			bench:     bench,
+			pairing:   *streamPairing,
+			ops:       *streamOps,
+			check:     *check,
+			jsonPath:  *jsonPath,
+			minMops:   *streamMin,
+			maxHeapMB: *streamMaxMB,
 		}, cliio.New(out))
 	}
 

@@ -162,11 +162,11 @@ func TestRunStreamMode(t *testing.T) {
 	dir := t.TempDir()
 	jsonFile := filepath.Join(dir, "BENCH_stream.json")
 	out := benchOut(t, "-stream", "-benchmarks", "compress", "-ops", "2000000",
-		"-simshards", "2", "-check", "-json", jsonFile,
+		"-check", "-json", jsonFile,
 		"-streammin", "0.1", "-streammaxmb", "512")
 	for _, want := range []string{
 		"stream benchmark compress/Compressed",
-		"sharded == sequential: every counter identical",
+		"997-event chunks == default chunks: every counter identical",
 		"Mops/s",
 	} {
 		if !strings.Contains(out, want) {
@@ -181,14 +181,17 @@ func TestRunStreamMode(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("stream report is not valid JSON: %v", err)
 	}
-	if rep.Tool != "tepicbench" || rep.Mode != "stream" || rep.Shards != 2 {
+	if rep.Tool != "tepicbench" || rep.Mode != "stream" {
 		t.Errorf("report header wrong: %+v", rep)
+	}
+	if rep.GOMAXPROCS <= 0 || rep.NumCPU <= 0 || rep.GoVersion == "" || rep.Commit == "" {
+		t.Errorf("report missing host metadata: %+v", rep)
 	}
 	if rep.Ops < 2000000 || rep.Events <= 0 || rep.Cycles <= 0 || rep.MopsPerSec <= 0 {
 		t.Errorf("report missing run data: %+v", rep)
 	}
 	if !rep.SeqIdentical {
-		t.Errorf("sharded run diverged from sequential: %+v", rep)
+		t.Errorf("rechunked replay diverged: %+v", rep)
 	}
 	if !rep.OracleChecked || !rep.OracleOK {
 		t.Errorf("oracle check not recorded: %+v", rep)

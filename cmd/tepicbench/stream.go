@@ -2,16 +2,11 @@ package main
 
 // The -stream mode: benchmark the streaming trace pipeline end to end.
 // A fixed-seed trace flows out of the stochastic walker in bounded
-// chunks straight into the window-sharded simulator — never
-// materialized — and the run fails unless the sharded counters are
-// bit-identical to a sequential incremental replay of the same seed.
-// A second phase replays a steady periodic workload through both window
-// schedulers — token-serialized and checkpointed speculative — gating
-// their bit-identity and measuring the speedup of breaking the replay
-// serialization (plus the scheduler's retry rate). -streammin gates the
-// throughput (Mops/s), -streammaxmb the HeapSys growth and
-// -streamspecmin the speculative speedup; -json writes
-// BENCH_stream.json.
+// chunks — produced on the walker's own goroutine, never materialized —
+// straight into Sim.RunStream, and the run fails unless a second replay
+// of the same seed at another chunk size is bit-identical to it.
+// -streammin gates the throughput (Mops/s) and -streammaxmb the HeapSys
+// growth; -json writes BENCH_stream.json with the host it ran on.
 
 import (
 	"encoding/json"
@@ -19,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	ccc "repro"
@@ -26,17 +22,19 @@ import (
 	"repro/internal/simcheck"
 )
 
+// streamCheckChunk is the chunk size of the differential replay: a
+// prime, so its seams fall away from the default chunking's.
+const streamCheckChunk = 997
+
 // streamRun parameterizes one -stream invocation.
 type streamRun struct {
-	bench      string
-	pairing    string
-	ops        int64
-	shards     int
-	check      bool
-	jsonPath   string
-	minMops    float64
-	maxHeapMB  int64
-	minSpeedup float64 // speculative-over-serialized gate (0 = no check)
+	bench     string
+	pairing   string
+	ops       int64
+	check     bool
+	jsonPath  string
+	minMops   float64
+	maxHeapMB int64
 }
 
 // streamReport is the machine-readable -stream summary (BENCH_stream.json).
@@ -45,7 +43,6 @@ type streamReport struct {
 	Mode       string  `json:"mode"`
 	Benchmark  string  `json:"benchmark"`
 	Pairing    string  `json:"pairing"`
-	Shards     int     `json:"shards"`
 	Ops        int64   `json:"ops"`
 	Events     int64   `json:"events"`
 	Cycles     int64   `json:"cycles"`
@@ -56,28 +53,43 @@ type streamReport struct {
 	// replays is an upper bound on what the pipeline held live.
 	HeapSysMB    int64 `json:"heap_sys_mb"`
 	HeapGrowthMB int64 `json:"heap_growth_mb"`
-	// SeqIdentical records the always-on differential gate: the
-	// window-sharded counters against the sequential incremental replay.
+	// SeqIdentical records the always-on differential gate: a second
+	// sequential replay of the same seed, cut into streamCheckChunk-event
+	// chunks, against the timed one.
 	SeqIdentical  bool `json:"seq_identical"`
 	OracleChecked bool `json:"oracle_checked"`
 	OracleOK      bool `json:"oracle_ok"`
-	// The speculative phase replays a steady periodic workload of the
-	// same operation horizon twice — token-serialized and checkpointed
-	// speculative — and records the speedup of breaking the replay
-	// serialization, the scheduler's window accounting, and one more
-	// always-on differential gate (speculative == serialized).
-	SpecWindows     int64   `json:"spec_windows"`
-	SpecHits        int64   `json:"spec_hits"`
-	SpecRetries     int64   `json:"spec_retries"`
-	SpecRetryRate   float64 `json:"spec_retry_rate"`
-	TokenMopsPerSec float64 `json:"token_mops_per_sec"`
-	SpecMopsPerSec  float64 `json:"spec_mops_per_sec"`
-	SpecSpeedup     float64 `json:"spec_speedup"`
-	SpecIdentical   bool    `json:"spec_identical"`
-	// Cores records GOMAXPROCS at measurement time: the speedup is only
-	// meaningful (and only gated) when the replay could actually run on
-	// more than one core.
-	Cores int `json:"cores"`
+	// The host the throughput was measured on.
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"numcpu"`
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit"`
+}
+
+// buildCommit returns the VCS revision stamped into the binary ("-dirty"
+// appended for a modified tree), or "unknown" when the build carries
+// none — `go run` and test binaries do not stamp it.
+func buildCommit() string {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unknown"
+	}
+	rev, dirty := "", false
+	for _, s := range bi.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if rev == "" {
+		return "unknown"
+	}
+	if dirty {
+		rev += "-dirty"
+	}
+	return rev
 }
 
 // runStreamBench executes the -stream benchmark and its gates.
@@ -91,40 +103,30 @@ func runStreamBench(sr streamRun, w *cliio.Writer) error {
 		return fmt.Errorf("unknown pairing %q", sr.pairing)
 	}
 	cfg := ccc.DefaultConfig(p.Org)
-	shards := sr.shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
 
-	mkStream := func() (ccc.Stream, error) { return c.StreamTraceOps(sr.ops, 0) }
+	replay := func(chunkEvents int) (ccc.Result, error) {
+		sim, err := c.SimFor(p, cfg)
+		if err != nil {
+			return ccc.Result{}, err
+		}
+		st, err := c.StreamTraceOps(sr.ops, chunkEvents)
+		if err != nil {
+			return ccc.Result{}, err
+		}
+		return sim.RunStream(st)
+	}
 
 	before := ccc.MemSnapshot()
 	start := time.Now()
-	sim, err := c.SimFor(p, cfg)
-	if err != nil {
-		return err
-	}
-	st, err := mkStream()
-	if err != nil {
-		return err
-	}
-	res, err := ccc.RunSharded(sim, st, shards)
+	res, err := replay(0)
 	if err != nil {
 		return err
 	}
 	wall := time.Since(start)
 
-	// Differential gate, always on: a fresh simulator replays the same
-	// seed through the sequential incremental path.
-	seqSim, err := c.SimFor(p, cfg)
-	if err != nil {
-		return err
-	}
-	st2, err := mkStream()
-	if err != nil {
-		return err
-	}
-	seq, err := seqSim.RunStream(st2)
+	// Differential gate, always on: the same seed replayed at another
+	// chunk size must agree in every counter.
+	seq, err := replay(streamCheckChunk)
 	if err != nil {
 		return err
 	}
@@ -143,11 +145,11 @@ func runStreamBench(sr streamRun, w *cliio.Writer) error {
 				return err
 			}
 		}
-		st3, err := mkStream()
+		st, err := c.StreamTraceOps(sr.ops, 0)
 		if err != nil {
 			return err
 		}
-		oracle, oerr := simcheck.ExpectedStream(p.Org, cfg, im, rom, c.Prog, st3)
+		oracle, oerr := simcheck.ExpectedStream(p.Org, cfg, im, rom, c.Prog, st)
 		switch {
 		case errors.Is(oerr, simcheck.ErrUnsupported):
 			w.Printf("stream oracle: skipped (%v)\n", oerr)
@@ -164,92 +166,37 @@ func runStreamBench(sr streamRun, w *cliio.Writer) error {
 
 	mops := float64(res.Ops) / 1e6 / wall.Seconds()
 	growthMB := (int64(after.HeapSys) - int64(before.HeapSys)) >> 20
-	w.Printf("stream benchmark %s/%s: %d ops (%d events) in %.2fs over %d shard(s)\n",
-		sr.bench, p.Name, res.Ops, res.BlockFetches, wall.Seconds(), shards)
+	w.Printf("stream benchmark %s/%s: %d ops (%d events) in %.2fs (GOMAXPROCS %d)\n",
+		sr.bench, p.Name, res.Ops, res.BlockFetches, wall.Seconds(), runtime.GOMAXPROCS(0))
 	w.Printf("  throughput %.1f Mops/s, cycles %d, IPC %.4f\n", mops, res.Cycles, res.IPC())
 	w.Printf("  heap sys %d MB (grew %d MB during the streamed replays)\n",
 		int64(after.HeapSys)>>20, growthMB)
 	if seqIdentical {
-		w.Printf("  sharded == sequential: every counter identical\n")
+		w.Printf("  %d-event chunks == default chunks: every counter identical\n", streamCheckChunk)
 	} else {
-		w.Printf("  sharded:    %+v\n  sequential: %+v\n", res, seq)
-	}
-
-	// Speculative phase: the steady periodic workload is the regime
-	// whose window-seam states recur, so the checkpointed speculative
-	// scheduler can actually break the replay serialization. Replay the
-	// same horizon through both schedulers and compare.
-	mkSteady := func() (ccc.Stream, error) { return ccc.SteadyStream(c.Prog, sr.ops, 0) }
-	tokenSim, err := c.SimFor(p, cfg)
-	if err != nil {
-		return err
-	}
-	stT, err := mkSteady()
-	if err != nil {
-		return err
-	}
-	startT := time.Now()
-	tokenRes, err := ccc.RunSharded(tokenSim, stT, shards)
-	if err != nil {
-		return err
-	}
-	tokenWall := time.Since(startT)
-
-	specSim, err := c.SimFor(p, cfg)
-	if err != nil {
-		return err
-	}
-	stS, err := mkSteady()
-	if err != nil {
-		return err
-	}
-	startS := time.Now()
-	specRes, stats, err := ccc.RunShardedSpec(specSim, stS, shards)
-	if err != nil {
-		return err
-	}
-	specWall := time.Since(startS)
-
-	specIdentical := specRes == tokenRes
-	tokenMops := float64(tokenRes.Ops) / 1e6 / tokenWall.Seconds()
-	specMops := float64(specRes.Ops) / 1e6 / specWall.Seconds()
-	speedup := specMops / tokenMops
-	w.Printf("  speculative (steady workload, %d windows): %d verified, %d retried (%.2f%% retry rate)\n",
-		stats.Windows, stats.Hits, stats.Retries, 100*stats.RetryRate())
-	w.Printf("  speculative speedup %.2fx over serialized replay (%.1f vs %.1f Mops/s)\n",
-		speedup, specMops, tokenMops)
-	if specIdentical {
-		w.Printf("  speculative == serialized: every counter identical\n")
-	} else {
-		w.Printf("  speculative: %+v\n  serialized:  %+v\n", specRes, tokenRes)
+		w.Printf("  default chunks: %+v\n  %d-event chunks: %+v\n", res, streamCheckChunk, seq)
 	}
 
 	if sr.jsonPath != "" {
 		rep := streamReport{
-			Tool:            "tepicbench",
-			Mode:            "stream",
-			Benchmark:       sr.bench,
-			Pairing:         p.Name,
-			Shards:          shards,
-			Ops:             res.Ops,
-			Events:          res.BlockFetches,
-			Cycles:          res.Cycles,
-			WallMS:          float64(wall) / float64(time.Millisecond),
-			MopsPerSec:      mops,
-			HeapSysMB:       int64(after.HeapSys) >> 20,
-			HeapGrowthMB:    growthMB,
-			SeqIdentical:    seqIdentical,
-			OracleChecked:   sr.check,
-			OracleOK:        oracleOK,
-			SpecWindows:     stats.Windows,
-			SpecHits:        stats.Hits,
-			SpecRetries:     stats.Retries,
-			SpecRetryRate:   stats.RetryRate(),
-			TokenMopsPerSec: tokenMops,
-			SpecMopsPerSec:  specMops,
-			SpecSpeedup:     speedup,
-			SpecIdentical:   specIdentical,
-			Cores:           runtime.GOMAXPROCS(0),
+			Tool:          "tepicbench",
+			Mode:          "stream",
+			Benchmark:     sr.bench,
+			Pairing:       p.Name,
+			Ops:           res.Ops,
+			Events:        res.BlockFetches,
+			Cycles:        res.Cycles,
+			WallMS:        float64(wall) / float64(time.Millisecond),
+			MopsPerSec:    mops,
+			HeapSysMB:     int64(after.HeapSys) >> 20,
+			HeapGrowthMB:  growthMB,
+			SeqIdentical:  seqIdentical,
+			OracleChecked: sr.check,
+			OracleOK:      oracleOK,
+			GOMAXPROCS:    runtime.GOMAXPROCS(0),
+			NumCPU:        runtime.NumCPU(),
+			GoVersion:     runtime.Version(),
+			Commit:        buildCommit(),
 		}
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -263,28 +210,11 @@ func runStreamBench(sr streamRun, w *cliio.Writer) error {
 
 	if !seqIdentical {
 		return errors.Join(
-			fmt.Errorf("window-sharded result diverges from sequential incremental replay"),
-			w.Err())
-	}
-	if !specIdentical {
-		return errors.Join(
-			fmt.Errorf("speculative result diverges from serialized replay on the steady workload"),
+			fmt.Errorf("streamed result depends on the chunk size"),
 			w.Err())
 	}
 	if !oracleOK {
 		return errors.Join(fmt.Errorf("streaming oracle found mismatches"), w.Err())
-	}
-	if sr.minSpeedup > 0 && speedup < sr.minSpeedup {
-		// The ratchet measures parallel replay against serialized replay;
-		// on a single-core host the speculative scheduler cannot win by
-		// construction, so the gate only binds when cores are available.
-		if cores := runtime.GOMAXPROCS(0); cores < 2 {
-			w.Printf("  speculative speedup ratchet skipped: %d core(s) available\n", cores)
-		} else {
-			return errors.Join(
-				fmt.Errorf("speculative speedup %.2fx below the %.2fx ratchet", speedup, sr.minSpeedup),
-				w.Err())
-		}
 	}
 	if sr.minMops > 0 && mops < sr.minMops {
 		return errors.Join(

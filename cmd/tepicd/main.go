@@ -48,6 +48,27 @@ func main() {
 // in-flight requests before the listener is torn down.
 const shutdownGrace = 5 * time.Second
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a slow or stalled client cannot hold a
+// connection open before any handler runs. idleTimeout closes
+// keep-alive connections left idle between requests. There is
+// deliberately no write timeout: a long streamed /v1/simulate
+// legitimately runs for seconds before its response is written.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in the daemon's http.Server
+// with its connection timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // run boots the daemon and blocks until ctx is cancelled or the
 // listener fails (separated from main for testing).
 //
@@ -80,7 +101,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	srv := &http.Server{Handler: s.Handler()}
+	srv := newHTTPServer(s.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -127,3 +127,20 @@ func TestDaemonBadAddr(t *testing.T) {
 		t.Errorf("error %v does not mention listen", err)
 	}
 }
+
+// TestServerTimeouts pins the connection timeouts the daemon's
+// http.Server runs with: a client stalling before its headers and an
+// idle keep-alive connection are both cut off, while responses carry
+// no write deadline.
+func TestServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want > 0", srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want none: a streamed simulate may run for seconds", srv.WriteTimeout)
+	}
+}

@@ -18,19 +18,15 @@
 //	tepicsim -bench vortex -org compressed -check
 //	tepicsim -bench gcc -org base -sweep
 //	tepicsim -bench gcc -org compressed -sweep -json
-//	tepicsim -bench compress -org compressed -stream -ops 100000000 -simshards 4
+//	tepicsim -bench compress -org compressed -stream -ops 100000000
 //	tepicsim -bench go -org base -stream -check
-//	tepicsim -bench compress -org compressed -stream -spec -check
 //
 // With -stream the trace is never materialized: events flow out of the
-// stochastic walker in bounded chunks straight into the window-sharded
-// simulator (-simshards workers), so the horizon (-ops) can exceed what
-// would fit in memory. -spec switches the windows from token-serialized
-// replay to checkpointed speculative replay on private pipeline forks
-// (verified against the true seam state, retried on mismatch) and
-// reports the retry rate. -check in stream mode replays the same seed
-// through the sequential incremental path and the analytical oracle and
-// requires all three bit-identical.
+// stochastic walker in bounded chunks, produced on their own goroutine,
+// straight into Sim.RunStream, so the horizon (-ops) can exceed what
+// would fit in memory. -check in stream mode replays the same seed at a
+// second chunk size and through the analytical oracle and requires all
+// three bit-identical.
 package main
 
 import (
@@ -40,7 +36,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -72,10 +67,8 @@ func run(args []string, out io.Writer) error {
 	sweep := fs.Bool("sweep", false, "run the registry-driven geometry x predictor sweep")
 	jsonOut := fs.Bool("json", false, "with -sweep: emit the report as JSON")
 	par := fs.Int("par", 0, "with -sweep: worker-pool width (0 = GOMAXPROCS)")
-	stream := fs.Bool("stream", false, "stream the trace through the window-sharded simulator instead of materializing it")
+	stream := fs.Bool("stream", false, "stream the trace through the simulator in bounded chunks instead of materializing it")
 	opsBound := fs.Int64("ops", 0, "with -stream: dynamic-operation horizon (0 = use -blocks)")
-	simShards := fs.Int("simshards", 0, "with -stream: window-shard worker count (0 = GOMAXPROCS)")
-	spec := fs.Bool("spec", false, "with -stream: replay windows speculatively from checkpointed warm states instead of serializing on the handoff token")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -87,12 +80,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *opsBound != 0 && !*stream {
 		return fmt.Errorf("-ops requires -stream")
-	}
-	if *simShards != 0 && !*stream {
-		return fmt.Errorf("-simshards requires -stream")
-	}
-	if *spec && !*stream {
-		return fmt.Errorf("-spec requires -stream")
 	}
 
 	if *sweep {
@@ -123,7 +110,7 @@ func run(args []string, out io.Writer) error {
 	cfg.PerfectPrediction = *perfect
 
 	if *stream {
-		return runStream(w, c, p, cfg, *blocks, *opsBound, *simShards, *spec, *check, *bench)
+		return runStream(w, c, p, cfg, *blocks, *opsBound, *check, *bench)
 	}
 
 	tr, err := c.Trace(*blocks)
@@ -183,39 +170,38 @@ func printMetrics(w *cliio.Writer, bench string, p ccc.Pairing, cfg ccc.Config, 
 	w.Printf("ATB         %.2f%% hit rate\n", 100*r.ATBHitRate)
 }
 
+// checkChunkEvents is the second chunk size -stream -check replays at:
+// a prime, so its seams fall away from the default chunking's.
+const checkChunkEvents = 997
+
 // runStream is the -stream path: events flow out of the stochastic
-// walker in bounded chunks into the window-sharded simulator — the
-// token-serialized replay by default, the checkpointed speculative
-// scheduler with spec — so the horizon never materializes. With check
-// it replays the identical seed through the sequential incremental path
-// and the analytical oracle and requires every counter bit-identical
-// across all three.
+// walker in bounded chunks into Sim.RunStream, so the horizon never
+// materializes. With check it replays the identical seed at a second
+// chunk size and through the analytical oracle and requires every
+// counter bit-identical across all three.
 func runStream(w *cliio.Writer, c *ccc.Compiled, p ccc.Pairing, cfg ccc.Config,
-	blocks int, ops int64, shards int, spec, check bool, bench string) error {
-	mkStream := func() (ccc.Stream, error) {
+	blocks int, ops int64, check bool, bench string) error {
+	mkStream := func(chunkEvents int) (ccc.Stream, error) {
 		if ops > 0 {
-			return c.StreamTraceOps(ops, 0)
+			return c.StreamTraceOps(ops, chunkEvents)
 		}
-		return c.StreamTrace(blocks, 0)
+		return c.StreamTrace(blocks, chunkEvents)
+	}
+	replay := func(chunkEvents int) (ccc.Result, error) {
+		sim, err := c.SimFor(p, cfg)
+		if err != nil {
+			return ccc.Result{}, err
+		}
+		st, err := mkStream(chunkEvents)
+		if err != nil {
+			return ccc.Result{}, err
+		}
+		return sim.RunStream(st)
 	}
 
 	before := ccc.MemSnapshot()
 	start := time.Now()
-	sim, err := c.SimFor(p, cfg)
-	if err != nil {
-		return err
-	}
-	st, err := mkStream()
-	if err != nil {
-		return err
-	}
-	var r ccc.Result
-	var stats ccc.SpecStats
-	if spec {
-		r, stats, err = ccc.RunShardedSpec(sim, st, shards)
-	} else {
-		r, err = ccc.RunSharded(sim, st, shards)
-	}
+	r, err := replay(0)
 	if err != nil {
 		return err
 	}
@@ -224,34 +210,22 @@ func runStream(w *cliio.Writer, c *ccc.Compiled, p ccc.Pairing, cfg ccc.Config,
 
 	printMetrics(w, bench, p, cfg, r.BlockFetches, r)
 	mops := float64(r.Ops) / 1e6 / elapsed.Seconds()
-	w.Printf("streamed    %d shard(s), %.1f Mops/s, heap sys %d MB (was %d MB)\n",
-		effectiveShards(shards), mops, after.HeapSys>>20, before.HeapSys>>20)
-	if spec {
-		w.Printf("speculative %d windows, %d verified, %d retried (%.2f%% retry rate)\n",
-			stats.Windows, stats.Hits, stats.Retries, 100*stats.RetryRate())
-	}
+	w.Printf("streamed    %.1f Mops/s, heap sys %d MB (was %d MB)\n",
+		mops, after.HeapSys>>20, before.HeapSys>>20)
 
 	if !check {
 		return w.Err()
 	}
 
-	// Sequential incremental replay of the same seed must agree exactly.
-	seqSim, err := c.SimFor(p, cfg)
+	// The same seed cut at another chunk size must agree exactly.
+	rechunked, err := replay(checkChunkEvents)
 	if err != nil {
 		return err
 	}
-	st2, err := mkStream()
-	if err != nil {
-		return err
-	}
-	seq, err := seqSim.RunStream(st2)
-	if err != nil {
-		return err
-	}
-	if seq != r {
-		w.Printf("sharded:    %+v\nsequential: %+v\n", r, seq)
+	if rechunked != r {
+		w.Printf("default chunks: %+v\n%d-event chunks: %+v\n", r, checkChunkEvents, rechunked)
 		return errors.Join(
-			fmt.Errorf("window-sharded result diverges from sequential incremental replay"),
+			fmt.Errorf("streamed result depends on the chunk size"),
 			w.Err())
 	}
 
@@ -266,14 +240,14 @@ func runStream(w *cliio.Writer, c *ccc.Compiled, p ccc.Pairing, cfg ccc.Config,
 			return err
 		}
 	}
-	st3, err := mkStream()
+	st, err := mkStream(0)
 	if err != nil {
 		return err
 	}
-	oracle, err := simcheck.ExpectedStream(p.Org, cfg, im, rom, c.Prog, st3)
+	oracle, err := simcheck.ExpectedStream(p.Org, cfg, im, rom, c.Prog, st)
 	switch {
 	case errors.Is(err, simcheck.ErrUnsupported):
-		w.Printf("simcheck    sequential replay identical; oracle skipped (%v)\n", err)
+		w.Printf("simcheck    rechunked replay identical; oracle skipped (%v)\n", err)
 		return w.Err()
 	case err != nil:
 		return err
@@ -286,17 +260,8 @@ func runStream(w *cliio.Writer, c *ccc.Compiled, p ccc.Pairing, cfg ccc.Config,
 			fmt.Errorf("streaming oracle found %d mismatch(es)", len(ms)),
 			w.Err())
 	}
-	w.Printf("simcheck    sequential replay and streaming oracle identical\n")
+	w.Printf("simcheck    rechunked replay and streaming oracle identical\n")
 	return w.Err()
-}
-
-// effectiveShards echoes the worker count RunSharded resolves for its
-// report line.
-func effectiveShards(shards int) int {
-	if shards <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return shards
 }
 
 // runSweep fans the pairing's default geometry x predictor grid out over

@@ -145,75 +145,6 @@ func (a *ATB) Update(block int, taken bool, actualNext int) error {
 	return nil
 }
 
-// Stats returns the cumulative residency hit/miss counts — the raw
-// numbers behind HitRate, exposed so window-parallel replay can account
-// per-window deltas on private ATB instances.
-func (a *ATB) Stats() (hits, misses int64) { return a.Hits, a.Misses }
-
-// State is the ATB's behavioral checkpoint: the last-taken-target
-// registers, the residency LRU (resident blocks, MRU first) and the
-// direction predictor's state. The Hits/Misses accounting counters are
-// deliberately excluded — they never influence a prediction, and
-// speculative replay accounts them as per-window deltas (Stats) so two
-// checkpoints of behaviorally identical ATBs compare equal no matter
-// how much traffic each has absorbed.
-type State struct {
-	Targets []int32 // last-taken-target block IDs, -1 if none
-	Order   []int   // resident blocks, MRU first
-	Dir     PredictorState
-}
-
-// Equal reports whether two ATB states are bit-identical.
-func (s State) Equal(o State) bool {
-	if len(s.Targets) != len(o.Targets) || len(s.Order) != len(o.Order) {
-		return false
-	}
-	for i, t := range s.Targets {
-		if o.Targets[i] != t {
-			return false
-		}
-	}
-	for i, b := range s.Order {
-		if o.Order[i] != b {
-			return false
-		}
-	}
-	return s.Dir.Equal(o.Dir)
-}
-
-// Snapshot returns a copy of the ATB's behavioral state (see State).
-// The snapshot aliases nothing and stays valid however the ATB is
-// mutated afterwards.
-func (a *ATB) Snapshot() State {
-	s := State{
-		Targets: append([]int32(nil), a.target...),
-		Order:   make([]int, 0, a.order.Len()),
-		Dir:     a.dir.Snapshot(),
-	}
-	for el := a.order.Front(); el != nil; el = el.Next() {
-		s.Order = append(s.Order, el.Value.(int))
-	}
-	return s
-}
-
-// Restore overwrites the ATB's behavioral state with a snapshot taken
-// from an identically configured ATB (same block table, same capacity,
-// same predictor kind). The Hits/Misses counters are left untouched, so
-// deltas around a restore still measure only the restored instance's
-// own traffic. The snapshot is copied, not retained: one snapshot may
-// seed many instances.
-func (a *ATB) Restore(s State) {
-	copy(a.target, s.Targets)
-	a.dir.Restore(s.Dir)
-	a.order.Init()
-	for k := range a.present {
-		delete(a.present, k)
-	}
-	for _, b := range s.Order {
-		a.present[b] = a.order.PushBack(b)
-	}
-}
-
 // Counter exposes a block's 2-bit counter state when the direction
 // predictor is the paper's bimodal one (for tests); 0 otherwise.
 func (a *ATB) Counter(block int) uint8 {

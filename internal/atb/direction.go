@@ -15,48 +15,6 @@ type DirectionPredictor interface {
 	Update(block int, taken bool)
 	// Name identifies the predictor in reports.
 	Name() string
-	// Snapshot returns a copy of the predictor's behavioral state — the
-	// checkpoint face used by speculative window-parallel replay. The
-	// returned state aliases nothing: mutating the predictor afterwards
-	// must not change an already-taken snapshot.
-	Snapshot() PredictorState
-	// Restore overwrites the predictor's state with a snapshot taken
-	// from an identically configured predictor. The snapshot itself is
-	// not retained or mutated, so one snapshot may seed many instances.
-	Restore(PredictorState)
-}
-
-// PredictorState is the behavioral checkpoint of a DirectionPredictor:
-// everything that decides future predictions, and nothing else. One
-// struct covers all built-in predictors — Bimodal uses Counters (its
-// per-block table), GShare uses Counters (shared table) plus History,
-// PAs uses Counters (pattern table) plus Histories. Two states compare
-// equal exactly when the predictors would behave identically on every
-// future input.
-type PredictorState struct {
-	Counters  []uint8  // bimodal per-block / gshare shared / PAs pattern table
-	History   uint32   // gshare global history register
-	Histories []uint16 // PAs per-block history registers
-}
-
-// Equal reports whether two predictor states are bit-identical.
-func (s PredictorState) Equal(o PredictorState) bool {
-	if s.History != o.History ||
-		len(s.Counters) != len(o.Counters) ||
-		len(s.Histories) != len(o.Histories) {
-		return false
-	}
-	for i, c := range s.Counters {
-		if o.Counters[i] != c {
-			return false
-		}
-	}
-	for i, h := range s.Histories {
-		if o.Histories[i] != h {
-			return false
-		}
-	}
-	return true
 }
 
 // counterPredict is the shared 2-bit saturating counter update rule.
@@ -97,14 +55,6 @@ func (b *Bimodal) Update(block int, taken bool) {
 	counterUpdate(&b.counters[block], taken)
 }
 
-// Snapshot implements DirectionPredictor.
-func (b *Bimodal) Snapshot() PredictorState {
-	return PredictorState{Counters: append([]uint8(nil), b.counters...)}
-}
-
-// Restore implements DirectionPredictor.
-func (b *Bimodal) Restore(s PredictorState) { copy(b.counters, s.Counters) }
-
 // GShare is McFarling's global-history predictor: the global branch
 // history register XORed with the block address indexes one shared table
 // of 2-bit counters.
@@ -144,20 +94,6 @@ func (g *GShare) Update(block int, taken bool) {
 	if taken {
 		g.history |= 1
 	}
-}
-
-// Snapshot implements DirectionPredictor.
-func (g *GShare) Snapshot() PredictorState {
-	return PredictorState{
-		Counters: append([]uint8(nil), g.table...),
-		History:  g.history,
-	}
-}
-
-// Restore implements DirectionPredictor.
-func (g *GShare) Restore(s PredictorState) {
-	copy(g.table, s.Counters)
-	g.history = s.History
 }
 
 // PAs is the Yeh/Patt two-level per-address predictor: each block keeps a
@@ -203,18 +139,4 @@ func (p *PAs) Update(block int, taken bool) {
 	if taken {
 		p.histories[block] |= 1
 	}
-}
-
-// Snapshot implements DirectionPredictor.
-func (p *PAs) Snapshot() PredictorState {
-	return PredictorState{
-		Counters:  append([]uint8(nil), p.pattern...),
-		Histories: append([]uint16(nil), p.histories...),
-	}
-}
-
-// Restore implements DirectionPredictor.
-func (p *PAs) Restore(s PredictorState) {
-	copy(p.pattern, s.Counters)
-	copy(p.histories, s.Histories)
 }

@@ -95,6 +95,25 @@ func (r Result) IPC() float64 {
 	return float64(r.Ops) / float64(r.Cycles)
 }
 
+// Merge accumulates another result's counters into r — how RunStream
+// folds each chunk's counters into the run total. Every int64 counter
+// is summed; the identifying labels and the derived ATBHitRate are left
+// for the caller, which knows the whole run.
+func (r *Result) Merge(o Result) {
+	r.Cycles += o.Cycles
+	r.Ops += o.Ops
+	r.MOPs += o.MOPs
+	r.BlockFetches += o.BlockFetches
+	r.CacheLookups += o.CacheLookups
+	r.CacheMisses += o.CacheMisses
+	r.LinesFetched += o.LinesFetched
+	r.BufferHits += o.BufferHits
+	r.Mispredicts += o.Mispredicts
+	r.BusBeats += o.BusBeats
+	r.BitFlips += o.BitFlips
+	r.BytesFetched += o.BytesFetched
+}
+
 // MissRate returns block-granular cache miss rate.
 func (r Result) MissRate() float64 {
 	if r.CacheLookups == 0 {
@@ -254,8 +273,12 @@ func (s *Sim) Run(tr *trace.Trace) (Result, error) {
 // failing one, plus — for a mid-chunk step failure — the failing
 // chunk's per-event counters and schedule-attributed Ops/MOPs up to and
 // including the failing event (see replayWindow). ATBHitRate is only
-// derived on success. RunSharded and RunShardedSpec return the same
-// partial counters for the same failure, bit for bit.
+// derived on success. A producer's terminal error is returned as is,
+// with the counters of every chunk delivered before it.
+//
+// Trace production overlaps the replay whenever the stream has its own
+// producer goroutine (trace.ChanStream, and the emulator's walkers built
+// on it); RunStream itself is the simulator's one replay path.
 func (s *Sim) RunStream(st trace.Stream) (Result, error) {
 	res := Result{
 		Benchmark: st.Name(),
@@ -277,7 +300,7 @@ func (s *Sim) RunStream(st trace.Stream) (Result, error) {
 			st.Close()
 			return res, fmt.Errorf("%w: %v", ErrMalformedTrace, verr)
 		}
-		wres, _, _, pred, serr := s.replayWindow(c, predicted)
+		wres, pred, serr := s.replayWindow(c, predicted)
 		res.Merge(wres)
 		predicted = pred
 		st.Recycle(c)
@@ -291,19 +314,15 @@ func (s *Sim) RunStream(st trace.Stream) (Result, error) {
 }
 
 // replayWindow replays one validated chunk's events from the seam
-// prediction pred and returns the window's counter *deltas*: bus
-// traffic and ATB hits/misses are measured as before/after differences
-// against this Sim's own stages, so the result is a pure window
-// contribution whether the stages are shared (token-serialized replay)
-// or private (speculative replay). On success the chunk's
-// producer-attributed Ops/MOPs are credited; on a step failure only the
-// schedule-attributed ops of the events actually replayed are —
-// including the failing event, whose fetch was fully accounted before
-// its ATB training errored. endPred carries the next-block prediction
-// across the trailing seam.
-func (s *Sim) replayWindow(c *trace.Chunk, pred int) (res Result, hits, misses int64, endPred int, err error) {
+// prediction pred and returns the chunk's counter deltas: bus traffic is
+// measured as the before/after difference of the cumulative bus model.
+// On success the chunk's producer-attributed Ops/MOPs are credited; on a
+// step failure only the schedule-attributed ops of the events actually
+// replayed are — including the failing event, whose fetch was fully
+// accounted before its ATB training errored. endPred carries the
+// next-block prediction across the trailing seam.
+func (s *Sim) replayWindow(c *trace.Chunk, pred int) (res Result, endPred int, err error) {
 	beats0, flips0, bytes0 := s.bus.Counts()
-	hits0, misses0 := s.atb.Stats()
 	endPred = pred
 	failed := -1
 	for i, ev := range c.Events {
@@ -329,17 +348,7 @@ func (s *Sim) replayWindow(c *trace.Chunk, pred int) (res Result, hits, misses i
 	res.BusBeats = beats1 - beats0
 	res.BitFlips = flips1 - flips0
 	res.BytesFetched = bytes1 - bytes0
-	hits1, misses1 := s.atb.Stats()
-	return res, hits1 - hits0, misses1 - misses0, endPred, err
-}
-
-// fork builds a fresh simulator with the same organization, geometry
-// and images but brand-new (cold) stage instances — the private
-// pipeline a speculative window replays on. The constructors are
-// deterministic, so every fork starts in the same state a cold-start
-// snapshot of the original captures.
-func (s *Sim) fork() (*Sim, error) {
-	return NewOrgSim(s.org, s.cfg, s.im, s.rom, s.sp)
+	return res, endPred, err
 }
 
 // badUpdate wraps an ATB training failure; kept out of step so the

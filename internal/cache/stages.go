@@ -3,7 +3,6 @@ package cache
 import (
 	"repro/internal/atb"
 	"repro/internal/image"
-	"repro/internal/power"
 )
 
 // This file defines the stage interfaces of the IFetch pipeline. Sim.Run
@@ -13,16 +12,6 @@ import (
 // present, the Decompressor volume rules, and the StartupTable timing.
 // New organizations compose existing stage implementations via
 // RegisterOrg without touching the driver loop.
-//
-// Every stateful stage also carries a Snapshot/Restore checkpoint face:
-// Snapshot captures the stage's *behavioral* state — everything that
-// decides its future outputs, and nothing else (cumulative accounting
-// counters are excluded; they are read as before/after deltas instead) —
-// and Restore overwrites an identically configured instance with it.
-// This is what lets the speculative window-parallel scheduler
-// (RunShardedSpec) replay a sample window on private stage instances
-// from a predicted warm state and later prove, by comparing checkpoint
-// values, that the prediction was exact.
 
 // Predictor is the branch-direction prediction stage consulted by the
 // ATB. See internal/atb for the paper's bimodal baseline and the
@@ -47,13 +36,6 @@ type ATBStage interface {
 	Update(block int, taken bool, next int) error
 	// HitRate returns the fraction of touches that hit the buffer.
 	HitRate() float64
-	// Stats returns the cumulative touch hit/miss counts behind HitRate,
-	// so window-parallel replay can account per-window deltas.
-	Stats() (hits, misses int64)
-	// Snapshot/Restore are the checkpoint face (see the package comment
-	// above): behavioral state only, hit/miss counters excluded.
-	Snapshot() atb.State
-	Restore(atb.State)
 }
 
 // CacheArray is the main instruction-cache storage stage, modeled at
@@ -66,9 +48,6 @@ type CacheArray interface {
 	Probe(line int64) bool
 	// Fill installs a line, evicting as needed.
 	Fill(line int64)
-	// Snapshot/Restore are the checkpoint face: residency and recency.
-	Snapshot() CacheState
-	Restore(CacheState)
 }
 
 // L0Store is the small post-decompressor buffer stage of §4 that holds
@@ -80,9 +59,6 @@ type L0Store interface {
 	Insert(block, numOps int)
 	// CapacityOps returns the buffer size in operations.
 	CapacityOps() int
-	// Snapshot/Restore are the checkpoint face: residency and recency.
-	Snapshot() L0State
-	Restore(L0State)
 }
 
 // BusModel is the memory-bus stage behind the cache: it carries miss
@@ -93,10 +69,6 @@ type BusModel interface {
 	Transfer(data []byte)
 	// Counts returns cumulative beats, bit flips and payload bytes.
 	Counts() (beats, flips, bytes int64)
-	// Snapshot/Restore are the checkpoint face: the line values the last
-	// beat left behind, cumulative counters excluded.
-	Snapshot() power.State
-	Restore(power.State)
 }
 
 // Decompressor is the code-transformation stage between storage and the

@@ -68,45 +68,6 @@ func (c *LineCache) Fill(line int64) {
 	set[0] = line
 }
 
-// CacheState is the line cache's behavioral checkpoint: every set's tag
-// vector in recency order (way 0 = MRU), flattened set-major. Two states
-// compare equal exactly when the caches would hit and evict identically
-// on every future access sequence.
-type CacheState struct {
-	Tags []int64 // tags[set*assoc+way]; -1 = invalid
-}
-
-// Equal reports whether two cache states are bit-identical.
-func (s CacheState) Equal(o CacheState) bool {
-	if len(s.Tags) != len(o.Tags) {
-		return false
-	}
-	for i, t := range s.Tags {
-		if o.Tags[i] != t {
-			return false
-		}
-	}
-	return true
-}
-
-// Snapshot returns a copy of the cache's behavioral state (see
-// CacheState). The snapshot aliases nothing.
-func (c *LineCache) Snapshot() CacheState {
-	s := CacheState{Tags: make([]int64, 0, c.sets*c.assoc)}
-	for _, set := range c.tags {
-		s.Tags = append(s.Tags, set...)
-	}
-	return s
-}
-
-// Restore overwrites the cache's state with a snapshot taken from a
-// cache of the same geometry. The snapshot is copied, not retained.
-func (c *LineCache) Restore(s CacheState) {
-	for i := range c.tags {
-		copy(c.tags[i], s.Tags[i*c.assoc:(i+1)*c.assoc])
-	}
-}
-
 // Flush invalidates the whole cache.
 func (c *LineCache) Flush() {
 	for i := range c.tags {
@@ -175,52 +136,3 @@ func (b *L0Buffer) Insert(block, numOps int) {
 
 // UsedOps returns the operations currently buffered.
 func (b *L0Buffer) UsedOps() int { return b.used }
-
-// L0State is the L0 buffer's behavioral checkpoint: the resident blocks
-// in recency order with their op counts. Two states compare equal
-// exactly when the buffers would hit and evict identically on every
-// future access sequence.
-type L0State struct {
-	Order []int // resident blocks, MRU first
-	Ops   []int // op counts aligned with Order
-}
-
-// Equal reports whether two L0 states are bit-identical.
-func (s L0State) Equal(o L0State) bool {
-	if len(s.Order) != len(o.Order) {
-		return false
-	}
-	for i, b := range s.Order {
-		if o.Order[i] != b || o.Ops[i] != s.Ops[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Snapshot returns a copy of the buffer's behavioral state (see
-// L0State). The snapshot aliases nothing.
-func (b *L0Buffer) Snapshot() L0State {
-	s := L0State{
-		Order: append([]int(nil), b.order...),
-		Ops:   make([]int, 0, len(b.order)),
-	}
-	for _, blk := range b.order {
-		s.Ops = append(s.Ops, b.ops[blk])
-	}
-	return s
-}
-
-// Restore overwrites the buffer's state with a snapshot taken from a
-// buffer of the same capacity. The snapshot is copied, not retained.
-func (b *L0Buffer) Restore(s L0State) {
-	b.order = append(b.order[:0], s.Order...)
-	for k := range b.ops {
-		delete(b.ops, k)
-	}
-	b.used = 0
-	for i, blk := range s.Order {
-		b.ops[blk] = s.Ops[i]
-		b.used += s.Ops[i]
-	}
-}

@@ -11,14 +11,14 @@ import (
 
 // streamMatrixBlocks keeps the all-benchmarks sweep affordable while
 // still exercising capacity misses, L0 churn and predictor training
-// across every window seam.
+// across every chunk seam.
 const streamMatrixBlocks = 30000
 
-// TestStreamEquivalenceMatrix is the tentpole acceptance matrix: for
-// every benchmark × registered pairing, the window-sharded replay of a
-// streamed trace must be bit-identical — every counter — to the
-// sequential Sim.Run of the materialized trace with the same seed, and
-// must agree with the analytical oracle's streaming recomputation.
+// TestStreamEquivalenceMatrix is the streaming acceptance matrix: for
+// every benchmark × registered pairing, Sim.RunStream over a streamed
+// trace must be bit-identical — every counter, at two chunk sizes — to
+// the sequential Sim.Run of the materialized trace with the same seed,
+// and must agree with the analytical oracle's streaming recomputation.
 func TestStreamEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles every benchmark; too slow for -short")
@@ -45,42 +45,25 @@ func TestStreamEquivalenceMatrix(t *testing.T) {
 					t.Fatalf("%s: %v", p.Name, err)
 				}
 
-				st, err := c.StreamTrace(streamMatrixBlocks, 1021)
-				if err != nil {
-					t.Fatalf("%s: %v", p.Name, err)
-				}
-				shardSim, err := c.SimFor(p, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", p.Name, err)
-				}
-				got, err := cache.RunSharded(shardSim, st, 4)
-				if err != nil {
-					t.Fatalf("%s: RunSharded: %v", p.Name, err)
-				}
-				if got != want {
-					t.Errorf("%s: sharded-over-stream differs from sequential:\n  sharded %+v\n  seq     %+v",
-						p.Name, got, want)
-				}
-
-				stSpec, err := c.StreamTrace(streamMatrixBlocks, 1021)
-				if err != nil {
-					t.Fatalf("%s: %v", p.Name, err)
-				}
-				specSim, err := c.SimFor(p, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", p.Name, err)
-				}
-				spec, stats, err := cache.RunShardedSpec(specSim, stSpec, 4)
-				if err != nil {
-					t.Fatalf("%s: RunShardedSpec: %v", p.Name, err)
-				}
-				if spec != want {
-					t.Errorf("%s: speculative-over-stream differs from sequential:\n  spec %+v\n  seq  %+v",
-						p.Name, spec, want)
-				}
-				if stats.Hits+stats.Retries != stats.Windows {
-					t.Errorf("%s: spec accounting hits %d + retries %d != windows %d",
-						p.Name, stats.Hits, stats.Retries, stats.Windows)
+				// Two prime chunk sizes of the live producer stream, so
+				// the seams fall in different places than Run's.
+				var got cache.Result
+				for _, cs := range []int{1021, 61} {
+					st, err := c.StreamTrace(streamMatrixBlocks, cs)
+					if err != nil {
+						t.Fatalf("%s: %v", p.Name, err)
+					}
+					streamSim, err := c.SimFor(p, cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", p.Name, err)
+					}
+					if got, err = streamSim.RunStream(st); err != nil {
+						t.Fatalf("%s: RunStream: %v", p.Name, err)
+					}
+					if got != want {
+						t.Errorf("%s: RunStream over %d-event chunks differs from sequential:\n  stream %+v\n  seq    %+v",
+							p.Name, cs, got, want)
+					}
 				}
 
 				im, err := c.Image(p.CacheScheme)

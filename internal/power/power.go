@@ -63,38 +63,6 @@ func (b *Bus) Counts() (beats, flips, bytes int64) {
 	return b.Beats, b.Flips, b.Bytes
 }
 
-// State is the bus's behavioral checkpoint: the byte values the last
-// beat left on the lines, which is all that decides future flip counts.
-// The cumulative Beats/Flips/Bytes counters are deliberately excluded —
-// they are accounting, not behavior, and window-parallel replay reads
-// them as before/after deltas around each window instead.
-type State struct {
-	Last []byte
-}
-
-// Equal reports whether two bus states are bit-identical.
-func (s State) Equal(o State) bool {
-	if len(s.Last) != len(o.Last) {
-		return false
-	}
-	for i, b := range s.Last {
-		if o.Last[i] != b {
-			return false
-		}
-	}
-	return true
-}
-
-// Snapshot returns a copy of the bus's behavioral state (see State).
-func (b *Bus) Snapshot() State {
-	return State{Last: append([]byte(nil), b.last...)}
-}
-
-// Restore overwrites the line state with a snapshot taken from a bus of
-// the same width. The cumulative counters are left untouched, so deltas
-// around a restore still measure only this instance's own transfers.
-func (b *Bus) Restore(s State) { copy(b.last, s.Last) }
-
 // FlipsPerBeat returns the average bit transitions per bus transaction.
 func (b *Bus) FlipsPerBeat() float64 {
 	if b.Beats == 0 {

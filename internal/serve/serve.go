@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"time"
 
 	"repro/internal/cache"
@@ -54,10 +53,6 @@ const MaxTraceBlocks = 2_000_000
 // set, so the cap can sit far above MaxTraceBlocks' event horizon —
 // it bounds service time, not memory.
 const MaxTraceOps = 2_000_000_000
-
-// MaxSimShards bounds the worker count a streamed /v1/simulate request
-// may ask the window-sharded simulator for.
-const MaxSimShards = 64
 
 // Config parameterizes a Server.
 type Config struct {
@@ -460,24 +455,19 @@ func (s *Server) handleLint(r *http.Request) (any, error) {
 // pairing's default geometry. Blocks bounds the trace length (0 selects
 // the benchmark profile's default, capped at MaxTraceBlocks). Stream
 // selects the long-horizon mode: the trace is produced as a bounded
-// chunk stream (never materialized) and replayed through the
-// window-sharded simulator, with Ops optionally bounding the walk by
-// dynamic operation count (capped at MaxTraceOps) instead of Blocks,
-// and Shards setting the worker count (0 selects the server's CPU
-// count). The streamed result is bit-identical to the non-streamed one
-// for the same Blocks bound. Speculative (stream mode only) replays the
-// windows through the checkpointed speculative scheduler instead of the
-// token-serialized one — still bit-identical, with the scheduler's
-// window/hit/retry accounting reported back and counted in /v1/stats
-// (spec.hit, spec.retry).
+// chunk stream (never materialized) and replayed incrementally by
+// Sim.RunStream while the walker produces the next chunks, with Ops
+// optionally bounding the walk by dynamic operation count (capped at
+// MaxTraceOps) instead of Blocks. The streamed result is bit-identical
+// to the non-streamed one for the same Blocks bound. Like every request
+// type it rejects unknown fields, so a client asking for a replay option
+// this server does not offer gets a 400 rather than a silent default.
 type SimulateRequest struct {
-	Benchmark   string `json:"benchmark"`
-	Pairing     string `json:"pairing"`
-	Blocks      int    `json:"blocks,omitempty"`
-	Stream      bool   `json:"stream,omitempty"`
-	Ops         int64  `json:"ops,omitempty"`
-	Shards      int    `json:"shards,omitempty"`
-	Speculative bool   `json:"speculative,omitempty"`
+	Benchmark string `json:"benchmark"`
+	Pairing   string `json:"pairing"`
+	Blocks    int    `json:"blocks,omitempty"`
+	Stream    bool   `json:"stream,omitempty"`
+	Ops       int64  `json:"ops,omitempty"`
 }
 
 func (r *SimulateRequest) validate() error {
@@ -498,15 +488,6 @@ func (r *SimulateRequest) validate() error {
 	}
 	if r.Ops != 0 && r.Blocks != 0 {
 		return fmt.Errorf("%w: blocks and ops bounds are mutually exclusive", ErrMalformedRequest)
-	}
-	if r.Shards != 0 && !r.Stream {
-		return fmt.Errorf("%w: shards require stream mode", ErrMalformedRequest)
-	}
-	if r.Shards < 0 || r.Shards > MaxSimShards {
-		return fmt.Errorf("%w: shards %d outside [0, %d]", ErrMalformedRequest, r.Shards, MaxSimShards)
-	}
-	if r.Speculative && !r.Stream {
-		return fmt.Errorf("%w: speculative replay requires stream mode", ErrMalformedRequest)
 	}
 	return nil
 }
@@ -531,13 +512,6 @@ type SimulateResponse struct {
 	BytesFetched int64   `json:"bytes_fetched"`
 	ATBHitRate   float64 `json:"atb_hit_rate"`
 	Streamed     bool    `json:"streamed,omitempty"`
-	Shards       int     `json:"shards,omitempty"`
-	// Speculative replay accounting (stream mode with Speculative only).
-	Speculative   bool    `json:"speculative,omitempty"`
-	SpecWindows   int64   `json:"spec_windows,omitempty"`
-	SpecHits      int64   `json:"spec_hits,omitempty"`
-	SpecRetries   int64   `json:"spec_retries,omitempty"`
-	SpecRetryRate float64 `json:"spec_retry_rate,omitempty"`
 }
 
 //tepic:pool
@@ -557,13 +531,11 @@ func (s *Server) handleSimulate(r *http.Request) (any, error) {
 	}
 
 	var res cache.Result
-	var spec cache.SpecStats
 	traceBlocks := 0
-	shards := 0
 	if req.Stream {
 		// Long-horizon mode: the trace streams out of the walker in
-		// bounded chunks and replays through the window-sharded
-		// simulator; nothing is materialized or cached.
+		// bounded chunks and replays incrementally; nothing is
+		// materialized or cached.
 		var st trace.Stream
 		if req.Ops > 0 {
 			st, err = c.StreamTraceOps(req.Ops, 0)
@@ -573,19 +545,7 @@ func (s *Server) handleSimulate(r *http.Request) (any, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace %s: %w", req.Benchmark, err)
 		}
-		shards = req.Shards
-		if shards <= 0 {
-			shards = runtime.GOMAXPROCS(0)
-		}
-		if req.Speculative {
-			res, spec, err = cache.RunShardedSpec(sim, st, shards)
-			s.obs.Counter("serve.spec.windows").Add(spec.Windows)
-			s.obs.Counter("serve.spec.hits").Add(spec.Hits)
-			s.obs.Counter("serve.spec.retries").Add(spec.Retries)
-		} else {
-			res, err = cache.RunSharded(sim, st, shards)
-		}
-		if err != nil {
+		if res, err = sim.RunStream(st); err != nil {
 			return nil, fmt.Errorf("simulate %s/%s: %w", req.Benchmark, req.Pairing, err)
 		}
 		traceBlocks = int(res.BlockFetches)
@@ -618,13 +578,6 @@ func (s *Server) handleSimulate(r *http.Request) (any, error) {
 		BytesFetched: res.BytesFetched,
 		ATBHitRate:   res.ATBHitRate,
 		Streamed:     req.Stream,
-		Shards:       shards,
-
-		Speculative:   req.Speculative,
-		SpecWindows:   spec.Windows,
-		SpecHits:      spec.Hits,
-		SpecRetries:   spec.Retries,
-		SpecRetryRate: spec.RetryRate(),
 	}, nil
 }
 

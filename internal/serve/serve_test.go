@@ -284,9 +284,9 @@ func TestSimulateEndpoint(t *testing.T) {
 }
 
 // TestSimulateStreamEndpoint runs the same bounded simulation twice —
-// once materialized, once streamed through the window-sharded replay —
+// once materialized, once streamed through the incremental replay —
 // and requires every counter to agree, with the streamed response
-// declaring its mode and shard count.
+// declaring its mode.
 func TestSimulateStreamEndpoint(t *testing.T) {
 	pairings := scheme.Pairings()
 	if len(pairings) == 0 {
@@ -305,7 +305,7 @@ func TestSimulateStreamEndpoint(t *testing.T) {
 	decodeInto(t, body, &plain)
 
 	status, body = postJSON(t, ts.URL+"/v1/simulate",
-		SimulateRequest{Benchmark: "compress", Pairing: p.Name, Blocks: blocks, Stream: true, Shards: 2})
+		SimulateRequest{Benchmark: "compress", Pairing: p.Name, Blocks: blocks, Stream: true})
 	if status != http.StatusOK {
 		t.Fatalf("POST /v1/simulate (stream) = %d: %s", status, body)
 	}
@@ -315,12 +315,9 @@ func TestSimulateStreamEndpoint(t *testing.T) {
 	if !streamed.Streamed {
 		t.Error("streamed response does not declare streamed mode")
 	}
-	if streamed.Shards != 2 {
-		t.Errorf("streamed response shards = %d, want 2", streamed.Shards)
-	}
-	// Normalize the mode markers, then the two responses must be
+	// Normalize the mode marker, then the two responses must be
 	// bit-identical in every counter.
-	streamed.Streamed, streamed.Shards = false, 0
+	streamed.Streamed = false
 	if streamed != plain {
 		t.Errorf("streamed simulation diverges from materialized run:\n  streamed %+v\n  plain    %+v",
 			streamed, plain)
@@ -340,68 +337,6 @@ func TestSimulateStreamEndpoint(t *testing.T) {
 	}
 	if !byOps.Streamed {
 		t.Error("ops-bounded response does not declare streamed mode")
-	}
-}
-
-// TestSimulateSpeculativeEndpoint replays the same bounded stream
-// through the serialized and the checkpointed speculative window
-// schedulers and requires bit-identical counters, with the speculative
-// response carrying the scheduler's window accounting and the server
-// stats registry counting the hits/retries.
-func TestSimulateSpeculativeEndpoint(t *testing.T) {
-	pairings := scheme.Pairings()
-	if len(pairings) == 0 {
-		t.Fatal("no registered pairings")
-	}
-	p := pairings[0]
-	const blocks = 5000
-
-	srv, ts := newTestServer(t, Config{})
-	status, body := postJSON(t, ts.URL+"/v1/simulate",
-		SimulateRequest{Benchmark: "compress", Pairing: p.Name, Blocks: blocks, Stream: true, Shards: 2})
-	if status != http.StatusOK {
-		t.Fatalf("POST /v1/simulate (stream) = %d: %s", status, body)
-	}
-	var serialized SimulateResponse
-	decodeInto(t, body, &serialized)
-
-	status, body = postJSON(t, ts.URL+"/v1/simulate",
-		SimulateRequest{Benchmark: "compress", Pairing: p.Name, Blocks: blocks,
-			Stream: true, Shards: 2, Speculative: true})
-	if status != http.StatusOK {
-		t.Fatalf("POST /v1/simulate (speculative) = %d: %s", status, body)
-	}
-	var spec SimulateResponse
-	decodeInto(t, body, &spec)
-
-	if !spec.Speculative {
-		t.Error("speculative response does not declare speculative mode")
-	}
-	if spec.SpecWindows <= 0 {
-		t.Errorf("speculative response windows = %d, want > 0", spec.SpecWindows)
-	}
-	if spec.SpecHits+spec.SpecRetries != spec.SpecWindows {
-		t.Errorf("spec accounting hits %d + retries %d != windows %d",
-			spec.SpecHits, spec.SpecRetries, spec.SpecWindows)
-	}
-	// Normalize the speculative markers, then the two responses must be
-	// bit-identical in every counter.
-	spec.Speculative = false
-	spec.SpecWindows, spec.SpecHits, spec.SpecRetries, spec.SpecRetryRate = 0, 0, 0, 0
-	if spec != serialized {
-		t.Errorf("speculative simulation diverges from serialized run:\n  speculative %+v\n  serialized  %+v",
-			spec, serialized)
-	}
-
-	snap := srv.Stats().Snapshot()
-	if got := snap.Counters["serve.spec.windows"]; got <= 0 {
-		t.Errorf("serve.spec.windows counter = %d, want > 0", got)
-	}
-	hits := snap.Counters["serve.spec.hits"]
-	retries := snap.Counters["serve.spec.retries"]
-	if hits+retries != snap.Counters["serve.spec.windows"] {
-		t.Errorf("stats counters hits %d + retries %d != windows %d",
-			hits, retries, snap.Counters["serve.spec.windows"])
 	}
 }
 
@@ -435,15 +370,21 @@ func TestRejections(t *testing.T) {
 			http.StatusBadRequest, "malformed-request"},
 		{"ops without stream", "/v1/simulate", `{"benchmark":"compress","pairing":"` + scheme.Pairings()[0].Name + `","ops":1000}`,
 			http.StatusBadRequest, "malformed-request"},
-		{"shards without stream", "/v1/simulate", `{"benchmark":"compress","pairing":"` + scheme.Pairings()[0].Name + `","shards":2}`,
-			http.StatusBadRequest, "malformed-request"},
 		{"ops over cap", "/v1/simulate", `{"benchmark":"compress","pairing":"` + scheme.Pairings()[0].Name + `","stream":true,"ops":9000000000}`,
 			http.StatusBadRequest, "malformed-request"},
 		{"blocks and ops", "/v1/simulate", `{"benchmark":"compress","pairing":"` + scheme.Pairings()[0].Name + `","stream":true,"blocks":10,"ops":10}`,
 			http.StatusBadRequest, "malformed-request"},
+		// The retired replay options are unknown fields in either mode,
+		// so a client still sending them fails loudly.
+		{"shards without stream", "/v1/simulate", `{"benchmark":"compress","pairing":"` + scheme.Pairings()[0].Name + `","shards":2}`,
+			http.StatusBadRequest, "malformed-request"},
 		{"negative shards", "/v1/simulate", `{"benchmark":"compress","pairing":"` + scheme.Pairings()[0].Name + `","stream":true,"shards":-1}`,
 			http.StatusBadRequest, "malformed-request"},
 		{"speculative without stream", "/v1/simulate", `{"benchmark":"compress","pairing":"` + scheme.Pairings()[0].Name + `","speculative":true}`,
+			http.StatusBadRequest, "malformed-request"},
+		{"shards in stream mode", "/v1/simulate", `{"stream":true,"shards":2}`,
+			http.StatusBadRequest, "malformed-request"},
+		{"speculative alone", "/v1/simulate", `{"speculative":true}`,
 			http.StatusBadRequest, "malformed-request"},
 	}
 	for _, tc := range cases {

@@ -157,23 +157,23 @@ func Metamorphic(in Input) (*verify.Report, error) {
 		}
 	}
 
-	// Windowed additivity at the seam: shard the concatenated trace with
-	// a window boundary landing exactly on the concatenation point, so
-	// the entire LRU/L0/predictor warm state crosses the seam through
-	// the handoff token. The merged counters must equal the sequential
-	// replay of the same doubled trace in every field.
+	// Chunked additivity at the seam: stream the concatenated trace with
+	// a chunk boundary landing exactly on the concatenation point, so
+	// the entire LRU/L0/predictor warm state crosses the seam between
+	// chunks. The merged counters must equal the sequential replay of
+	// the same doubled trace in every field.
 	if n := in.Tr.Len(); n > 0 {
 		sim, err := cache.NewOrgSim(in.Org, in.Cfg, in.Im, in.ROM, in.Prog)
 		if err != nil {
 			return nil, err
 		}
-		windowed, err := cache.RunSharded(sim, trace.NewSliceStream(doubled, n), 2)
+		chunked, err := sim.RunStream(trace.NewSliceStream(doubled, n))
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range diffFull(windowed, twice) {
+		for _, m := range diffFull(chunked, twice) {
 			rep.Errorf(stage, verify.CheckSimMetaAdditive, verify.NoPos,
-				"seam-windowed concat: %s %d, sequential %d", m.Field, m.Got, m.Want)
+				"seam-chunked concat: %s %d, sequential %d", m.Field, m.Got, m.Want)
 		}
 	}
 	return rep, nil

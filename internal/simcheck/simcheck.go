@@ -17,10 +17,10 @@
 //     cache never misses more, a self-concatenated trace doubles the
 //     operation counts, and the L0 filter conserves block fetches
 //     (CheckSimMeta*, CheckSimIdentity).
-//   - StreamEquivalence (stream.go) replays the point through the
-//     incremental (Sim.RunStream) and window-sharded (cache.RunSharded)
-//     paths and demands bit-identity with the sequential run in every
-//     counter, shadowed by the oracle's streaming face (CheckSimStream).
+//   - StreamEquivalence (stream.go) replays the point incrementally
+//     (Sim.RunStream) at two chunk sizes and demands bit-identity with
+//     the sequential run in every counter, shadowed by the oracle's
+//     streaming face (CheckSimStream).
 //   - FaultMatrix (fault.go) feeds the pipeline corrupted images,
 //     malformed traces and degenerate geometries, asserting each is
 //     rejected with the documented typed error rather than accepted or

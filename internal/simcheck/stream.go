@@ -9,22 +9,18 @@ import (
 )
 
 // This file is the streaming differential harness: the proof obligation
-// that the three replay paths — sequential Sim.Run over the slice,
-// incremental Sim.RunStream over chunks, and window-sharded
-// cache.RunSharded with warm-state handoff — are one simulator. Every
+// that sequential Sim.Run over the slice and incremental Sim.RunStream
+// over chunks are one simulator, wherever the chunk seams fall. Every
 // counter must agree exactly, including BitFlips and ATBHitRate (which
 // the analytical oracle does not model but the replays must still
 // reproduce bit-identically), and the oracle's own streaming face must
 // agree with its slice face. Findings report under CheckSimStream.
 
-// streamChunk and streamShards pick deliberately awkward windowing for
-// the equivalence replays: a prime chunk size so window seams never
-// align with loop structure, and enough shards that the handoff token
-// actually travels between workers.
-const (
-	streamChunk  = 997
-	streamShards = 4
-)
+// streamChunks are the deliberately awkward chunk sizes of the
+// equivalence replays: primes, so seams never align with loop
+// structure, one of them small enough that the pipeline's warm state
+// crosses a seam every few dozen events.
+var streamChunks = [2]int{997, 61}
 
 // diffFull compares two results across every counter — the eleven the
 // oracle models plus BitFlips and ATBHitRate — returning one Mismatch
@@ -42,11 +38,11 @@ func diffFull(got, want cache.Result) []Mismatch {
 	return out
 }
 
-// StreamEquivalence replays the input through the incremental and the
-// window-sharded paths and diffs each against the sequential run, then
-// shadows the run with the oracle's streaming recomputation. An error
-// means a replay could not run at all; divergences land in the report
-// under CheckSimStream.
+// StreamEquivalence replays the input through Sim.RunStream at each of
+// streamChunks and diffs every replay against the sequential run, then
+// shadows the last one with the oracle's streaming recomputation. An
+// error means a replay could not run at all; divergences land in the
+// report under CheckSimStream.
 func StreamEquivalence(in Input) (*verify.Report, error) {
 	rep := &verify.Report{}
 	stage := in.stage()
@@ -56,34 +52,23 @@ func StreamEquivalence(in Input) (*verify.Report, error) {
 		return nil, err
 	}
 
-	sim, err := cache.NewOrgSim(in.Org, in.Cfg, in.Im, in.ROM, in.Prog)
-	if err != nil {
-		return nil, err
-	}
-	streamed, err := sim.RunStream(trace.NewSliceStream(in.Tr, streamChunk))
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range diffFull(streamed, want) {
-		rep.Errorf(stage, verify.CheckSimStream, verify.NoPos,
-			"RunStream %s: %d, sequential %d", m.Field, m.Got, m.Want)
-	}
-
-	sim, err = cache.NewOrgSim(in.Org, in.Cfg, in.Im, in.ROM, in.Prog)
-	if err != nil {
-		return nil, err
-	}
-	sharded, err := cache.RunSharded(sim, trace.NewSliceStream(in.Tr, streamChunk), streamShards)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range diffFull(sharded, want) {
-		rep.Errorf(stage, verify.CheckSimStream, verify.NoPos,
-			"RunSharded %s: %d, sequential %d", m.Field, m.Got, m.Want)
+	var streamed cache.Result
+	for _, cs := range streamChunks {
+		sim, err := cache.NewOrgSim(in.Org, in.Cfg, in.Im, in.ROM, in.Prog)
+		if err != nil {
+			return nil, err
+		}
+		if streamed, err = sim.RunStream(trace.NewSliceStream(in.Tr, cs)); err != nil {
+			return nil, err
+		}
+		for _, m := range diffFull(streamed, want) {
+			rep.Errorf(stage, verify.CheckSimStream, verify.NoPos,
+				"RunStream chunk %d %s: %d, sequential %d", cs, m.Field, m.Got, m.Want)
+		}
 	}
 
 	oracle, err := ExpectedStream(in.Org, in.Cfg, in.Im, in.ROM, in.Prog,
-		trace.NewSliceStream(in.Tr, streamChunk))
+		trace.NewSliceStream(in.Tr, streamChunks[0]))
 	switch {
 	case errors.Is(err, ErrUnsupported):
 		// Outside the analytical model; the replay equivalences above
@@ -91,9 +76,10 @@ func StreamEquivalence(in Input) (*verify.Report, error) {
 	case err != nil:
 		return nil, err
 	default:
-		for _, m := range Diff(sharded, oracle) {
+		for _, m := range Diff(streamed, oracle) {
 			rep.Errorf(stage, verify.CheckSimStream, verify.NoPos,
-				"RunSharded %s: %d, streaming oracle %d", m.Field, m.Got, m.Want)
+				"RunStream chunk %d %s: %d, streaming oracle chunk %d %d",
+				streamChunks[1], m.Field, m.Got, streamChunks[0], m.Want)
 		}
 	}
 	return rep, nil

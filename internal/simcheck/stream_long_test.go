@@ -19,12 +19,12 @@ import (
 // overrides the horizon either way.
 const longHorizonOps = 100_000_000
 
-// TestStreamLongHorizon is the tentpole's long-horizon proof: a
-// fixed-seed 100M-op trace streamed straight out of the stochastic
-// walker (never materialized), replayed through the incremental path,
-// the window-sharded path, the checkpointed speculative path and the
-// oracle's streaming face — all four bit-identical — with peak heap
-// bounded by the chunk working set rather than the trace length.
+// TestStreamLongHorizon is the long-horizon proof: a fixed-seed
+// 100M-op trace streamed straight out of the stochastic walker (never
+// materialized), replayed through Sim.RunStream at two chunk sizes and
+// through the oracle's streaming face — all three bit-identical — with
+// peak heap bounded by the chunk working set rather than the trace
+// length.
 func TestStreamLongHorizon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams millions of ops; too slow for -short")
@@ -51,9 +51,9 @@ func TestStreamLongHorizon(t *testing.T) {
 	seed, phases := c.Profile.Seed, c.Profile.Phases
 
 	// Each replay gets its own stream: same seed, same walker, same
-	// event sequence.
-	stream := func() trace.Stream {
-		st, err := emu.StochasticStreamOps(c.Prog, seed, ops, phases, 0)
+	// event sequence, cut at the given chunk size.
+	stream := func(chunkEvents int) trace.Stream {
+		st, err := emu.StochasticStreamOps(c.Prog, seed, ops, phases, chunkEvents)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestStreamLongHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := sim.RunStream(stream())
+	seq, err := sim.RunStream(stream(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,39 +74,24 @@ func TestStreamLongHorizon(t *testing.T) {
 		t.Fatalf("stream delivered %d ops, want >= %d", seq.Ops, ops)
 	}
 
+	// A prime chunk size puts every seam somewhere else.
 	sim2, err := cache.NewOrgSim(p.Org, cfg, im, nil, c.Prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := cache.RunSharded(sim2, stream(), 4)
+	rechunked, err := sim2.RunStream(stream(997))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sharded != seq {
-		t.Errorf("sharded result differs from incremental:\n  sharded %+v\n  seq     %+v", sharded, seq)
+	if rechunked != seq {
+		t.Errorf("997-event chunks differ from default chunks:\n  997     %+v\n  default %+v", rechunked, seq)
 	}
 
-	sim3, err := cache.NewOrgSim(p.Org, cfg, im, nil, c.Prog)
+	oracle, err := simcheck.ExpectedStream(p.Org, cfg, im, nil, c.Prog, stream(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, stats, err := cache.RunShardedSpec(sim3, stream(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec != seq {
-		t.Errorf("speculative result differs from incremental:\n  spec %+v\n  seq  %+v", spec, seq)
-	}
-	if stats.Hits+stats.Retries != stats.Windows {
-		t.Errorf("spec accounting hits %d + retries %d != windows %d",
-			stats.Hits, stats.Retries, stats.Windows)
-	}
-
-	oracle, err := simcheck.ExpectedStream(p.Org, cfg, im, nil, c.Prog, stream())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range simcheck.Diff(sharded, oracle) {
+	for _, m := range simcheck.Diff(rechunked, oracle) {
 		t.Errorf("oracle disagrees on %s: simulator %d, oracle %d", m.Field, m.Got, m.Want)
 	}
 

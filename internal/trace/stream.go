@@ -10,8 +10,8 @@ import (
 // bounded sequence of fixed-capacity chunks instead of one in-memory
 // []Event slice. Producers (emu.StochasticStream, or any generator that
 // fills a ChanStream) hand chunks across a bounded channel; consumers
-// (Sim.RunStream, cache.RunSharded, the stream validators below) replay
-// them incrementally and recycle each chunk into a sync.Pool, so peak
+// (Sim.RunStream, the stream validators below) replay them
+// incrementally and recycle each chunk into a sync.Pool, so peak
 // memory is set by the chunk size and channel depth — never by the
 // trace length. SliceStream adapts an already materialized Trace to the
 // same interface with zero-copy subslice chunks, which is how the slice
@@ -53,9 +53,8 @@ type Chunk struct {
 // Stream delivers a trace incrementally. Next returns chunks in trace
 // order and nil at end of stream (or the producer's terminal error);
 // the consumer must Recycle every chunk it is done with — chunks may be
-// pooled and reused for later windows. Next is single-consumer;
-// Recycle is safe from any goroutine, so window-parallel consumers can
-// recycle from their workers. Close abandons the stream early,
+// pooled and reused for later chunks. Next is single-consumer;
+// Recycle is safe from any goroutine. Close abandons the stream early,
 // releasing the producer; it is idempotent and implied by draining the
 // stream to its end.
 type Stream interface {
@@ -272,8 +271,8 @@ func Collect(s Stream) (*Trace, error) {
 }
 
 // ValidateChunk checks that every event of one chunk references blocks
-// inside [0, numBlocks) — the per-window precondition the streaming
-// simulators enforce before replaying a chunk. Offsets in errors are
+// inside [0, numBlocks) — the per-chunk precondition Sim.RunStream
+// enforces before replaying a chunk. Offsets in errors are
 // absolute event indices (Chunk.First-relative), never chunk-local.
 func ValidateChunk(c *Chunk, numBlocks int) error {
 	for i, e := range c.Events {

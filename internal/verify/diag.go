@@ -208,10 +208,10 @@ const (
 	// degenerate geometries) must be rejected with the documented typed
 	// error — never accepted, never a panic.
 	CheckSimFault CheckID = "sim-fault"
-	// CheckSimStream: the incremental (RunStream) and window-sharded
-	// (RunSharded) replays of a trace must be bit-identical — every
-	// counter, including BitFlips and ATBHitRate — to the sequential
-	// Sim.Run, and match the analytical oracle's streaming recomputation.
+	// CheckSimStream: the incremental (RunStream) replays of a trace at
+	// any chunk size must be bit-identical — every counter, including
+	// BitFlips and ATBHitRate — to the sequential Sim.Run, and match the
+	// analytical oracle's streaming recomputation.
 	CheckSimStream CheckID = "sim-stream"
 )
 
