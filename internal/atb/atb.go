@@ -12,8 +12,9 @@
 package atb
 
 import (
-	"container/list"
 	"fmt"
+
+	"repro/internal/lru"
 )
 
 // DefaultEntries is the modeled ATB capacity (ATT entries resident).
@@ -59,9 +60,8 @@ type ATB struct {
 	dir    DirectionPredictor
 	target []int32 // last-taken-target block ID, -1 if none yet
 
-	// Residency simulation (LRU over ATT entries).
-	order   *list.List
-	present map[int]*list.Element
+	// Residency simulation: LRU over the ATT entries, by block ID.
+	resident *lru.List
 
 	Hits   int64
 	Misses int64
@@ -84,8 +84,7 @@ func NewWithPredictor(blocks []BlockInfo, capacity int, dir DirectionPredictor) 
 		blocks:   blocks,
 		dir:      dir,
 		target:   make([]int32, len(blocks)),
-		order:    list.New(),
-		present:  map[int]*list.Element{},
+		resident: lru.New(len(blocks)),
 	}
 	for i := range a.target {
 		a.target[i] = -1
@@ -94,19 +93,21 @@ func NewWithPredictor(blocks []BlockInfo, capacity int, dir DirectionPredictor) 
 }
 
 // Touch simulates the ATB lookup for a block, updating residency stats.
+// A block outside the loaded table has no ATT entry to cache: it always
+// misses and never becomes resident.
 func (a *ATB) Touch(block int) {
-	if el, ok := a.present[block]; ok {
+	if a.resident.Touch(block) {
 		a.Hits++
-		a.order.MoveToFront(el)
 		return
 	}
 	a.Misses++
-	if a.order.Len() >= a.capacity {
-		back := a.order.Back()
-		delete(a.present, back.Value.(int))
-		a.order.Remove(back)
+	if block < 0 || block >= len(a.blocks) {
+		return
 	}
-	a.present[block] = a.order.PushFront(block)
+	if a.resident.Len() >= a.capacity {
+		a.resident.Remove(a.resident.Back())
+	}
+	a.resident.PushFront(block)
 }
 
 // HitRate returns the fraction of lookups that hit.

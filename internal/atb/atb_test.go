@@ -1,6 +1,10 @@
 package atb
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 func mkATB(n, capacity int) *ATB {
 	infos := make([]BlockInfo, n)
@@ -148,5 +152,49 @@ func TestPredictReportsDirectionNotResidency(t *testing.T) {
 	// Out-of-table blocks: (-1, false), never a panic.
 	if next, taken := a.Predict(99); taken || next != -1 {
 		t.Errorf("out-of-table block: Predict = (%d, %v), want (-1, false)", next, taken)
+	}
+}
+
+// TestResidencyAgainstReference drives Touch and a naive MRU-first
+// slice with the same random block stream and compares Hits and Misses
+// after every call. Streams mix a hot working set with cold blocks from
+// the whole table, so both the hit path and LRU eviction are exercised.
+func TestResidencyAgainstReference(t *testing.T) {
+	const n = 1000
+	rng := rand.New(rand.NewSource(11))
+	for _, capacity := range []int{1, 2, 128} {
+		a := mkATB(n, capacity)
+		var ref []int // MRU first
+		var hits, misses int64
+		for op := 0; op < 20000; op++ {
+			b := rng.Intn(n)
+			if rng.Intn(4) != 0 {
+				b = rng.Intn(2 * capacity) // hot set, about twice the capacity
+			}
+			a.Touch(b)
+			i := slices.Index(ref, b)
+			if i >= 0 {
+				hits++
+				ref = slices.Delete(ref, i, i+1)
+			} else {
+				misses++
+				if len(ref) >= capacity {
+					ref = ref[:len(ref)-1]
+				}
+			}
+			ref = slices.Insert(ref, 0, b)
+			if a.Hits != hits || a.Misses != misses {
+				t.Fatalf("capacity %d op %d: Touch(%d) hits/misses %d/%d, oracle %d/%d",
+					capacity, op, b, a.Hits, a.Misses, hits, misses)
+			}
+		}
+		// A block outside the table misses and displaces nothing.
+		lru := ref[len(ref)-1]
+		a.Touch(n + 5)
+		a.Touch(lru)
+		if a.Misses != misses+1 || a.Hits != hits+1 {
+			t.Errorf("capacity %d: out-of-table touch changed residency (hits/misses %d/%d)",
+				capacity, a.Hits, a.Misses)
+		}
 	}
 }

@@ -118,7 +118,7 @@ func TestLineCacheFlush(t *testing.T) {
 }
 
 func TestL0Buffer(t *testing.T) {
-	b := NewL0Buffer(32)
+	b := NewL0Buffer(32, 64)
 	if b.Lookup(1) {
 		t.Error("cold lookup hit")
 	}
@@ -144,7 +144,7 @@ func TestL0Buffer(t *testing.T) {
 }
 
 func TestL0BufferOversized(t *testing.T) {
-	b := NewL0Buffer(32)
+	b := NewL0Buffer(32, 64)
 	b.Insert(9, 40) // bigger than the whole buffer
 	if b.Lookup(9) {
 		t.Error("oversized block cached")
@@ -155,7 +155,7 @@ func TestL0BufferOversized(t *testing.T) {
 }
 
 func TestL0BufferReinsertRefreshes(t *testing.T) {
-	b := NewL0Buffer(20)
+	b := NewL0Buffer(20, 64)
 	b.Insert(1, 10)
 	b.Insert(2, 10)
 	b.Insert(1, 10) // refresh, no growth

@@ -73,14 +73,25 @@ func TestLineCacheAgainstReference(t *testing.T) {
 }
 
 // TestL0AgainstReference drives the L0 buffer against a naive oracle.
+// Odd trials draw their 30 live blocks from a 10k-block program, so the
+// dense-ID residency list is exercised far from ID 0; one insert in
+// eight carries zero ops, which occupies an entry but no capacity.
 func TestL0AgainstReference(t *testing.T) {
 	type entry struct {
 		block, ops int
 	}
+	const numBlocks = 10000
 	rng := rand.New(rand.NewSource(100))
 	for trial := 0; trial < 20; trial++ {
 		capOps := 8 + rng.Intn(64)
-		buf := NewL0Buffer(capOps)
+		buf := NewL0Buffer(capOps, numBlocks)
+		ids := make([]int, 30)
+		for i := range ids {
+			ids[i] = i
+			if trial%2 == 1 {
+				ids[i] = rng.Intn(numBlocks)
+			}
+		}
 		var ref []entry // MRU first
 		used := 0
 		lookup := func(b int) bool {
@@ -109,7 +120,7 @@ func TestL0AgainstReference(t *testing.T) {
 			used += ops
 		}
 		for op := 0; op < 3000; op++ {
-			b := rng.Intn(30)
+			b := ids[rng.Intn(len(ids))]
 			if rng.Intn(2) == 0 {
 				got, want := buf.Lookup(b), lookup(b)
 				if got != want {
@@ -118,11 +129,17 @@ func TestL0AgainstReference(t *testing.T) {
 				}
 			} else {
 				ops := 1 + rng.Intn(capOps+4)
+				if rng.Intn(8) == 0 {
+					ops = 0
+				}
 				buf.Insert(b, ops)
 				insert(b, ops)
 			}
 			if buf.UsedOps() != used {
 				t.Fatalf("trial %d op %d: used %d, oracle %d", trial, op, buf.UsedOps(), used)
+			}
+			if l0 := buf.resident.Len(); l0 != len(ref) {
+				t.Fatalf("trial %d op %d: %d resident blocks, oracle %d", trial, op, l0, len(ref))
 			}
 		}
 	}

@@ -144,6 +144,25 @@ type Sim struct {
 	buf   L0Store // nil unless the spec has an L0 buffer
 	atb   ATBStage
 	bus   BusModel
+
+	fetch []fetchEntry // per block: everything step needs from the images
+	pad   []byte       // reused payload for a line past the image data
+}
+
+// fetchEntry is one block's row of the per-block fetch table: the
+// geometry- and image-derived quantities step would otherwise recompute
+// (with several divisions and two Decompressor calls) on every event.
+// They depend only on the block, the images and the fixed line size, so
+// NewOrgSim evaluates them once.
+type fetchEntry struct {
+	firstLine int64 // first cache line of the block's placement
+	lines     int   // cache lines the placement touches
+	hitN      int   // Decompressor volume n on a cache (or L0) hit
+	missN     int   // Decompressor volume n on a miss
+	romFirst  int64 // first ROM line (NeedsROM organizations)
+	romLines  int   // ROM lines the block's footprint spans
+	ops       int   // ops the L0 buffer captures
+	mops      int   // scheduled MOPs streamed after the startup
 }
 
 // NewSim builds a simulator for a program image under one organization.
@@ -206,12 +225,30 @@ func NewOrgSim(org Org, cfg Config, im, rom *image.Image, sp *sched.Program) (*S
 		cache: lc,
 		atb:   atb.NewWithPredictor(infos, cfg.ATBEntries, dir),
 		bus:   power.NewBus(cfg.BusBytes),
+		pad:   make([]byte, cfg.LineBytes),
 	}
 	if spec.HasL0 {
 		if cfg.L0Ops < 0 {
 			return nil, fmt.Errorf("%w: L0 buffer capacity %d ops", ErrBadGeometry, cfg.L0Ops)
 		}
-		s.buf = NewL0Buffer(cfg.L0Ops)
+		s.buf = NewL0Buffer(cfg.L0Ops, len(sp.Blocks))
+	}
+	s.fetch = make([]fetchEntry, len(im.Blocks))
+	for i, blk := range im.Blocks {
+		var romBlk image.Block
+		if rom != nil {
+			romBlk = rom.Blocks[i]
+		}
+		s.fetch[i] = fetchEntry{
+			firstLine: lc.LineOf(blk.Addr),
+			lines:     blk.Lines(cfg.LineBytes),
+			hitN:      spec.Decode.HitLines(blk, cfg.LineBytes),
+			missN:     spec.Decode.MissLines(blk, romBlk, cfg.LineBytes),
+			romFirst:  int64(romBlk.Addr / cfg.LineBytes),
+			romLines:  romBlk.Lines(cfg.LineBytes),
+			ops:       blk.Ops,
+			mops:      sp.Blocks[i].NumMOPs(),
+		}
 	}
 	return s, nil
 }
@@ -361,98 +398,90 @@ func badUpdate(err error) error {
 // simulator's per-event hot loop, run once per fetched block for every
 // (benchmark, pairing, geometry) point of a sweep. It accumulates into
 // res and returns the next-block prediction for the following event.
+// Everything it needs from the images comes from the per-block fetch
+// table, so no line span or volume is recomputed per event, and a step
+// allocates nothing (TestStepZeroAlloc).
 //
 //tepic:hotpath
 func (s *Sim) step(ev trace.Event, predicted int, res *Result) (int, error) {
-	{
-		blk := s.im.Blocks[ev.Block]
-		mops := s.sp.Blocks[ev.Block].NumMOPs()
+	f := &s.fetch[ev.Block]
 
-		predCorrect := predicted == ev.Block || predicted == -2 ||
-			s.cfg.PerfectPrediction
-		if !predCorrect {
-			res.Mispredicts++
+	predCorrect := predicted == ev.Block || predicted == -2 ||
+		s.cfg.PerfectPrediction
+	if !predCorrect {
+		res.Mispredicts++
+	}
+	res.BlockFetches++
+	s.atb.Touch(ev.Block)
+
+	// L0 buffer: consulted first, filters main-cache accesses.
+	bufHit := false
+	if s.buf != nil {
+		bufHit = s.buf.Lookup(ev.Block)
+		if bufHit {
+			res.BufferHits++
 		}
-		res.BlockFetches++
-		s.atb.Touch(ev.Block)
+	}
 
-		// L0 buffer: consulted first, filters main-cache accesses.
-		bufHit := false
+	cacheHit := true
+	if !bufHit {
+		res.CacheLookups++
+		// Restricted placement: the block is the unit of residency. The
+		// lines its placement touches are what is probed, repaired and
+		// (for in-cache images) carried over the bus.
+		nFetch := int64(f.lines)
+		missing := 0
+		for l := int64(0); l < nFetch; l++ {
+			if !s.cache.Probe(f.firstLine + l) {
+				missing++
+			}
+		}
+		if missing > 0 {
+			cacheHit = false
+			res.CacheMisses++
+			if s.rom != nil {
+				// The bus carries the ROM's encoded lines. Like the
+				// in-cache path below, repair is line-granular: whole
+				// memory lines spanning the block's ROM footprint, so
+				// BusBeats/BytesFetched agree with LinesFetched.
+				romLines := int64(f.romLines)
+				res.LinesFetched += romLines
+				for l := int64(0); l < romLines; l++ {
+					s.bus.Transfer(s.lineData(s.rom, f.romFirst+l))
+				}
+			} else {
+				res.LinesFetched += nFetch
+				// Miss repair fetches the whole block over the bus
+				// and validates all its lines (atomic fetch unit).
+				for l := int64(0); l < nFetch; l++ {
+					s.bus.Transfer(s.lineData(s.im, f.firstLine+l))
+				}
+			}
+			for l := int64(0); l < nFetch; l++ {
+				s.cache.Fill(f.firstLine + l)
+			}
+		}
 		if s.buf != nil {
-			bufHit = s.buf.Lookup(ev.Block)
-			if bufHit {
-				res.BufferHits++
-			}
+			// The decompressor's output is captured by the buffer.
+			s.buf.Insert(ev.Block, f.ops)
 		}
+	}
 
-		cacheHit := true
-		// The lines the block's placement touches: the unit of residency,
-		// miss repair and (for in-cache images) bus traffic.
-		nFetch := blk.Lines(s.cfg.LineBytes)
-		var romBlk image.Block
-		if s.rom != nil {
-			romBlk = s.rom.Blocks[ev.Block]
-		}
-		if !bufHit {
-			res.CacheLookups++
-			// Restricted placement: the block is the unit of residency.
-			firstLine := s.cache.LineOf(blk.Addr)
-			missing := 0
-			for l := int64(0); l < int64(nFetch); l++ {
-				if !s.cache.Probe(firstLine + l) {
-					missing++
-				}
-			}
-			if missing > 0 {
-				cacheHit = false
-				res.CacheMisses++
-				if s.rom != nil {
-					// The bus carries the ROM's encoded lines. Like the
-					// in-cache path below, repair is line-granular: whole
-					// memory lines spanning the block's ROM footprint, so
-					// BusBeats/BytesFetched agree with LinesFetched.
-					romFirst := int64(romBlk.Addr / s.cfg.LineBytes)
-					romLines := int64(romBlk.Lines(s.cfg.LineBytes))
-					res.LinesFetched += romLines
-					for l := int64(0); l < romLines; l++ {
-						s.bus.Transfer(lineData(s.rom, romFirst+l, s.cfg.LineBytes))
-					}
-				} else {
-					res.LinesFetched += int64(nFetch)
-					// Miss repair fetches the whole block over the bus
-					// and validates all its lines (atomic fetch unit).
-					for l := int64(0); l < int64(nFetch); l++ {
-						s.bus.Transfer(lineData(s.im, firstLine+l, s.cfg.LineBytes))
-					}
-				}
-				for l := int64(0); l < int64(nFetch); l++ {
-					s.cache.Fill(firstLine + l)
-				}
-			}
-			if s.buf != nil {
-				// The decompressor's output is captured by the buffer.
-				s.buf.Insert(ev.Block, blk.Ops)
-			}
-		}
+	// The decompressor/extractor stage sets n, the line volume the
+	// startup path streams through for this fetch.
+	n := f.hitN
+	if !cacheHit {
+		n = f.missN
+	}
+	res.Cycles += int64(s.spec.Timing.Cycles(predCorrect, cacheHit, bufHit, n))
+	if f.mops > 1 {
+		res.Cycles += int64(f.mops - 1) // stream remaining MOPs, 1 per cycle
+	}
 
-		// The decompressor/extractor stage sets n, the line volume the
-		// startup path streams through for this fetch.
-		var n int
-		if cacheHit {
-			n = s.spec.Decode.HitLines(blk, s.cfg.LineBytes)
-		} else {
-			n = s.spec.Decode.MissLines(blk, romBlk, s.cfg.LineBytes)
-		}
-		res.Cycles += int64(s.spec.Timing.Cycles(predCorrect, cacheHit, bufHit, n))
-		if mops > 1 {
-			res.Cycles += int64(mops - 1) // stream remaining MOPs, 1 per cycle
-		}
-
-		// Train the predictor and remember the next-block prediction.
-		predicted, _ = s.atb.Predict(ev.Block)
-		if err := s.atb.Update(ev.Block, ev.Taken, ev.Next); err != nil {
-			return predicted, badUpdate(err)
-		}
+	// Train the predictor and remember the next-block prediction.
+	predicted, _ = s.atb.Predict(ev.Block)
+	if err := s.atb.Update(ev.Block, ev.Taken, ev.Next); err != nil {
+		return predicted, badUpdate(err)
 	}
 	return predicted, nil
 }
@@ -460,19 +489,22 @@ func (s *Sim) step(ev trace.Event, predicted int, res *Result) (int, error) {
 // lineData returns the bytes of one memory line of an image's encoded
 // data (zero-padded past the end of the image) — the payload a
 // line-granular miss repair puts on the bus, whether the line lives in
-// the cache's own image or a behind-the-bus ROM image.
-func lineData(im *image.Image, line int64, lineBytes int) []byte {
+// the cache's own image or a behind-the-bus ROM image. A padded line is
+// built in the Sim's one reused line buffer, valid until the next call;
+// the bus copies what it keeps.
+func (s *Sim) lineData(im *image.Image, line int64) []byte {
+	lineBytes := len(s.pad)
 	start := int(line) * lineBytes
 	end := start + lineBytes
-	if start >= len(im.Data) {
-		return make([]byte, lineBytes)
+	if end <= len(im.Data) {
+		return im.Data[start:end]
 	}
-	if end > len(im.Data) {
-		padded := make([]byte, lineBytes)
-		copy(padded, im.Data[start:])
-		return padded
+	n := 0
+	if start < len(im.Data) {
+		n = copy(s.pad, im.Data[start:])
 	}
-	return im.Data[start:end]
+	clear(s.pad[n:])
+	return s.pad
 }
 
 // RunIdeal returns the perfect-cache, perfect-predictor result: one cycle

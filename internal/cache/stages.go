@@ -77,6 +77,9 @@ type BusModel interface {
 // cost is pure timing, folded into the StartupTable, so its volume rule
 // is the identity). It yields n, the line count the startup path streams
 // through for one block, which Table 1 charges at one line per cycle.
+// Both volumes must be pure functions of their arguments: NewOrgSim
+// evaluates them once per block into the simulator's fetch table, and
+// the per-event loop only reads that table.
 type Decompressor interface {
 	// HitLines returns n for a fetch served by the cache (or L0 buffer).
 	HitLines(blk image.Block, lineBytes int) int

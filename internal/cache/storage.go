@@ -1,6 +1,10 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/lru"
+)
 
 // LineCache is a set-associative instruction cache with true-LRU
 // replacement, modeled at memory-line granularity. The paper's Banked
@@ -80,17 +84,19 @@ func (c *LineCache) Flush() {
 // L0Buffer is the small fully-associative buffer of §4 that holds the
 // most recently decompressed blocks, measured in operations (the paper
 // sizes it at 32 op entries, 160 bytes). Blocks larger than the buffer
-// never hit.
+// never hit. Residency is an LRU over the program's dense block IDs,
+// sized once at construction, so lookups and inserts never allocate.
 type L0Buffer struct {
-	capOps int
-	used   int
-	order  []int       // block IDs, MRU first
-	ops    map[int]int // block ID -> op count
+	capOps   int
+	used     int
+	resident *lru.List
+	ops      []int // block ID -> op count, valid while resident
 }
 
-// NewL0Buffer returns a buffer holding up to capOps operations.
-func NewL0Buffer(capOps int) *L0Buffer {
-	return &L0Buffer{capOps: capOps, ops: map[int]int{}}
+// NewL0Buffer returns a buffer holding up to capOps operations of a
+// program with numBlocks blocks.
+func NewL0Buffer(capOps, numBlocks int) *L0Buffer {
+	return &L0Buffer{capOps: capOps, resident: lru.New(numBlocks), ops: make([]int, numBlocks)}
 }
 
 // CapacityOps returns the buffer size in operations.
@@ -98,38 +104,24 @@ func (b *L0Buffer) CapacityOps() int { return b.capOps }
 
 // Lookup reports whether a block's decompressed MOPs are resident,
 // updating recency on hit.
-func (b *L0Buffer) Lookup(block int) bool {
-	if _, ok := b.ops[block]; !ok {
-		return false
-	}
-	for i, id := range b.order {
-		if id == block {
-			copy(b.order[1:i+1], b.order[:i])
-			b.order[0] = block
-			return true
-		}
-	}
-	return false
-}
+func (b *L0Buffer) Lookup(block int) bool { return b.resident.Touch(block) }
 
 // Insert places a freshly decompressed block in the buffer, evicting LRU
-// blocks until it fits. Blocks that exceed the whole buffer are not
-// cached.
+// blocks until it fits. Blocks that exceed the whole buffer, and blocks
+// outside the program, are not cached.
 func (b *L0Buffer) Insert(block, numOps int) {
-	if numOps > b.capOps {
+	if numOps > b.capOps || block < 0 || block >= len(b.ops) {
 		return
 	}
-	if _, ok := b.ops[block]; ok {
-		b.Lookup(block) // refresh recency
+	if b.resident.Touch(block) { // refresh recency
 		return
 	}
-	for b.used+numOps > b.capOps && len(b.order) > 0 {
-		victim := b.order[len(b.order)-1]
-		b.order = b.order[:len(b.order)-1]
+	for b.used+numOps > b.capOps && b.resident.Len() > 0 {
+		victim := b.resident.Back()
+		b.resident.Remove(victim)
 		b.used -= b.ops[victim]
-		delete(b.ops, victim)
 	}
-	b.order = append([]int{block}, b.order...)
+	b.resident.PushFront(block)
 	b.ops[block] = numOps
 	b.used += numOps
 }

@@ -119,7 +119,13 @@ func (st *artifactStore) do(key string, build func() (any, error)) (any, error) 
 	e.val, e.err = build()
 	sh.mu.Lock()
 	e.building = false
+	// Builds in flight at insert time could not be evicted then; the
+	// shard sheds that overshoot as soon as a build completes.
+	evicted = sh.evictOver()
 	sh.mu.Unlock()
+	if evicted > 0 {
+		st.obs.Counter("artifact.eviction").Add(int64(evicted))
+	}
 	close(e.done)
 	return e.val, e.err
 }
@@ -177,8 +183,9 @@ func (sh *storeShard) moveToFront(e *storeEntry) {
 // within capacity, returning how many were evicted. In-flight builds
 // are skipped, so a burst of concurrent first requests may transiently
 // hold the shard over capacity by the number of builds in flight —
-// memory stays bounded by capacity + the driver's worker count. Caller
-// holds sh.mu.
+// memory stays bounded by capacity + the driver's worker count, and
+// each completing build evicts again, so the shard is back within
+// capacity once its builds finish. Caller holds sh.mu.
 func (sh *storeShard) evictOver() int {
 	if sh.capacity <= 0 {
 		return 0

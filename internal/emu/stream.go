@@ -10,7 +10,7 @@ import (
 // StochasticStream is the streaming face of StochasticTrace: the same
 // seeded CFG walk, but events flow to the consumer through a bounded
 // producer/consumer chunk stream instead of materializing a []Event —
-// the walker's working set is a handful of pooled chunks, independent
+// the walker's working set is a handful of recycled chunks, independent
 // of maxBlocks. The event sequence is bit-identical to
 // StochasticTrace(sp, seed, maxBlocks, phases): same PRNG consumption
 // order, same final-event trace.End patch. chunkEvents <= 0 selects

@@ -326,3 +326,51 @@ func TestSliceStreamEmptyTrace(t *testing.T) {
 		t.Fatalf("second Next = (%v, %v), want end of stream", c2, err)
 	}
 }
+
+// runChanStream streams n chunks of chunkEvents events through a
+// ChanStream of the given depth, the consumer recycling every chunk,
+// and returns how many distinct chunks the consumer saw.
+func runChanStream(n, chunkEvents, depth int, seen map[*Chunk]bool) {
+	s, p := NewChanStream("t", chunkEvents, depth)
+	go func() {
+		for i := 0; i < n*chunkEvents; i++ {
+			p.Append(Event{Block: 0, Next: 0}, 1, 1)
+		}
+		p.Close(nil)
+	}()
+	for {
+		c, err := s.Next()
+		if c == nil || err != nil {
+			return
+		}
+		if seen != nil {
+			seen[c] = true
+		}
+		s.Recycle(c)
+	}
+}
+
+// TestChanStreamChunkBound pins the free list's bound: a stream never
+// holds more than depth+2 chunks, so the allocations of one whole
+// stream lifecycle — set-up, producer goroutine, chunks — do not grow
+// with the number of chunks that flow through it.
+func TestChanStreamChunkBound(t *testing.T) {
+	const chunkEvents, depth = 64, 2
+	seen := map[*Chunk]bool{}
+	runChanStream(1000, chunkEvents, depth, seen)
+	if len(seen) > depth+2 {
+		t.Errorf("1000-chunk stream used %d distinct chunks, want at most %d", len(seen), depth+2)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	short := testing.AllocsPerRun(20, func() { runChanStream(10, chunkEvents, depth, nil) })
+	long := testing.AllocsPerRun(20, func() { runChanStream(1000, chunkEvents, depth, nil) })
+	// A blocked channel operation may allocate a runtime wait record
+	// once in a while; a per-chunk cost would add about a thousand.
+	if long > short+2 {
+		t.Errorf("1000-chunk stream: %.1f allocations, 10-chunk stream: %.1f; chunk allocations grow with length",
+			long, short)
+	}
+	t.Logf("allocations per stream lifecycle: %.1f at 10 chunks, %.1f at 1000", short, long)
+}
