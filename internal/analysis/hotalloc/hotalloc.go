@@ -1,7 +1,8 @@
 // Package hotalloc enforces the repo's allocation-free hot-path
 // contract: a function whose doc comment carries the //tepic:hotpath
 // directive (the Huffman fast decoder's Decode/DecodeRun, the bitio
-// peek/consume/refill primitives, the Sim.Run per-event step) must not
+// peek/consume/refill primitives, the simulator's replay path: Sim's
+// replayWindow and step and the stage methods they call) must not
 // contain any construct the compiler can turn into a heap allocation —
 // growth via append, make/new, map/slice/pointer composite literals,
 // closures, go/defer, fmt-class calls, string/[]byte conversions,
@@ -9,7 +10,8 @@
 // value into an interface.
 //
 // The check is the static half of a differential pair: every annotated
-// function also has a testing.AllocsPerRun == 0 regression test, so a
+// function also runs under a testing.AllocsPerRun == 0 regression test,
+// its own or its caller's, so a
 // violation the syntax-level analysis cannot see (an allocation inside
 // a callee, an escape the compiler proves differently across versions)
 // is still caught dynamically, and a false positive here would show up

@@ -95,6 +95,8 @@ func NewWithPredictor(blocks []BlockInfo, capacity int, dir DirectionPredictor) 
 // Touch simulates the ATB lookup for a block, updating residency stats.
 // A block outside the loaded table has no ATT entry to cache: it always
 // misses and never becomes resident.
+//
+//tepic:hotpath
 func (a *ATB) Touch(block int) {
 	if a.resident.Touch(block) {
 		a.Hits++
@@ -123,10 +125,15 @@ func (a *ATB) HitRate() float64 {
 // target if the 2-bit counter predicts taken, the fall-through block
 // otherwise. The boolean reports the taken prediction. A prediction of -1
 // means "no idea" (cold target) and will count as a misprediction.
+//
+//tepic:hotpath
 func (a *ATB) Predict(block int) (next int, taken bool) {
 	if block < 0 || block >= len(a.blocks) {
 		return -1, false
 	}
+	// The direction predictor is the replay path's one interface call.
+	// hotalloc cannot follow it, so each implementation (bimodal,
+	// gshare, PAs) carries //tepic:hotpath on its Predict and Update.
 	if a.dir.Predict(block) {
 		return int(a.target[block]), true
 	}
@@ -135,15 +142,18 @@ func (a *ATB) Predict(block int) (next int, taken bool) {
 
 // Update trains the predictor with the actual outcome of a block's
 // terminator: whether it left the fall-through path and where it went.
-func (a *ATB) Update(block int, taken bool, actualNext int) error {
+// A block outside the loaded table has no entry to train, so Update
+// leaves the buffer unchanged, as Touch and Predict do for such a block.
+//
+//tepic:hotpath
+func (a *ATB) Update(block int, taken bool, actualNext int) {
 	if block < 0 || block >= len(a.blocks) {
-		return fmt.Errorf("atb: block %d out of range", block)
+		return
 	}
-	a.dir.Update(block, taken)
+	a.dir.Update(block, taken) // interface call: see Predict
 	if taken {
 		a.target[block] = int32(actualNext)
 	}
-	return nil
 }
 
 // Counter exposes a block's 2-bit counter state when the direction

@@ -17,7 +17,9 @@ type DirectionPredictor interface {
 	Name() string
 }
 
-// counterPredict is the shared 2-bit saturating counter update rule.
+// counterUpdate is the shared 2-bit saturating counter update rule.
+//
+//tepic:hotpath
 func counterUpdate(c *uint8, taken bool) {
 	if taken {
 		if *c < 3 {
@@ -48,9 +50,13 @@ func NewBimodal(blocks int) *Bimodal {
 func (*Bimodal) Name() string { return "bimodal" }
 
 // Predict implements DirectionPredictor.
+//
+//tepic:hotpath
 func (b *Bimodal) Predict(block int) bool { return b.counters[block] >= 2 }
 
 // Update implements DirectionPredictor.
+//
+//tepic:hotpath
 func (b *Bimodal) Update(block int, taken bool) {
 	counterUpdate(&b.counters[block], taken)
 }
@@ -79,15 +85,20 @@ func NewGShare(histBits int) (*GShare, error) {
 // Name implements DirectionPredictor.
 func (g *GShare) Name() string { return "gshare" }
 
+//tepic:hotpath
 func (g *GShare) index(block int) uint32 {
 	mask := uint32(1)<<uint(g.histBits) - 1
 	return (uint32(block) ^ g.history) & mask
 }
 
 // Predict implements DirectionPredictor.
+//
+//tepic:hotpath
 func (g *GShare) Predict(block int) bool { return g.table[g.index(block)] >= 2 }
 
 // Update implements DirectionPredictor.
+//
+//tepic:hotpath
 func (g *GShare) Update(block int, taken bool) {
 	counterUpdate(&g.table[g.index(block)], taken)
 	g.history <<= 1
@@ -124,15 +135,20 @@ func NewPAs(blocks, histBits int) (*PAs, error) {
 // Name implements DirectionPredictor.
 func (*PAs) Name() string { return "PAs" }
 
+//tepic:hotpath
 func (p *PAs) index(block int) uint16 {
 	mask := uint16(1)<<uint(p.histBits) - 1
 	return p.histories[block] & mask
 }
 
 // Predict implements DirectionPredictor.
+//
+//tepic:hotpath
 func (p *PAs) Predict(block int) bool { return p.pattern[p.index(block)] >= 2 }
 
 // Update implements DirectionPredictor.
+//
+//tepic:hotpath
 func (p *PAs) Update(block int, taken bool) {
 	counterUpdate(&p.pattern[p.index(block)], taken)
 	p.histories[block] <<= 1

@@ -118,9 +118,7 @@ func TestATBWithGShare(t *testing.T) {
 	// to saturate at all-taken so the trained table entry is the one the
 	// final prediction indexes.
 	for i := 0; i < 20; i++ {
-		if err := a.Update(2, true, 7); err != nil {
-			t.Fatal(err)
-		}
+		a.Update(2, true, 7)
 	}
 	if next, taken := a.Predict(2); !taken || next != 7 {
 		t.Errorf("gshare ATB prediction (%d,%v)", next, taken)

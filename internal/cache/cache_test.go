@@ -649,28 +649,12 @@ func TestRunShardedBusDeltasAuthoritative(t *testing.T) {
 	}
 }
 
-// failingATB wraps a real ATBStage and fails the Nth Update call — the
-// only way a validated chunk can die mid-replay, since reference
-// validation runs before any event touches the pipeline.
-type failingATB struct {
-	ATBStage
-	remaining int
-	err       error
-}
-
-func (f *failingATB) Update(block int, taken bool, next int) error {
-	f.remaining--
-	if f.remaining < 0 {
-		return f.err
-	}
-	return f.ATBStage.Update(block, taken, next)
-}
-
 // TestRunStreamErrors pins RunStream's error paths: the typed sentinel
 // with the absolute event offset for a corrupt mid-stream chunk, the
-// partial counters returned with it, the partial counters of a step
-// failure mid-chunk, and a producer's terminal error. Partial counters
-// must equal a clean replay of exactly the events that were replayed.
+// partial counters returned with it, and a producer's terminal error.
+// Partial counters must equal a clean replay of exactly the events that
+// were replayed. (A validated chunk cannot fail mid-replay;
+// FuzzRunStreamValidated checks that property.)
 func TestRunStreamErrors(t *testing.T) {
 	sp, ims := pipeline(t, "compress")
 	prof := workload.MustProfile("compress")
@@ -679,9 +663,7 @@ func TestRunStreamErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	const cs = 512
-	boom := errors.New("injected atb failure")
 	perr := errors.New("producer boom")
-	const failAt = 2500 // events replayed before the failing Update
 
 	mkSim := func(t *testing.T, org Org) *Sim {
 		sim, err := NewSim(org, DefaultConfig(org), ims[org], sp)
@@ -726,14 +708,6 @@ func TestRunStreamErrors(t *testing.T) {
 			// 0..10 are events 0..5631.
 			return got, prefix(t, (6001/cs)*cs), err
 		}, ErrMalformedTrace, "event 6001"},
-		{"step-failure-partial-counters", func(t *testing.T) (Result, Result, error) {
-			sim := mkSim(t, OrgCompressed)
-			sim.atb = &failingATB{ATBStage: sim.atb, remaining: failAt, err: boom}
-			got, err := sim.RunStream(attributedStream(sp, tr, cs))
-			// The failing event's fetch is fully accounted before its
-			// ATB training errors, so the replayed prefix includes it.
-			return got, prefix(t, failAt+1), err
-		}, ErrMalformedTrace, "injected atb failure"},
 		{"producer-error", func(t *testing.T) (Result, Result, error) {
 			st, p := trace.NewChanStream("t", 16, 2)
 			go func() {

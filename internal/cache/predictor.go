@@ -2,13 +2,12 @@ package cache
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"repro/internal/atb"
 )
 
-// PredictorKind names a registered branch-direction predictor. The zero
+// PredictorKind names a built-in branch-direction predictor. The zero
 // value selects the paper's default (bimodal). Config.Predictor carries
 // one of these; NewSim validates it at construction time.
 type PredictorKind string
@@ -26,78 +25,32 @@ const (
 	PredictorPAs PredictorKind = "pas"
 )
 
-var (
-	predMu   sync.RWMutex
-	predCtor = map[PredictorKind]func(blocks int) (Predictor, error){
-		PredictorBimodal: func(blocks int) (Predictor, error) {
-			return atb.NewBimodal(blocks), nil
-		},
-		PredictorGShare: func(int) (Predictor, error) {
-			return atb.NewGShare(14)
-		},
-		PredictorPAs: func(blocks int) (Predictor, error) {
-			return atb.NewPAs(blocks, 10)
-		},
-	}
-)
-
-// RegisterPredictor adds a direction-predictor constructor under a new
-// kind; blocks is the program's basic-block count.
-func RegisterPredictor(kind PredictorKind, build func(blocks int) (Predictor, error)) error {
-	if kind == PredictorDefault {
-		return fmt.Errorf("%w: predictor needs a non-empty kind", ErrBadSpec)
-	}
-	if build == nil {
-		return fmt.Errorf("%w: predictor %s needs a constructor", ErrBadSpec, kind)
-	}
-	predMu.Lock()
-	defer predMu.Unlock()
-	if _, dup := predCtor[kind]; dup {
-		return fmt.Errorf("%w: predictor %s already registered", ErrBadSpec, kind)
-	}
-	predCtor[kind] = build
-	return nil
-}
-
-// PredictorKinds returns every registered kind, sorted.
+// PredictorKinds returns every built-in kind, sorted.
 func PredictorKinds() []PredictorKind {
-	predMu.RLock()
-	defer predMu.RUnlock()
-	kinds := make([]PredictorKind, 0, len(predCtor))
-	for k := range predCtor {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	return kinds
+	return []PredictorKind{PredictorBimodal, PredictorGShare, PredictorPAs}
 }
 
 // ParsePredictor validates a predictor name (e.g. a CLI flag value); the
 // empty string selects the default.
 func ParsePredictor(name string) (PredictorKind, error) {
 	kind := PredictorKind(name)
-	if kind == PredictorDefault {
-		return PredictorDefault, nil
-	}
-	predMu.RLock()
-	_, ok := predCtor[kind]
-	predMu.RUnlock()
-	if !ok {
+	if kind != PredictorDefault && !slices.Contains(PredictorKinds(), kind) {
 		return PredictorDefault, fmt.Errorf("%w: unknown predictor %q (have %v)",
 			ErrBadConfig, name, PredictorKinds())
 	}
 	return kind, nil
 }
 
-// newPredictor constructs the direction predictor for a kind.
-func newPredictor(kind PredictorKind, blocks int) (Predictor, error) {
-	if kind == PredictorDefault {
-		kind = PredictorBimodal
+// newPredictor constructs the direction predictor for a kind; blocks is
+// the program's basic-block count.
+func newPredictor(kind PredictorKind, blocks int) (atb.DirectionPredictor, error) {
+	switch kind {
+	case PredictorDefault, PredictorBimodal:
+		return atb.NewBimodal(blocks), nil
+	case PredictorGShare:
+		return atb.NewGShare(14)
+	case PredictorPAs:
+		return atb.NewPAs(blocks, 10)
 	}
-	predMu.RLock()
-	build, ok := predCtor[kind]
-	predMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: unknown predictor %q", ErrBadConfig, kind)
-	}
-	return build(blocks)
+	return nil, fmt.Errorf("%w: unknown predictor %q", ErrBadConfig, kind)
 }

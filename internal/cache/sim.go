@@ -6,11 +6,12 @@
 // assumptions of Table 1, and report the paper's metrics: operations
 // delivered per cycle (Figure 13) and memory-bus bit flips (Figure 14).
 //
-// The simulator is a composable stage pipeline: Sim.Run drives the
-// ATBStage, L0Store, CacheArray, Decompressor and BusModel interfaces
-// (stages.go), and each organization — including the related-work
-// CodePack model (§6) — is a declarative OrgSpec in a registry (org.go)
-// naming its stage composition and Table 1 timing.
+// The simulator is one fixed stage pipeline: Sim.RunStream drives the
+// ATB, the optional L0 buffer, the banked line cache and the memory bus
+// directly, and each organization — including the related-work CodePack
+// model (§6) — is a declarative OrgSpec in a registry (org.go) naming
+// its optional stages, Decompressor volume rule (stages.go) and Table 1
+// timing.
 package cache
 
 import (
@@ -138,12 +139,11 @@ type Sim struct {
 	cfg  Config
 	im   *image.Image // the image the cache indexes
 	rom  *image.Image // NeedsROM organizations: the encoded ROM behind the bus
-	sp   *sched.Program
 
-	cache CacheArray
-	buf   L0Store // nil unless the spec has an L0 buffer
-	atb   ATBStage
-	bus   BusModel
+	cache *LineCache
+	buf   *L0Buffer // nil unless the spec has an L0 buffer
+	atb   *atb.ATB
+	bus   *power.Bus
 
 	fetch []fetchEntry // per block: everything step needs from the images
 	pad   []byte       // reused payload for a line past the image data
@@ -221,7 +221,6 @@ func NewOrgSim(org Org, cfg Config, im, rom *image.Image, sp *sched.Program) (*S
 		cfg:   cfg,
 		im:    im,
 		rom:   rom,
-		sp:    sp,
 		cache: lc,
 		atb:   atb.NewWithPredictor(infos, cfg.ATBEntries, dir),
 		bus:   power.NewBus(cfg.BusBytes),
@@ -305,11 +304,10 @@ func (s *Sim) Run(tr *trace.Trace) (Result, error) {
 // accumulate from the chunks' Ops/MOPs attribution. The result is
 // bit-identical to Run over the materialized trace.
 //
-// On an error the returned Result carries exactly what was replayed:
-// the merged counters (including bus traffic) of every chunk before the
-// failing one, plus — for a mid-chunk step failure — the failing
-// chunk's per-event counters and schedule-attributed Ops/MOPs up to and
-// including the failing event (see replayWindow). ATBHitRate is only
+// A chunk that passes validation replays without error, so on an error
+// the returned Result carries exactly what was replayed: the merged
+// counters (including bus traffic) of every chunk before the failing
+// one. ATBHitRate is only
 // derived on success. A producer's terminal error is returned as is,
 // with the counters of every chunk delivered before it.
 //
@@ -337,61 +335,34 @@ func (s *Sim) RunStream(st trace.Stream) (Result, error) {
 			st.Close()
 			return res, fmt.Errorf("%w: %v", ErrMalformedTrace, verr)
 		}
-		wres, pred, serr := s.replayWindow(c, predicted)
+		wres, pred := s.replayWindow(c, predicted)
 		res.Merge(wres)
 		predicted = pred
 		st.Recycle(c)
-		if serr != nil {
-			st.Close()
-			return res, serr
-		}
 	}
 	res.ATBHitRate = s.atb.HitRate()
 	return res, nil
 }
 
 // replayWindow replays one validated chunk's events from the seam
-// prediction pred and returns the chunk's counter deltas: bus traffic is
-// measured as the before/after difference of the cumulative bus model.
-// On success the chunk's producer-attributed Ops/MOPs are credited; on a
-// step failure only the schedule-attributed ops of the events actually
-// replayed are — including the failing event, whose fetch was fully
-// accounted before its ATB training errored. endPred carries the
-// next-block prediction across the trailing seam.
-func (s *Sim) replayWindow(c *trace.Chunk, pred int) (res Result, endPred int, err error) {
+// prediction pred and returns the chunk's counter deltas, with the
+// producer-attributed Ops/MOPs credited, and the next-block prediction
+// carried across the trailing seam. Bus traffic is measured as the
+// before/after difference of the cumulative bus counters.
+//
+//tepic:hotpath
+func (s *Sim) replayWindow(c *trace.Chunk, pred int) (Result, int) {
+	var res Result
 	beats0, flips0, bytes0 := s.bus.Counts()
-	endPred = pred
-	failed := -1
-	for i, ev := range c.Events {
-		if endPred, err = s.step(ev, endPred, &res); err != nil {
-			failed = i
-			break
-		}
+	for _, ev := range c.Events {
+		pred = s.step(ev, pred, &res)
 	}
-	if failed < 0 {
-		res.Ops, res.MOPs = c.Ops, c.MOPs
-	} else {
-		// Partial attribution: the producer's per-chunk Ops/MOPs never
-		// commit for a failed chunk; the replayed prefix is credited from
-		// the schedule instead, exactly like the dynamic counts the
-		// producers attribute per event.
-		for _, ev := range c.Events[:failed+1] {
-			b := s.sp.Blocks[ev.Block]
-			res.Ops += int64(b.NumOps())
-			res.MOPs += int64(b.NumMOPs())
-		}
-	}
+	res.Ops, res.MOPs = c.Ops, c.MOPs
 	beats1, flips1, bytes1 := s.bus.Counts()
 	res.BusBeats = beats1 - beats0
 	res.BitFlips = flips1 - flips0
 	res.BytesFetched = bytes1 - bytes0
-	return res, endPred, err
-}
-
-// badUpdate wraps an ATB training failure; kept out of step so the
-// annotated hot path stays free of fmt.
-func badUpdate(err error) error {
-	return fmt.Errorf("%w: %v", ErrMalformedTrace, err)
+	return res, pred
 }
 
 // step replays one trace event through the stage pipeline — the
@@ -400,10 +371,11 @@ func badUpdate(err error) error {
 // res and returns the next-block prediction for the following event.
 // Everything it needs from the images comes from the per-block fetch
 // table, so no line span or volume is recomputed per event, and a step
-// allocates nothing (TestStepZeroAlloc).
+// allocates nothing (TestStepZeroAlloc). The event is already validated,
+// so no stage can fail on it.
 //
 //tepic:hotpath
-func (s *Sim) step(ev trace.Event, predicted int, res *Result) (int, error) {
+func (s *Sim) step(ev trace.Event, predicted int, res *Result) int {
 	f := &s.fetch[ev.Block]
 
 	predCorrect := predicted == ev.Block || predicted == -2 ||
@@ -480,10 +452,8 @@ func (s *Sim) step(ev trace.Event, predicted int, res *Result) (int, error) {
 
 	// Train the predictor and remember the next-block prediction.
 	predicted, _ = s.atb.Predict(ev.Block)
-	if err := s.atb.Update(ev.Block, ev.Taken, ev.Next); err != nil {
-		return predicted, badUpdate(err)
-	}
-	return predicted, nil
+	s.atb.Update(ev.Block, ev.Taken, ev.Next)
+	return predicted
 }
 
 // lineData returns the bytes of one memory line of an image's encoded
@@ -492,6 +462,8 @@ func (s *Sim) step(ev trace.Event, predicted int, res *Result) (int, error) {
 // the cache's own image or a behind-the-bus ROM image. A padded line is
 // built in the Sim's one reused line buffer, valid until the next call;
 // the bus copies what it keeps.
+//
+//tepic:hotpath
 func (s *Sim) lineData(im *image.Image, line int64) []byte {
 	lineBytes := len(s.pad)
 	start := int(line) * lineBytes

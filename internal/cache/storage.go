@@ -45,6 +45,8 @@ func (c *LineCache) LineBytes() int { return c.lineBytes }
 func (c *LineCache) LineOf(addr int) int64 { return int64(addr / c.lineBytes) }
 
 // Probe checks whether a line is resident, updating LRU on hit.
+//
+//tepic:hotpath
 func (c *LineCache) Probe(line int64) bool {
 	set := c.tags[int(line)%c.sets]
 	for w, tag := range set {
@@ -59,6 +61,8 @@ func (c *LineCache) Probe(line int64) bool {
 }
 
 // Fill installs a line as MRU, evicting the LRU way.
+//
+//tepic:hotpath
 func (c *LineCache) Fill(line int64) {
 	set := c.tags[int(line)%c.sets]
 	for w, tag := range set {
@@ -99,16 +103,17 @@ func NewL0Buffer(capOps, numBlocks int) *L0Buffer {
 	return &L0Buffer{capOps: capOps, resident: lru.New(numBlocks), ops: make([]int, numBlocks)}
 }
 
-// CapacityOps returns the buffer size in operations.
-func (b *L0Buffer) CapacityOps() int { return b.capOps }
-
 // Lookup reports whether a block's decompressed MOPs are resident,
 // updating recency on hit.
+//
+//tepic:hotpath
 func (b *L0Buffer) Lookup(block int) bool { return b.resident.Touch(block) }
 
 // Insert places a freshly decompressed block in the buffer, evicting LRU
 // blocks until it fits. Blocks that exceed the whole buffer, and blocks
 // outside the program, are not cached.
+//
+//tepic:hotpath
 func (b *L0Buffer) Insert(block, numOps int) {
 	if numOps > b.capOps || block < 0 || block >= len(b.ops) {
 		return

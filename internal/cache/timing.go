@@ -73,6 +73,8 @@ type StartupTable struct {
 }
 
 // Cycles evaluates the table for one fetch. n clamps to 1.
+//
+//tepic:hotpath
 func (t StartupTable) Cycles(predCorrect, cacheHit, bufHit bool, n int) int {
 	if n < 1 {
 		n = 1

@@ -58,10 +58,10 @@ type SweepRow struct {
 
 // DefaultSweepPoints enumerates the registry-driven default grid for one
 // pairing: sets {128, 256, 512} × associativity {1, 2, 4} × every
-// registered direction predictor, crossed with L0 capacities {16, 32}
+// built-in direction predictor, crossed with L0 capacities {16, 32}
 // when the organization's spec carries an L0 buffer. The grid adapts to
-// the registries — registering a new predictor or sweeping a freshly
-// registered pairing needs no edit here.
+// the pairing registry — sweeping a freshly registered pairing needs no
+// edit here.
 func DefaultSweepPoints(p scheme.Pairing) []SweepPoint {
 	spec, ok := p.Org.Spec()
 	if !ok {

@@ -28,18 +28,26 @@ func New(n int) *List {
 }
 
 // Size returns the ID range n.
+//
+//tepic:hotpath
 func (l *List) Size() int { return len(l.prev) - 1 }
 
 // Len returns the number of resident IDs.
+//
+//tepic:hotpath
 func (l *List) Len() int { return l.len }
 
 // Contains reports whether id is resident. IDs outside [0, n) never are.
+//
+//tepic:hotpath
 func (l *List) Contains(id int) bool {
 	return uint(id) < uint(l.Size()) && l.prev[id] >= 0
 }
 
 // Touch moves a resident id to the MRU end and reports whether it was
 // resident; a non-resident (or out-of-range) id is left alone.
+//
+//tepic:hotpath
 func (l *List) Touch(id int) bool {
 	if !l.Contains(id) {
 		return false
@@ -50,12 +58,16 @@ func (l *List) Touch(id int) bool {
 }
 
 // PushFront makes a non-resident id in [0, n) the MRU entry.
+//
+//tepic:hotpath
 func (l *List) PushFront(id int) {
 	l.linkFront(int32(id))
 	l.len++
 }
 
 // Back returns the LRU id, or -1 when the list is empty.
+//
+//tepic:hotpath
 func (l *List) Back() int {
 	if l.len == 0 {
 		return -1
@@ -64,18 +76,22 @@ func (l *List) Back() int {
 }
 
 // Remove drops a resident id from the list.
+//
+//tepic:hotpath
 func (l *List) Remove(id int) {
 	l.unlink(int32(id))
 	l.prev[id] = -1
 	l.len--
 }
 
+//tepic:hotpath
 func (l *List) unlink(id int32) {
 	p, n := l.prev[id], l.next[id]
 	l.next[p] = n
 	l.prev[n] = p
 }
 
+//tepic:hotpath
 func (l *List) linkFront(id int32) {
 	s := int32(l.Size())
 	first := l.next[s]

@@ -37,6 +37,8 @@ func (b *Bus) Width() int { return b.width }
 // Transfer sends a payload over the bus in width-sized beats (the final
 // beat is zero-padded) and accumulates flip counts against the previous
 // beat left on the lines.
+//
+//tepic:hotpath
 func (b *Bus) Transfer(data []byte) {
 	for off := 0; off < len(data); off += b.width {
 		end := off + b.width
@@ -57,8 +59,11 @@ func (b *Bus) Transfer(data []byte) {
 	}
 }
 
-// Counts returns the cumulative beats, bit flips and payload bytes — the
-// cache package's BusModel accounting face.
+// Counts returns the cumulative beats, bit flips and payload bytes. The
+// simulator reads them before and after each replayed chunk to get that
+// chunk's bus traffic.
+//
+//tepic:hotpath
 func (b *Bus) Counts() (beats, flips, bytes int64) {
 	return b.Beats, b.Flips, b.Bytes
 }
