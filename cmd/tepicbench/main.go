@@ -80,6 +80,7 @@ type benchReport struct {
 	// lane-parallel batch kernel over identical symbol streams, with the
 	// fast/ref and batch/ref speedups and the batch/fast lane gain.
 	DecodeThroughput map[string]core.DecodeThroughput `json:"decode_throughput,omitempty"`
+	hostInfo
 }
 
 // decodeSchemes are the Huffman schemes whose decode throughput the
@@ -321,6 +322,7 @@ func run(args []string, out io.Writer) error {
 			SimOK:         simOK,
 
 			DecodeThroughput: decodeRates,
+			hostInfo:         currentHost(),
 		}
 		if secs := wall.Seconds(); secs > 0 {
 			rep.BytesPerSec = float64(rep.BytesBase) / secs

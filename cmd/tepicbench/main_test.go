@@ -101,6 +101,16 @@ func TestRunJSONReportAndCheck(t *testing.T) {
 	if !rep.DecodeChecked || !rep.DecodeOK {
 		t.Errorf("decode check not recorded: %+v", rep)
 	}
+	requireHost(t, rep.hostInfo)
+}
+
+// requireHost checks the host block every -json report carries, as
+// decoded back from the written file.
+func requireHost(t *testing.T, h hostInfo) {
+	t.Helper()
+	if h.GOMAXPROCS <= 0 || h.NumCPU <= 0 || h.GoVersion == "" || h.Commit == "" {
+		t.Errorf("report missing host metadata: %+v", h)
+	}
 }
 
 func TestRunErrors(t *testing.T) {
@@ -156,6 +166,7 @@ func TestRunServeMode(t *testing.T) {
 	if !rep.DecodeChecked || !rep.DecodeOK || rep.DecodeAudited == 0 {
 		t.Errorf("decode audit not recorded: %+v", rep)
 	}
+	requireHost(t, rep.hostInfo)
 }
 
 func TestRunStreamMode(t *testing.T) {
@@ -184,9 +195,7 @@ func TestRunStreamMode(t *testing.T) {
 	if rep.Tool != "tepicbench" || rep.Mode != "stream" {
 		t.Errorf("report header wrong: %+v", rep)
 	}
-	if rep.GOMAXPROCS <= 0 || rep.NumCPU <= 0 || rep.GoVersion == "" || rep.Commit == "" {
-		t.Errorf("report missing host metadata: %+v", rep)
-	}
+	requireHost(t, rep.hostInfo)
 	if rep.Ops < 2000000 || rep.Events <= 0 || rep.Cycles <= 0 || rep.MopsPerSec <= 0 {
 		t.Errorf("report missing run data: %+v", rep)
 	}

@@ -55,6 +55,7 @@ type serveReport struct {
 	DecodeChecked  bool            `json:"decode_checked"`
 	DecodeOK       bool            `json:"decode_ok"`
 	DecodeAudited  int             `json:"decode_audited"`
+	hostInfo
 }
 
 // runServe boots an in-process tepicd, drives the zipf-skewed client
@@ -189,6 +190,7 @@ func runServe(o serveRun, w *cliio.Writer) error {
 			DecodeChecked:  o.check,
 			DecodeOK:       decodeOK,
 			DecodeAudited:  audited,
+			hostInfo:       currentHost(),
 		}
 		err := cliio.WriteFile(o.jsonPath, func(f io.Writer) error {
 			enc := json.NewEncoder(f)

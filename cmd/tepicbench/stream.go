@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"time"
 
 	ccc "repro"
@@ -59,37 +58,7 @@ type streamReport struct {
 	SeqIdentical  bool `json:"seq_identical"`
 	OracleChecked bool `json:"oracle_checked"`
 	OracleOK      bool `json:"oracle_ok"`
-	// The host the throughput was measured on.
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"numcpu"`
-	GoVersion  string `json:"go_version"`
-	Commit     string `json:"commit"`
-}
-
-// buildCommit returns the VCS revision stamped into the binary ("-dirty"
-// appended for a modified tree), or "unknown" when the build carries
-// none — `go run` and test binaries do not stamp it.
-func buildCommit() string {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "unknown"
-	}
-	rev, dirty := "", false
-	for _, s := range bi.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			dirty = s.Value == "true"
-		}
-	}
-	if rev == "" {
-		return "unknown"
-	}
-	if dirty {
-		rev += "-dirty"
-	}
-	return rev
+	hostInfo
 }
 
 // runStreamBench executes the -stream benchmark and its gates.
@@ -193,10 +162,7 @@ func runStreamBench(sr streamRun, w *cliio.Writer) error {
 			SeqIdentical:  seqIdentical,
 			OracleChecked: sr.check,
 			OracleOK:      oracleOK,
-			GOMAXPROCS:    runtime.GOMAXPROCS(0),
-			NumCPU:        runtime.NumCPU(),
-			GoVersion:     runtime.Version(),
-			Commit:        buildCommit(),
+			hostInfo:      currentHost(),
 		}
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {

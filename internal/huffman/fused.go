@@ -14,9 +14,9 @@ import "sort"
 // a single two-level lookup keyed by the concatenated bits resolves two
 // symbols at once. The fused table is built offline at kernel
 // construction — the decode-table analogue of the paper's
-// compiler-driven specialization — and the kernel's op-aligned loop
-// decodes through it with exactly the per-step cost of the unfused
-// loop, halving the work per symbol.
+// compiler-driven specialization — and the kernel's fused lockstep loop
+// decodes through it at the per-step cost of a single-table lookup,
+// halving the work per symbol.
 //
 // Fusion never changes observable behaviour: a bit pattern is covered
 // by the fused table iff both halves decode, and the total consumed

@@ -104,8 +104,11 @@ func (k *LaneDecoder) TableEntries() int {
 // A lane with a nil output slot and a nonzero want discards: it decodes
 // want symbols, folding them into an xor sink instead of storing them.
 // Discard lanes do the full per-symbol work including the symbol-table
-// load — they are the throughput-measurement shape, and must not be
-// optimizable into a skip.
+// load, so the decode cannot be optimized into a skip.
+//
+// Lanes are the state of Run's rotation: the incremental face and the
+// grouped engine DecodeBlocks falls back to. DecodeBlocks' fast engine
+// keeps its four cursors in locals and never builds a Lane.
 type Lane struct {
 	cur  bitio.Cursor
 	out  []uint64 // nil in discard mode
@@ -160,6 +163,11 @@ func badLanes(n int) {
 // are swap-removed from the rotation, degrading gracefully to the
 // single-lane (FastDecoder.DecodeRun-shaped) loop for a lone tail.
 //
+// Run is not specialized further because nothing hot reaches it: its
+// production callers are decodeBlocksSlow (corrupt images, wide tables,
+// ErrShortOutput) and the stream scheme's one-lane per-block decode;
+// intact batches decode in decodeBlocksFast.
+//
 //tepic:hotpath
 func (k *LaneDecoder) Run(lanes []Lane) {
 	if len(lanes) > MaxLanes {
@@ -175,19 +183,6 @@ func (k *LaneDecoder) Run(lanes []Lane) {
 		if !lanes[i].Done() {
 			act[na] = int8(i)
 			na++
-		}
-	}
-	if na == MaxLanes {
-		// Full complement: the register-resident steady-state core does
-		// the bulk of the work, then the rotation below finishes tails,
-		// stragglers and terminals.
-		k.run4(lanes)
-		na = 0
-		for i := range lanes {
-			if !lanes[i].Done() {
-				act[na] = int8(i)
-				na++
-			}
 		}
 	}
 	nt := len(k.sched)
@@ -380,29 +375,29 @@ func (k *LaneDecoder) decodeBlocksSlow(data []byte, addrs, counts []int, mul, ad
 // symbol counts in unconditional rounds — one symbol per active lane
 // per round, with no quota or queue checks anywhere in the hot body.
 //
-// Four inner-loop variants, picked once per call; the specialized three
-// are further split into collect and discard bodies, so the hot loops
-// carry neither a per-symbol output-mode branch nor, in discard mode,
-// the output windows at all (each lane folds into its own sink,
-// keeping the four symbol loads independent):
+// Three inner-loop bodies, picked once per call. The two specialized
+// ones run only in discard mode (out == nil: serve's decode, the
+// throughput measurement and the decode audit), where each lane folds
+// into its own sink, keeping the four symbol loads independent and the
+// output windows out of the loop:
 //
 //   - Single-table schedules (the whole-op and per-byte schemes) hoist
 //     the table's root, overflow and symbol arrays into locals; a
 //     symbol costs one root load (plus the rare overflow hop) and one
 //     symbol load.
-//   - Op-aligned multi-table schedules (the stream schemes, where every
-//     block's symbol count is count*nt) keep all lanes at the same
-//     schedule phase forever: wants and hence epoch lengths stay
-//     multiples of nt, so phases start at 0 each epoch and advance in
-//     lockstep. The loop iterates whole ops, hoisting each phase's
-//     table once for all four lanes — the schedule lookup amortizes
-//     4x and the per-lane phase state disappears.
-//   - Fused op-aligned schedules additionally decode through the
-//     pairwise-fused tables (fused.go): one lookup per two schedule
-//     phases, emitting both symbols, so the per-symbol cost of the
-//     lockstep loop halves again.
-//   - Anything else goes through the flattened tabs descriptors, one
-//     indexed load per symbol instead of a pointer chase through sched.
+//   - Fused op-aligned schedules (the stream schemes, where every
+//     block's symbol count is count*nt and the schedule fuses pairwise,
+//     fused.go) keep all lanes at the same schedule phase forever:
+//     wants and hence epoch lengths stay multiples of nt, so phases
+//     start at 0 each epoch and advance in lockstep. The loop iterates
+//     whole ops, hoisting each fused phase's table once for all four
+//     lanes, and one lookup emits two symbols.
+//   - Everything else — collect mode, unfusable or non-op-aligned
+//     schedules — goes through the flattened tabs descriptors with a
+//     per-lane phase, one indexed load per symbol and a per-symbol
+//     output-mode branch. Further specializations (an unfused lockstep
+//     body, collect-mode copies of the two above) measured at or under
+//     1.1x over this body or ran on no workload, so none is kept.
 //
 // Output offsets are assigned at queue order, so out's layout is
 // identical to the grouped engine's regardless of which lane decodes
@@ -423,7 +418,7 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 	fused := k.fused
 	nt := len(tabs)
 	// Op-aligned: every want is count*nt, so lane phases stay in lockstep
-	// (see the variant notes above).
+	// (see the body notes above).
 	opAligned := nt > 1 && mul == nt && add == 0 && div == 1
 	next := 0 // next queue index
 	symOff := 0
@@ -552,742 +547,249 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 			oo0, oo1, oo2, oo3 = o0[m0:], o1[m1:], o2[m2:], o3[m3:]
 		}
 
-		if nt == 1 {
+		if nt == 1 && out == nil {
 			root, subt, symt := tabs[0].root, tabs[0].sub, tabs[0].syms
 			rb := tabs[0].rootBits
 			rootMask := uint64(len(root) - 1)
-			if out == nil {
-				for r := 0; r < rounds; r++ {
-					if act0 {
-						if n0 < 56 {
-							if y0+8 <= len(data) {
-								b0 |= binary.BigEndian.Uint64(data[y0:]) >> uint(n0)
-								y0 += (63 - n0) >> 3
-								n0 |= 56
-							} else {
-								for y0 < len(data) && n0 <= 56 {
-									b0 |= uint64(data[y0]) << uint(56-n0)
-									n0 += 8
-									y0++
-								}
+			for r := 0; r < rounds; r++ {
+				if act0 {
+					if n0 < 56 {
+						if y0+8 <= len(data) {
+							b0 |= binary.BigEndian.Uint64(data[y0:]) >> uint(n0)
+							y0 += (63 - n0) >> 3
+							n0 |= 56
+						} else {
+							for y0 < len(data) && n0 <= 56 {
+								b0 |= uint64(data[y0]) << uint(56-n0)
+								n0 += 8
+								y0++
 							}
 						}
-						e := root[b0>>uint(64-rb)&rootMask]
-						if e&fastSubFlag != 0 {
-							sb := int(e & fastLenMask)
-							w := b0 >> uint(64-rb-sb)
-							e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-						}
-						cl := int(e & fastLenMask)
-						if cl == 0 || cl > n0 {
-							return 0, 0, 0, false
-						}
-						b0 <<= uint(cl)
-						n0 -= cl
-						sk0 ^= symt[e>>6]
 					}
-					if act1 {
-						if n1 < 56 {
-							if y1+8 <= len(data) {
-								b1 |= binary.BigEndian.Uint64(data[y1:]) >> uint(n1)
-								y1 += (63 - n1) >> 3
-								n1 |= 56
-							} else {
-								for y1 < len(data) && n1 <= 56 {
-									b1 |= uint64(data[y1]) << uint(56-n1)
-									n1 += 8
-									y1++
-								}
-							}
-						}
-						e := root[b1>>uint(64-rb)&rootMask]
-						if e&fastSubFlag != 0 {
-							sb := int(e & fastLenMask)
-							w := b1 >> uint(64-rb-sb)
-							e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-						}
-						cl := int(e & fastLenMask)
-						if cl == 0 || cl > n1 {
-							return 0, 0, 0, false
-						}
-						b1 <<= uint(cl)
-						n1 -= cl
-						sk1 ^= symt[e>>6]
+					e := root[b0>>uint(64-rb)&rootMask]
+					if e&fastSubFlag != 0 {
+						sb := int(e & fastLenMask)
+						w := b0 >> uint(64-rb-sb)
+						e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
 					}
-					if act2 {
-						if n2 < 56 {
-							if y2+8 <= len(data) {
-								b2 |= binary.BigEndian.Uint64(data[y2:]) >> uint(n2)
-								y2 += (63 - n2) >> 3
-								n2 |= 56
-							} else {
-								for y2 < len(data) && n2 <= 56 {
-									b2 |= uint64(data[y2]) << uint(56-n2)
-									n2 += 8
-									y2++
-								}
-							}
-						}
-						e := root[b2>>uint(64-rb)&rootMask]
-						if e&fastSubFlag != 0 {
-							sb := int(e & fastLenMask)
-							w := b2 >> uint(64-rb-sb)
-							e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-						}
-						cl := int(e & fastLenMask)
-						if cl == 0 || cl > n2 {
-							return 0, 0, 0, false
-						}
-						b2 <<= uint(cl)
-						n2 -= cl
-						sk2 ^= symt[e>>6]
+					cl := int(e & fastLenMask)
+					if cl == 0 || cl > n0 {
+						return 0, 0, 0, false
 					}
-					if act3 {
-						if n3 < 56 {
-							if y3+8 <= len(data) {
-								b3 |= binary.BigEndian.Uint64(data[y3:]) >> uint(n3)
-								y3 += (63 - n3) >> 3
-								n3 |= 56
-							} else {
-								for y3 < len(data) && n3 <= 56 {
-									b3 |= uint64(data[y3]) << uint(56-n3)
-									n3 += 8
-									y3++
-								}
-							}
-						}
-						e := root[b3>>uint(64-rb)&rootMask]
-						if e&fastSubFlag != 0 {
-							sb := int(e & fastLenMask)
-							w := b3 >> uint(64-rb-sb)
-							e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-						}
-						cl := int(e & fastLenMask)
-						if cl == 0 || cl > n3 {
-							return 0, 0, 0, false
-						}
-						b3 <<= uint(cl)
-						n3 -= cl
-						sk3 ^= symt[e>>6]
-					}
+					b0 <<= uint(cl)
+					n0 -= cl
+					sk0 ^= symt[e>>6]
 				}
-			} else {
-				for r := 0; r < rounds; r++ {
-					if act0 {
-						if n0 < 56 {
-							if y0+8 <= len(data) {
-								b0 |= binary.BigEndian.Uint64(data[y0:]) >> uint(n0)
-								y0 += (63 - n0) >> 3
-								n0 |= 56
-							} else {
-								for y0 < len(data) && n0 <= 56 {
-									b0 |= uint64(data[y0]) << uint(56-n0)
-									n0 += 8
-									y0++
-								}
+				if act1 {
+					if n1 < 56 {
+						if y1+8 <= len(data) {
+							b1 |= binary.BigEndian.Uint64(data[y1:]) >> uint(n1)
+							y1 += (63 - n1) >> 3
+							n1 |= 56
+						} else {
+							for y1 < len(data) && n1 <= 56 {
+								b1 |= uint64(data[y1]) << uint(56-n1)
+								n1 += 8
+								y1++
 							}
 						}
-						e := root[b0>>uint(64-rb)&rootMask]
-						if e&fastSubFlag != 0 {
-							sb := int(e & fastLenMask)
-							w := b0 >> uint(64-rb-sb)
-							e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-						}
-						cl := int(e & fastLenMask)
-						if cl == 0 || cl > n0 {
-							return 0, 0, 0, false
-						}
-						b0 <<= uint(cl)
-						n0 -= cl
-						oo0[r] = symt[e>>6]
 					}
-					if act1 {
-						if n1 < 56 {
-							if y1+8 <= len(data) {
-								b1 |= binary.BigEndian.Uint64(data[y1:]) >> uint(n1)
-								y1 += (63 - n1) >> 3
-								n1 |= 56
-							} else {
-								for y1 < len(data) && n1 <= 56 {
-									b1 |= uint64(data[y1]) << uint(56-n1)
-									n1 += 8
-									y1++
-								}
+					e := root[b1>>uint(64-rb)&rootMask]
+					if e&fastSubFlag != 0 {
+						sb := int(e & fastLenMask)
+						w := b1 >> uint(64-rb-sb)
+						e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
+					}
+					cl := int(e & fastLenMask)
+					if cl == 0 || cl > n1 {
+						return 0, 0, 0, false
+					}
+					b1 <<= uint(cl)
+					n1 -= cl
+					sk1 ^= symt[e>>6]
+				}
+				if act2 {
+					if n2 < 56 {
+						if y2+8 <= len(data) {
+							b2 |= binary.BigEndian.Uint64(data[y2:]) >> uint(n2)
+							y2 += (63 - n2) >> 3
+							n2 |= 56
+						} else {
+							for y2 < len(data) && n2 <= 56 {
+								b2 |= uint64(data[y2]) << uint(56-n2)
+								n2 += 8
+								y2++
 							}
 						}
-						e := root[b1>>uint(64-rb)&rootMask]
-						if e&fastSubFlag != 0 {
-							sb := int(e & fastLenMask)
-							w := b1 >> uint(64-rb-sb)
-							e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-						}
-						cl := int(e & fastLenMask)
-						if cl == 0 || cl > n1 {
-							return 0, 0, 0, false
-						}
-						b1 <<= uint(cl)
-						n1 -= cl
-						oo1[r] = symt[e>>6]
 					}
-					if act2 {
-						if n2 < 56 {
-							if y2+8 <= len(data) {
-								b2 |= binary.BigEndian.Uint64(data[y2:]) >> uint(n2)
-								y2 += (63 - n2) >> 3
-								n2 |= 56
-							} else {
-								for y2 < len(data) && n2 <= 56 {
-									b2 |= uint64(data[y2]) << uint(56-n2)
-									n2 += 8
-									y2++
-								}
+					e := root[b2>>uint(64-rb)&rootMask]
+					if e&fastSubFlag != 0 {
+						sb := int(e & fastLenMask)
+						w := b2 >> uint(64-rb-sb)
+						e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
+					}
+					cl := int(e & fastLenMask)
+					if cl == 0 || cl > n2 {
+						return 0, 0, 0, false
+					}
+					b2 <<= uint(cl)
+					n2 -= cl
+					sk2 ^= symt[e>>6]
+				}
+				if act3 {
+					if n3 < 56 {
+						if y3+8 <= len(data) {
+							b3 |= binary.BigEndian.Uint64(data[y3:]) >> uint(n3)
+							y3 += (63 - n3) >> 3
+							n3 |= 56
+						} else {
+							for y3 < len(data) && n3 <= 56 {
+								b3 |= uint64(data[y3]) << uint(56-n3)
+								n3 += 8
+								y3++
 							}
 						}
-						e := root[b2>>uint(64-rb)&rootMask]
-						if e&fastSubFlag != 0 {
-							sb := int(e & fastLenMask)
-							w := b2 >> uint(64-rb-sb)
-							e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-						}
-						cl := int(e & fastLenMask)
-						if cl == 0 || cl > n2 {
-							return 0, 0, 0, false
-						}
-						b2 <<= uint(cl)
-						n2 -= cl
-						oo2[r] = symt[e>>6]
 					}
-					if act3 {
-						if n3 < 56 {
-							if y3+8 <= len(data) {
-								b3 |= binary.BigEndian.Uint64(data[y3:]) >> uint(n3)
-								y3 += (63 - n3) >> 3
-								n3 |= 56
-							} else {
-								for y3 < len(data) && n3 <= 56 {
-									b3 |= uint64(data[y3]) << uint(56-n3)
-									n3 += 8
-									y3++
-								}
-							}
-						}
-						e := root[b3>>uint(64-rb)&rootMask]
-						if e&fastSubFlag != 0 {
-							sb := int(e & fastLenMask)
-							w := b3 >> uint(64-rb-sb)
-							e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-						}
-						cl := int(e & fastLenMask)
-						if cl == 0 || cl > n3 {
-							return 0, 0, 0, false
-						}
-						b3 <<= uint(cl)
-						n3 -= cl
-						oo3[r] = symt[e>>6]
+					e := root[b3>>uint(64-rb)&rootMask]
+					if e&fastSubFlag != 0 {
+						sb := int(e & fastLenMask)
+						w := b3 >> uint(64-rb-sb)
+						e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
 					}
+					cl := int(e & fastLenMask)
+					if cl == 0 || cl > n3 {
+						return 0, 0, 0, false
+					}
+					b3 <<= uint(cl)
+					n3 -= cl
+					sk3 ^= symt[e>>6]
 				}
 			}
-		} else if opAligned && fused != nil {
+		} else if opAligned && fused != nil && out == nil {
 			nf := len(fused)
-			if out == nil {
-				for r := 0; r < rounds; {
-					for t := 0; t < nf; t++ {
-						root, subt := fused[t].root, fused[t].sub
-						symA, symB := fused[t].symsA, fused[t].symsB
-						rb := fused[t].rootBits
-						rootMask := uint64(len(root) - 1)
-						if act0 {
-							if n0 < 56 {
-								if y0+8 <= len(data) {
-									b0 |= binary.BigEndian.Uint64(data[y0:]) >> uint(n0)
-									y0 += (63 - n0) >> 3
-									n0 |= 56
-								} else {
-									for y0 < len(data) && n0 <= 56 {
-										b0 |= uint64(data[y0]) << uint(56-n0)
-										n0 += 8
-										y0++
-									}
+			for r := 0; r < rounds; {
+				for t := 0; t < nf; t++ {
+					root, subt := fused[t].root, fused[t].sub
+					symA, symB := fused[t].symsA, fused[t].symsB
+					rb := fused[t].rootBits
+					rootMask := uint64(len(root) - 1)
+					if act0 {
+						if n0 < 56 {
+							if y0+8 <= len(data) {
+								b0 |= binary.BigEndian.Uint64(data[y0:]) >> uint(n0)
+								y0 += (63 - n0) >> 3
+								n0 |= 56
+							} else {
+								for y0 < len(data) && n0 <= 56 {
+									b0 |= uint64(data[y0]) << uint(56-n0)
+									n0 += 8
+									y0++
 								}
 							}
-							e := root[b0>>uint(64-rb)&rootMask]
-							if e&fastSubFlag != 0 {
-								sb := int(e & fastLenMask)
-								w := b0 >> uint(64-rb-sb)
-								e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-							}
-							cl := int(e & fastLenMask)
-							if cl == 0 || cl > n0 {
-								return 0, 0, 0, false
-							}
-							b0 <<= uint(cl)
-							n0 -= cl
-							pi := e >> 6
-							sk0 ^= symA[pi] ^ symB[pi]
 						}
-						if act1 {
-							if n1 < 56 {
-								if y1+8 <= len(data) {
-									b1 |= binary.BigEndian.Uint64(data[y1:]) >> uint(n1)
-									y1 += (63 - n1) >> 3
-									n1 |= 56
-								} else {
-									for y1 < len(data) && n1 <= 56 {
-										b1 |= uint64(data[y1]) << uint(56-n1)
-										n1 += 8
-										y1++
-									}
-								}
-							}
-							e := root[b1>>uint(64-rb)&rootMask]
-							if e&fastSubFlag != 0 {
-								sb := int(e & fastLenMask)
-								w := b1 >> uint(64-rb-sb)
-								e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-							}
-							cl := int(e & fastLenMask)
-							if cl == 0 || cl > n1 {
-								return 0, 0, 0, false
-							}
-							b1 <<= uint(cl)
-							n1 -= cl
-							pi := e >> 6
-							sk1 ^= symA[pi] ^ symB[pi]
+						e := root[b0>>uint(64-rb)&rootMask]
+						if e&fastSubFlag != 0 {
+							sb := int(e & fastLenMask)
+							w := b0 >> uint(64-rb-sb)
+							e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
 						}
-						if act2 {
-							if n2 < 56 {
-								if y2+8 <= len(data) {
-									b2 |= binary.BigEndian.Uint64(data[y2:]) >> uint(n2)
-									y2 += (63 - n2) >> 3
-									n2 |= 56
-								} else {
-									for y2 < len(data) && n2 <= 56 {
-										b2 |= uint64(data[y2]) << uint(56-n2)
-										n2 += 8
-										y2++
-									}
-								}
-							}
-							e := root[b2>>uint(64-rb)&rootMask]
-							if e&fastSubFlag != 0 {
-								sb := int(e & fastLenMask)
-								w := b2 >> uint(64-rb-sb)
-								e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-							}
-							cl := int(e & fastLenMask)
-							if cl == 0 || cl > n2 {
-								return 0, 0, 0, false
-							}
-							b2 <<= uint(cl)
-							n2 -= cl
-							pi := e >> 6
-							sk2 ^= symA[pi] ^ symB[pi]
+						cl := int(e & fastLenMask)
+						if cl == 0 || cl > n0 {
+							return 0, 0, 0, false
 						}
-						if act3 {
-							if n3 < 56 {
-								if y3+8 <= len(data) {
-									b3 |= binary.BigEndian.Uint64(data[y3:]) >> uint(n3)
-									y3 += (63 - n3) >> 3
-									n3 |= 56
-								} else {
-									for y3 < len(data) && n3 <= 56 {
-										b3 |= uint64(data[y3]) << uint(56-n3)
-										n3 += 8
-										y3++
-									}
-								}
-							}
-							e := root[b3>>uint(64-rb)&rootMask]
-							if e&fastSubFlag != 0 {
-								sb := int(e & fastLenMask)
-								w := b3 >> uint(64-rb-sb)
-								e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-							}
-							cl := int(e & fastLenMask)
-							if cl == 0 || cl > n3 {
-								return 0, 0, 0, false
-							}
-							b3 <<= uint(cl)
-							n3 -= cl
-							pi := e >> 6
-							sk3 ^= symA[pi] ^ symB[pi]
-						}
-						r += 2
+						b0 <<= uint(cl)
+						n0 -= cl
+						pi := e >> 6
+						sk0 ^= symA[pi] ^ symB[pi]
 					}
-				}
-			} else {
-				for r := 0; r < rounds; {
-					for t := 0; t < nf; t++ {
-						root, subt := fused[t].root, fused[t].sub
-						symA, symB := fused[t].symsA, fused[t].symsB
-						rb := fused[t].rootBits
-						rootMask := uint64(len(root) - 1)
-						if act0 {
-							if n0 < 56 {
-								if y0+8 <= len(data) {
-									b0 |= binary.BigEndian.Uint64(data[y0:]) >> uint(n0)
-									y0 += (63 - n0) >> 3
-									n0 |= 56
-								} else {
-									for y0 < len(data) && n0 <= 56 {
-										b0 |= uint64(data[y0]) << uint(56-n0)
-										n0 += 8
-										y0++
-									}
+					if act1 {
+						if n1 < 56 {
+							if y1+8 <= len(data) {
+								b1 |= binary.BigEndian.Uint64(data[y1:]) >> uint(n1)
+								y1 += (63 - n1) >> 3
+								n1 |= 56
+							} else {
+								for y1 < len(data) && n1 <= 56 {
+									b1 |= uint64(data[y1]) << uint(56-n1)
+									n1 += 8
+									y1++
 								}
 							}
-							e := root[b0>>uint(64-rb)&rootMask]
-							if e&fastSubFlag != 0 {
-								sb := int(e & fastLenMask)
-								w := b0 >> uint(64-rb-sb)
-								e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-							}
-							cl := int(e & fastLenMask)
-							if cl == 0 || cl > n0 {
-								return 0, 0, 0, false
-							}
-							b0 <<= uint(cl)
-							n0 -= cl
-							pi := e >> 6
-							oo0[r] = symA[pi]
-							oo0[r+1] = symB[pi]
 						}
-						if act1 {
-							if n1 < 56 {
-								if y1+8 <= len(data) {
-									b1 |= binary.BigEndian.Uint64(data[y1:]) >> uint(n1)
-									y1 += (63 - n1) >> 3
-									n1 |= 56
-								} else {
-									for y1 < len(data) && n1 <= 56 {
-										b1 |= uint64(data[y1]) << uint(56-n1)
-										n1 += 8
-										y1++
-									}
-								}
-							}
-							e := root[b1>>uint(64-rb)&rootMask]
-							if e&fastSubFlag != 0 {
-								sb := int(e & fastLenMask)
-								w := b1 >> uint(64-rb-sb)
-								e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-							}
-							cl := int(e & fastLenMask)
-							if cl == 0 || cl > n1 {
-								return 0, 0, 0, false
-							}
-							b1 <<= uint(cl)
-							n1 -= cl
-							pi := e >> 6
-							oo1[r] = symA[pi]
-							oo1[r+1] = symB[pi]
+						e := root[b1>>uint(64-rb)&rootMask]
+						if e&fastSubFlag != 0 {
+							sb := int(e & fastLenMask)
+							w := b1 >> uint(64-rb-sb)
+							e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
 						}
-						if act2 {
-							if n2 < 56 {
-								if y2+8 <= len(data) {
-									b2 |= binary.BigEndian.Uint64(data[y2:]) >> uint(n2)
-									y2 += (63 - n2) >> 3
-									n2 |= 56
-								} else {
-									for y2 < len(data) && n2 <= 56 {
-										b2 |= uint64(data[y2]) << uint(56-n2)
-										n2 += 8
-										y2++
-									}
-								}
-							}
-							e := root[b2>>uint(64-rb)&rootMask]
-							if e&fastSubFlag != 0 {
-								sb := int(e & fastLenMask)
-								w := b2 >> uint(64-rb-sb)
-								e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-							}
-							cl := int(e & fastLenMask)
-							if cl == 0 || cl > n2 {
-								return 0, 0, 0, false
-							}
-							b2 <<= uint(cl)
-							n2 -= cl
-							pi := e >> 6
-							oo2[r] = symA[pi]
-							oo2[r+1] = symB[pi]
+						cl := int(e & fastLenMask)
+						if cl == 0 || cl > n1 {
+							return 0, 0, 0, false
 						}
-						if act3 {
-							if n3 < 56 {
-								if y3+8 <= len(data) {
-									b3 |= binary.BigEndian.Uint64(data[y3:]) >> uint(n3)
-									y3 += (63 - n3) >> 3
-									n3 |= 56
-								} else {
-									for y3 < len(data) && n3 <= 56 {
-										b3 |= uint64(data[y3]) << uint(56-n3)
-										n3 += 8
-										y3++
-									}
-								}
-							}
-							e := root[b3>>uint(64-rb)&rootMask]
-							if e&fastSubFlag != 0 {
-								sb := int(e & fastLenMask)
-								w := b3 >> uint(64-rb-sb)
-								e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-							}
-							cl := int(e & fastLenMask)
-							if cl == 0 || cl > n3 {
-								return 0, 0, 0, false
-							}
-							b3 <<= uint(cl)
-							n3 -= cl
-							pi := e >> 6
-							oo3[r] = symA[pi]
-							oo3[r+1] = symB[pi]
-						}
-						r += 2
+						b1 <<= uint(cl)
+						n1 -= cl
+						pi := e >> 6
+						sk1 ^= symA[pi] ^ symB[pi]
 					}
-				}
-			}
-		} else if opAligned {
-			if out == nil {
-				for r := 0; r < rounds; {
-					for t := 0; t < nt; t++ {
-						root, subt, symt := tabs[t].root, tabs[t].sub, tabs[t].syms
-						rb := tabs[t].rootBits
-						rootMask := uint64(len(root) - 1)
-						if act0 {
-							if n0 < 56 {
-								if y0+8 <= len(data) {
-									b0 |= binary.BigEndian.Uint64(data[y0:]) >> uint(n0)
-									y0 += (63 - n0) >> 3
-									n0 |= 56
-								} else {
-									for y0 < len(data) && n0 <= 56 {
-										b0 |= uint64(data[y0]) << uint(56-n0)
-										n0 += 8
-										y0++
-									}
+					if act2 {
+						if n2 < 56 {
+							if y2+8 <= len(data) {
+								b2 |= binary.BigEndian.Uint64(data[y2:]) >> uint(n2)
+								y2 += (63 - n2) >> 3
+								n2 |= 56
+							} else {
+								for y2 < len(data) && n2 <= 56 {
+									b2 |= uint64(data[y2]) << uint(56-n2)
+									n2 += 8
+									y2++
 								}
 							}
-							e := root[b0>>uint(64-rb)&rootMask]
-							if e&fastSubFlag != 0 {
-								sb := int(e & fastLenMask)
-								w := b0 >> uint(64-rb-sb)
-								e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-							}
-							cl := int(e & fastLenMask)
-							if cl == 0 || cl > n0 {
-								return 0, 0, 0, false
-							}
-							b0 <<= uint(cl)
-							n0 -= cl
-							sk0 ^= symt[e>>6]
 						}
-						if act1 {
-							if n1 < 56 {
-								if y1+8 <= len(data) {
-									b1 |= binary.BigEndian.Uint64(data[y1:]) >> uint(n1)
-									y1 += (63 - n1) >> 3
-									n1 |= 56
-								} else {
-									for y1 < len(data) && n1 <= 56 {
-										b1 |= uint64(data[y1]) << uint(56-n1)
-										n1 += 8
-										y1++
-									}
-								}
-							}
-							e := root[b1>>uint(64-rb)&rootMask]
-							if e&fastSubFlag != 0 {
-								sb := int(e & fastLenMask)
-								w := b1 >> uint(64-rb-sb)
-								e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-							}
-							cl := int(e & fastLenMask)
-							if cl == 0 || cl > n1 {
-								return 0, 0, 0, false
-							}
-							b1 <<= uint(cl)
-							n1 -= cl
-							sk1 ^= symt[e>>6]
+						e := root[b2>>uint(64-rb)&rootMask]
+						if e&fastSubFlag != 0 {
+							sb := int(e & fastLenMask)
+							w := b2 >> uint(64-rb-sb)
+							e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
 						}
-						if act2 {
-							if n2 < 56 {
-								if y2+8 <= len(data) {
-									b2 |= binary.BigEndian.Uint64(data[y2:]) >> uint(n2)
-									y2 += (63 - n2) >> 3
-									n2 |= 56
-								} else {
-									for y2 < len(data) && n2 <= 56 {
-										b2 |= uint64(data[y2]) << uint(56-n2)
-										n2 += 8
-										y2++
-									}
-								}
-							}
-							e := root[b2>>uint(64-rb)&rootMask]
-							if e&fastSubFlag != 0 {
-								sb := int(e & fastLenMask)
-								w := b2 >> uint(64-rb-sb)
-								e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-							}
-							cl := int(e & fastLenMask)
-							if cl == 0 || cl > n2 {
-								return 0, 0, 0, false
-							}
-							b2 <<= uint(cl)
-							n2 -= cl
-							sk2 ^= symt[e>>6]
+						cl := int(e & fastLenMask)
+						if cl == 0 || cl > n2 {
+							return 0, 0, 0, false
 						}
-						if act3 {
-							if n3 < 56 {
-								if y3+8 <= len(data) {
-									b3 |= binary.BigEndian.Uint64(data[y3:]) >> uint(n3)
-									y3 += (63 - n3) >> 3
-									n3 |= 56
-								} else {
-									for y3 < len(data) && n3 <= 56 {
-										b3 |= uint64(data[y3]) << uint(56-n3)
-										n3 += 8
-										y3++
-									}
-								}
-							}
-							e := root[b3>>uint(64-rb)&rootMask]
-							if e&fastSubFlag != 0 {
-								sb := int(e & fastLenMask)
-								w := b3 >> uint(64-rb-sb)
-								e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-							}
-							cl := int(e & fastLenMask)
-							if cl == 0 || cl > n3 {
-								return 0, 0, 0, false
-							}
-							b3 <<= uint(cl)
-							n3 -= cl
-							sk3 ^= symt[e>>6]
-						}
-						r++
+						b2 <<= uint(cl)
+						n2 -= cl
+						pi := e >> 6
+						sk2 ^= symA[pi] ^ symB[pi]
 					}
-				}
-			} else {
-				for r := 0; r < rounds; {
-					for t := 0; t < nt; t++ {
-						root, subt, symt := tabs[t].root, tabs[t].sub, tabs[t].syms
-						rb := tabs[t].rootBits
-						rootMask := uint64(len(root) - 1)
-						if act0 {
-							if n0 < 56 {
-								if y0+8 <= len(data) {
-									b0 |= binary.BigEndian.Uint64(data[y0:]) >> uint(n0)
-									y0 += (63 - n0) >> 3
-									n0 |= 56
-								} else {
-									for y0 < len(data) && n0 <= 56 {
-										b0 |= uint64(data[y0]) << uint(56-n0)
-										n0 += 8
-										y0++
-									}
+					if act3 {
+						if n3 < 56 {
+							if y3+8 <= len(data) {
+								b3 |= binary.BigEndian.Uint64(data[y3:]) >> uint(n3)
+								y3 += (63 - n3) >> 3
+								n3 |= 56
+							} else {
+								for y3 < len(data) && n3 <= 56 {
+									b3 |= uint64(data[y3]) << uint(56-n3)
+									n3 += 8
+									y3++
 								}
 							}
-							e := root[b0>>uint(64-rb)&rootMask]
-							if e&fastSubFlag != 0 {
-								sb := int(e & fastLenMask)
-								w := b0 >> uint(64-rb-sb)
-								e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-							}
-							cl := int(e & fastLenMask)
-							if cl == 0 || cl > n0 {
-								return 0, 0, 0, false
-							}
-							b0 <<= uint(cl)
-							n0 -= cl
-							oo0[r] = symt[e>>6]
 						}
-						if act1 {
-							if n1 < 56 {
-								if y1+8 <= len(data) {
-									b1 |= binary.BigEndian.Uint64(data[y1:]) >> uint(n1)
-									y1 += (63 - n1) >> 3
-									n1 |= 56
-								} else {
-									for y1 < len(data) && n1 <= 56 {
-										b1 |= uint64(data[y1]) << uint(56-n1)
-										n1 += 8
-										y1++
-									}
-								}
-							}
-							e := root[b1>>uint(64-rb)&rootMask]
-							if e&fastSubFlag != 0 {
-								sb := int(e & fastLenMask)
-								w := b1 >> uint(64-rb-sb)
-								e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-							}
-							cl := int(e & fastLenMask)
-							if cl == 0 || cl > n1 {
-								return 0, 0, 0, false
-							}
-							b1 <<= uint(cl)
-							n1 -= cl
-							oo1[r] = symt[e>>6]
+						e := root[b3>>uint(64-rb)&rootMask]
+						if e&fastSubFlag != 0 {
+							sb := int(e & fastLenMask)
+							w := b3 >> uint(64-rb-sb)
+							e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
 						}
-						if act2 {
-							if n2 < 56 {
-								if y2+8 <= len(data) {
-									b2 |= binary.BigEndian.Uint64(data[y2:]) >> uint(n2)
-									y2 += (63 - n2) >> 3
-									n2 |= 56
-								} else {
-									for y2 < len(data) && n2 <= 56 {
-										b2 |= uint64(data[y2]) << uint(56-n2)
-										n2 += 8
-										y2++
-									}
-								}
-							}
-							e := root[b2>>uint(64-rb)&rootMask]
-							if e&fastSubFlag != 0 {
-								sb := int(e & fastLenMask)
-								w := b2 >> uint(64-rb-sb)
-								e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-							}
-							cl := int(e & fastLenMask)
-							if cl == 0 || cl > n2 {
-								return 0, 0, 0, false
-							}
-							b2 <<= uint(cl)
-							n2 -= cl
-							oo2[r] = symt[e>>6]
+						cl := int(e & fastLenMask)
+						if cl == 0 || cl > n3 {
+							return 0, 0, 0, false
 						}
-						if act3 {
-							if n3 < 56 {
-								if y3+8 <= len(data) {
-									b3 |= binary.BigEndian.Uint64(data[y3:]) >> uint(n3)
-									y3 += (63 - n3) >> 3
-									n3 |= 56
-								} else {
-									for y3 < len(data) && n3 <= 56 {
-										b3 |= uint64(data[y3]) << uint(56-n3)
-										n3 += 8
-										y3++
-									}
-								}
-							}
-							e := root[b3>>uint(64-rb)&rootMask]
-							if e&fastSubFlag != 0 {
-								sb := int(e & fastLenMask)
-								w := b3 >> uint(64-rb-sb)
-								e = subt[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(sb)-1))]
-							}
-							cl := int(e & fastLenMask)
-							if cl == 0 || cl > n3 {
-								return 0, 0, 0, false
-							}
-							b3 <<= uint(cl)
-							n3 -= cl
-							oo3[r] = symt[e>>6]
-						}
-						r++
+						b3 <<= uint(cl)
+						n3 -= cl
+						pi := e >> 6
+						sk3 ^= symA[pi] ^ symB[pi]
 					}
+					r += 2
 				}
 			}
 		} else {
@@ -1460,221 +962,6 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 		}
 	}
 	return syms, bits, sk0 ^ sk1 ^ sk2 ^ sk3, true
-}
-
-// run4 is the steady-state core of Run for a full complement of four
-// active lanes: every lane's bit cursor is hoisted out of the Lane
-// struct into function-local scalars — the same register-resident
-// Giesen cursor DecodeRun runs on a single stream — so one rotation
-// decodes four symbols with no pointer-chased lane state between them.
-// The rotation is strict (one symbol per lane per round, program order;
-// the four table-load chains are independent, so they overlap in the
-// core's out-of-order window) and a lane that cannot take the fast step
-// is stalled, not failed: a stall is either end-of-quota, a near-end
-// refill, or a would-be terminal, and the distinction is left to Run's
-// rotate loop, which re-peeks through the lane's resynced cursor and
-// shares its terminals with the reference decoder. Decoding with a
-// partially filled accumulator is safe for the same reason the
-// zero-padded Reader.PeekBits is: table replication resolves any
-// codeword no longer than the valid bits, and anything longer stalls on
-// the cl > buffered check.
-//
-//tepic:hotpath
-func (k *LaneDecoder) run4(lanes []Lane) {
-	sched := k.sched
-	nt := len(sched)
-
-	d0, d1, d2, d3 := lanes[0].cur.Source(), lanes[1].cur.Source(), lanes[2].cur.Source(), lanes[3].cur.Source()
-	p0, p1, p2, p3 := lanes[0].cur.Offset(), lanes[1].cur.Offset(), lanes[2].cur.Offset(), lanes[3].cur.Offset()
-	m0, m1, m2, m3 := lanes[0].n, lanes[1].n, lanes[2].n, lanes[3].n
-	w0, w1, w2, w3 := lanes[0].want, lanes[1].want, lanes[2].want, lanes[3].want
-	t0, t1, t2, t3 := lanes[0].ti, lanes[1].ti, lanes[2].ti, lanes[3].ti
-	o0, o1, o2, o3 := lanes[0].out, lanes[1].out, lanes[2].out, lanes[3].out
-	s0, s1, s2, s3 := lanes[0].sink, lanes[1].sink, lanes[2].sink, lanes[3].sink
-
-	var b0, b1, b2, b3 uint64 // accumulators, next bits at the top
-	var n0, n1, n2, n3 int    // valid bit counts
-	y0, y1, y2, y3 := p0>>3, p1>>3, p2>>3, p3>>3
-	if rem := p0 & 7; rem != 0 {
-		b0 = uint64(d0[y0]) << uint(56+rem)
-		n0 = 8 - rem
-		y0++
-	}
-	if rem := p1 & 7; rem != 0 {
-		b1 = uint64(d1[y1]) << uint(56+rem)
-		n1 = 8 - rem
-		y1++
-	}
-	if rem := p2 & 7; rem != 0 {
-		b2 = uint64(d2[y2]) << uint(56+rem)
-		n2 = 8 - rem
-		y2++
-	}
-	if rem := p3 & 7; rem != 0 {
-		b3 = uint64(d3[y3]) << uint(56+rem)
-		n3 = 8 - rem
-		y3++
-	}
-
-	st0, st1, st2, st3 := false, false, false, false
-	for {
-		progress := false
-		if !st0 && m0 != w0 {
-			if n0 < 56 && y0+8 <= len(d0) {
-				b0 |= binary.BigEndian.Uint64(d0[y0:]) >> uint(n0)
-				y0 += (63 - n0) >> 3
-				n0 |= 56
-			}
-			fd := sched[t0]
-			e := fd.root[b0>>uint(64-fd.rootBits)&uint64(len(fd.root)-1)]
-			if e&fastSubFlag != 0 {
-				bits := int(e & fastLenMask)
-				w := b0 >> uint(64-fd.rootBits-bits)
-				e = fd.sub[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(bits)-1))]
-			}
-			cl := int(e & fastLenMask)
-			if cl == 0 || cl > n0 {
-				st0 = true
-			} else {
-				b0 <<= uint(cl)
-				n0 -= cl
-				p0 += cl
-				sym := fd.syms[e>>6]
-				if o0 != nil {
-					o0[m0] = sym
-				} else {
-					s0 ^= sym
-				}
-				m0++
-				if t0++; t0 == nt {
-					t0 = 0
-				}
-				progress = true
-			}
-		}
-		if !st1 && m1 != w1 {
-			if n1 < 56 && y1+8 <= len(d1) {
-				b1 |= binary.BigEndian.Uint64(d1[y1:]) >> uint(n1)
-				y1 += (63 - n1) >> 3
-				n1 |= 56
-			}
-			fd := sched[t1]
-			e := fd.root[b1>>uint(64-fd.rootBits)&uint64(len(fd.root)-1)]
-			if e&fastSubFlag != 0 {
-				bits := int(e & fastLenMask)
-				w := b1 >> uint(64-fd.rootBits-bits)
-				e = fd.sub[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(bits)-1))]
-			}
-			cl := int(e & fastLenMask)
-			if cl == 0 || cl > n1 {
-				st1 = true
-			} else {
-				b1 <<= uint(cl)
-				n1 -= cl
-				p1 += cl
-				sym := fd.syms[e>>6]
-				if o1 != nil {
-					o1[m1] = sym
-				} else {
-					s1 ^= sym
-				}
-				m1++
-				if t1++; t1 == nt {
-					t1 = 0
-				}
-				progress = true
-			}
-		}
-		if !st2 && m2 != w2 {
-			if n2 < 56 && y2+8 <= len(d2) {
-				b2 |= binary.BigEndian.Uint64(d2[y2:]) >> uint(n2)
-				y2 += (63 - n2) >> 3
-				n2 |= 56
-			}
-			fd := sched[t2]
-			e := fd.root[b2>>uint(64-fd.rootBits)&uint64(len(fd.root)-1)]
-			if e&fastSubFlag != 0 {
-				bits := int(e & fastLenMask)
-				w := b2 >> uint(64-fd.rootBits-bits)
-				e = fd.sub[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(bits)-1))]
-			}
-			cl := int(e & fastLenMask)
-			if cl == 0 || cl > n2 {
-				st2 = true
-			} else {
-				b2 <<= uint(cl)
-				n2 -= cl
-				p2 += cl
-				sym := fd.syms[e>>6]
-				if o2 != nil {
-					o2[m2] = sym
-				} else {
-					s2 ^= sym
-				}
-				m2++
-				if t2++; t2 == nt {
-					t2 = 0
-				}
-				progress = true
-			}
-		}
-		if !st3 && m3 != w3 {
-			if n3 < 56 && y3+8 <= len(d3) {
-				b3 |= binary.BigEndian.Uint64(d3[y3:]) >> uint(n3)
-				y3 += (63 - n3) >> 3
-				n3 |= 56
-			}
-			fd := sched[t3]
-			e := fd.root[b3>>uint(64-fd.rootBits)&uint64(len(fd.root)-1)]
-			if e&fastSubFlag != 0 {
-				bits := int(e & fastLenMask)
-				w := b3 >> uint(64-fd.rootBits-bits)
-				e = fd.sub[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(bits)-1))]
-			}
-			cl := int(e & fastLenMask)
-			if cl == 0 || cl > n3 {
-				st3 = true
-			} else {
-				b3 <<= uint(cl)
-				n3 -= cl
-				p3 += cl
-				sym := fd.syms[e>>6]
-				if o3 != nil {
-					o3[m3] = sym
-				} else {
-					s3 ^= sym
-				}
-				m3++
-				if t3++; t3 == nt {
-					t3 = 0
-				}
-				progress = true
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-
-	// Write the hoisted state back and resync each cursor at its
-	// absolute bit position (SeekBit cannot fail here — every p stayed
-	// inside its stream — but a defensive error lands on the lane).
-	lanes[0].n, lanes[0].ti, lanes[0].sink = m0, t0, s0
-	lanes[1].n, lanes[1].ti, lanes[1].sink = m1, t1, s1
-	lanes[2].n, lanes[2].ti, lanes[2].sink = m2, t2, s2
-	lanes[3].n, lanes[3].ti, lanes[3].sink = m3, t3, s3
-	if err := lanes[0].cur.SeekBit(p0); err != nil && lanes[0].err == nil {
-		lanes[0].err = err
-	}
-	if err := lanes[1].cur.SeekBit(p1); err != nil && lanes[1].err == nil {
-		lanes[1].err = err
-	}
-	if err := lanes[2].cur.SeekBit(p2); err != nil && lanes[2].err == nil {
-		lanes[2].err = err
-	}
-	if err := lanes[3].cur.SeekBit(p3); err != nil && lanes[3].err == nil {
-		lanes[3].err = err
-	}
 }
 
 // runWide is Run for schedules whose longest code exceeds the 56-bit

@@ -25,10 +25,21 @@ type laneFixture struct {
 // symbols each, every stream cycling the ntabs-table schedule.
 func buildLaneFixture(t *testing.T, rng *rand.Rand, ntabs, nstreams, count int) *laneFixture {
 	t.Helper()
+	return buildSizedLaneFixture(t, rng, make([]int, ntabs), nstreams, count)
+}
+
+// buildSizedLaneFixture is buildLaneFixture with a chosen alphabet size
+// per schedule table; a size of 0 picks 2–201 symbols at random.
+func buildSizedLaneFixture(t *testing.T, rng *rand.Rand, sizes []int, nstreams, count int) *laneFixture {
+	t.Helper()
 	fx := &laneFixture{}
 	var scheds []*FastDecoder
-	for ti := 0; ti < ntabs; ti++ {
-		freq := randFreq(rng, 2+rng.Intn(200), ti%2 == 0)
+	ntabs := len(sizes)
+	for ti, n := range sizes {
+		if n == 0 {
+			n = 2 + rng.Intn(200)
+		}
+		freq := randFreq(rng, n, ti%2 == 0)
 		tab, err := Build(freq)
 		if err != nil {
 			t.Fatal(err)
@@ -327,4 +338,105 @@ func TestLaneDecoderValidation(t *testing.T) {
 		var lanes [MaxLanes + 1]Lane
 		k.Run(lanes[:])
 	})
+}
+
+// encodeLaneBlocks encodes nblocks byte-aligned blocks into one image:
+// block i holds (counts[i]*mul + add) / div symbols cycling the fixture's
+// schedule from phase 0, the DecodeBlocks block shape. It returns the
+// image, the block queues, every symbol in block order, and the total
+// code bits.
+func encodeLaneBlocks(t *testing.T, rng *rand.Rand, fx *laneFixture, nblocks, mul, add, div int) (data []byte, addrs, counts []int, syms []uint64, bits int64) {
+	t.Helper()
+	var w bitio.Writer
+	for b := 0; b < nblocks; b++ {
+		w.AlignByte()
+		ops := rng.Intn(40)
+		addrs = append(addrs, w.BitLen()/8)
+		counts = append(counts, ops)
+		for i := 0; i < (ops*mul+add)/div; i++ {
+			tab := fx.tabs[i%len(fx.tabs)]
+			all := tab.Symbols()
+			sym := all[rng.Intn(len(all))]
+			if err := tab.Encode(&w, sym); err != nil {
+				t.Fatal(err)
+			}
+			syms = append(syms, sym)
+			bits += int64(tab.EncodedBits(sym))
+		}
+	}
+	return w.Bytes(), addrs, counts, syms, bits
+}
+
+// TestDecodeBlocksDiscardCollect covers each schedule shape, and with
+// them each of decodeBlocksFast's three bodies. DecodeBlocks must report
+// the same totals with out == nil as with out != nil, the collected
+// symbols must be the encoded ones, and the discard pass's sink must be
+// the xor of those symbols — the symbol-level check on the discard-only
+// specialized bodies, whose symbols are otherwise never observed.
+func TestDecodeBlocksDiscardCollect(t *testing.T) {
+	cases := []struct {
+		name          string
+		sizes         []int
+		mul, add, div int
+		fused         bool
+	}{
+		{"single-table", []int{0}, 1, 0, 1, false},
+		{"single-table-bytes", []int{0}, 5, 7, 8, false},
+		{"fused-2", []int{9, 40}, 2, 0, 1, true},
+		{"fused-4", []int{12, 30, 7, 50}, 4, 0, 1, true},
+		{"unfused-2", []int{150, 120}, 2, 0, 1, false},
+		{"not-op-aligned", []int{9, 40}, 3, 1, 2, true},
+	}
+	rng := rand.New(rand.NewSource(100))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := buildSizedLaneFixture(t, rng, tc.sizes, 0, 0)
+			if got := fx.kern.fused != nil; got != tc.fused {
+				t.Fatalf("schedule fused = %v, want %v", got, tc.fused)
+			}
+			data, addrs, counts, want, wantBits := encodeLaneBlocks(t, rng, fx, 37, tc.mul, tc.add, tc.div)
+			var xor uint64
+			for _, s := range want {
+				xor ^= s
+			}
+			wantSyms := int64(len(want))
+			k := fx.kern
+
+			out := make([]uint64, len(want))
+			syms, bits, err := k.DecodeBlocks(data, addrs, counts, tc.mul, tc.add, tc.div, out)
+			if err != nil || syms != wantSyms || bits != wantBits {
+				t.Fatalf("collect = (%d, %d, %v), want (%d, %d, nil)", syms, bits, err, wantSyms, wantBits)
+			}
+			for i := range want {
+				if out[i] != want[i] {
+					t.Fatalf("collected symbol %d = %d, want %d", i, out[i], want[i])
+				}
+			}
+			syms, bits, err = k.DecodeBlocks(data, addrs, counts, tc.mul, tc.add, tc.div, nil)
+			if err != nil || syms != wantSyms || bits != wantBits {
+				t.Fatalf("discard = (%d, %d, %v), want (%d, %d, nil)", syms, bits, err, wantSyms, wantBits)
+			}
+
+			// The fast engine directly: it must take both modes without
+			// falling back, and discard must fold exactly the symbols
+			// collect stores.
+			syms, bits, sink, ok := k.decodeBlocksFast(data, addrs, counts, tc.mul, tc.add, tc.div, nil)
+			if !ok || syms != wantSyms || bits != wantBits {
+				t.Fatalf("fast discard = (%d, %d, ok %v), want (%d, %d, ok)", syms, bits, ok, wantSyms, wantBits)
+			}
+			if sink != xor {
+				t.Fatalf("fast discard sink %#x, want xor of symbols %#x", sink, xor)
+			}
+			clear(out)
+			syms, bits, _, ok = k.decodeBlocksFast(data, addrs, counts, tc.mul, tc.add, tc.div, out)
+			if !ok || syms != wantSyms || bits != wantBits {
+				t.Fatalf("fast collect = (%d, %d, ok %v), want (%d, %d, ok)", syms, bits, ok, wantSyms, wantBits)
+			}
+			for i := range want {
+				if out[i] != want[i] {
+					t.Fatalf("fast collected symbol %d = %d, want %d", i, out[i], want[i])
+				}
+			}
+		})
+	}
 }
