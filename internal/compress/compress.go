@@ -255,6 +255,7 @@ var Figure3Config = StreamConfigs[2]
 // StreamHuffman is the stream-based alphabet of §2.2/Figure 3.
 type StreamHuffman struct {
 	cfg   StreamConfig
+	segs  [][2]int // cfg.Segments(), cut once at construction
 	tabs  []*huffman.Table
 	decs  []*huffman.Decoder     // reference (oracle) decoders
 	fasts []*huffman.FastDecoder // table-driven hit-path decoders
@@ -273,12 +274,13 @@ func NewStreamHuffman(p *sched.Program, cfg StreamConfig) (*StreamHuffman, error
 	}
 	for _, b := range p.Blocks {
 		for i := range b.Ops {
+			w := b.Ops[i].Encode()
 			for si, seg := range segs {
-				freqs[si][b.Ops[i].SliceBits(seg[0], seg[1])]++
+				freqs[si][isa.SliceWord(w, seg[0], seg[1])]++
 			}
 		}
 	}
-	e := &StreamHuffman{cfg: cfg}
+	e := &StreamHuffman{cfg: cfg, segs: segs}
 	for si, f := range freqs {
 		tab, err := buildBounded(f, CodeLenLimit)
 		if err != nil {
@@ -300,11 +302,11 @@ func (e *StreamHuffman) Config() StreamConfig { return e.cfg }
 
 // BlockBits implements Encoder.
 func (e *StreamHuffman) BlockBits(ops []isa.Op) int {
-	segs := e.cfg.Segments()
 	bits := 0
 	for i := range ops {
-		for si, seg := range segs {
-			bits += e.tabs[si].EncodedBits(ops[i].SliceBits(seg[0], seg[1]))
+		w := ops[i].Encode()
+		for si, seg := range e.segs {
+			bits += e.tabs[si].EncodedBits(isa.SliceWord(w, seg[0], seg[1]))
 		}
 	}
 	return bits
@@ -312,10 +314,10 @@ func (e *StreamHuffman) BlockBits(ops []isa.Op) int {
 
 // EncodeBlock implements Encoder.
 func (e *StreamHuffman) EncodeBlock(w *bitio.Writer, ops []isa.Op) error {
-	segs := e.cfg.Segments()
 	for i := range ops {
-		for si, seg := range segs {
-			if err := e.tabs[si].Encode(w, ops[i].SliceBits(seg[0], seg[1])); err != nil {
+		word := ops[i].Encode()
+		for si, seg := range e.segs {
+			if err := e.tabs[si].Encode(w, isa.SliceWord(word, seg[0], seg[1])); err != nil {
 				return err
 			}
 		}
@@ -332,7 +334,7 @@ func (e *StreamHuffman) EncodeBlock(w *bitio.Writer, ops []isa.Op) error {
 // terminals); only a malformed-operand word replays its chunk
 // per-symbol to reproduce the exact legacy reader position.
 func (e *StreamHuffman) DecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error) {
-	segs := e.cfg.Segments()
+	segs := e.segs
 	nsegs := len(segs)
 	ops := make([]isa.Op, 0, n)
 	var lane [1]huffman.Lane
@@ -382,10 +384,9 @@ func (e *StreamHuffman) replayChunk(r *bitio.Reader, chunkStart, opIdx int) erro
 	if err := r.SeekBit(chunkStart); err != nil {
 		return err
 	}
-	segs := e.cfg.Segments()
 	for i := 0; i <= opIdx; i++ {
 		var word uint64
-		for si, seg := range segs {
+		for si, seg := range e.segs {
 			v, err := e.fasts[si].Decode(r)
 			if err != nil {
 				return err
@@ -403,11 +404,10 @@ func (e *StreamHuffman) replayChunk(r *bitio.Reader, chunkStart, opIdx int) erro
 // ReferenceDecodeBlock implements ReferenceDecoder on the bit-by-bit
 // oracle decoders.
 func (e *StreamHuffman) ReferenceDecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error) {
-	segs := e.cfg.Segments()
 	ops := make([]isa.Op, 0, n)
 	for i := 0; i < n; i++ {
 		var word uint64
-		for si, seg := range segs {
+		for si, seg := range e.segs {
 			v, err := e.decs[si].Decode(r)
 			if err != nil {
 				return nil, err

@@ -12,12 +12,12 @@
 package huffman
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/bitio"
 )
@@ -89,120 +89,100 @@ func build(freq map[uint64]int64, limit int) (*Table, error) {
 		}
 		syms = append(syms, s)
 	}
-	sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
+	slices.Sort(syms)
 	if limit > 0 && 1<<uint(limit) < len(syms) {
 		return nil, fmt.Errorf("%w: %d symbols cannot fit in %d-bit codes",
 			ErrTooLong, len(syms), limit)
 	}
-
-	var lens map[uint64]int
-	if len(syms) == 1 {
-		lens = map[uint64]int{syms[0]: 1}
-	} else if limit == 0 {
-		lens = optimalLengths(syms, freq)
-	} else {
-		lens = packageMerge(syms, freq, limit)
-	}
-
-	return newCanonical(syms, lens, freq)
-}
-
-// optimalLengths runs the classic heap-based Huffman construction and
-// returns code lengths per symbol.
-func optimalLengths(syms []uint64, freq map[uint64]int64) map[uint64]int {
-	type node struct {
-		w           int64
-		sym         uint64
-		leaf        bool
-		left, right int
-		order       int // deterministic tie-break
-	}
-	nodes := make([]node, 0, 2*len(syms))
-	var h nodeHeap
+	weights := make([]int64, len(syms))
 	for i, s := range syms {
-		nodes = append(nodes, node{w: freq[s], sym: s, leaf: true, order: i})
-		h.push(item{w: freq[s], idx: i, order: i})
+		weights[i] = freq[s]
 	}
-	order := len(syms)
-	for h.Len() > 1 {
-		a := h.pop()
-		b := h.pop()
-		nodes = append(nodes, node{w: a.w + b.w, left: a.idx, right: b.idx, order: order})
-		h.push(item{w: a.w + b.w, idx: len(nodes) - 1, order: order})
-		order++
+
+	var lens []int
+	if len(syms) == 1 {
+		lens = []int{1}
+	} else if limit == 0 {
+		lens = optimalLengths(weights)
+	} else {
+		lens = packageMerge(weights, limit)
 	}
-	root := h.pop().idx
-	lens := make(map[uint64]int, len(syms))
-	// Iterative depth-first traversal.
-	type frame struct{ idx, depth int }
-	stack := []frame{{root, 0}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := nodes[f.idx]
-		if n.leaf {
-			d := f.depth
-			if d == 0 {
-				d = 1
-			}
-			lens[n.sym] = d
-			continue
+
+	return newCanonical(syms, lens, weights)
+}
+
+// byWeight returns the symbol indices ordered by (weight, index). The
+// symbols are sorted, so this is (weight, symbol) order.
+func byWeight(weights []int64) []int {
+	order := make([]int, len(weights))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(weights[a], weights[b]); c != 0 {
+			return c
 		}
-		stack = append(stack, frame{n.left, f.depth + 1}, frame{n.right, f.depth + 1})
+		return cmp.Compare(a, b)
+	})
+	return order
+}
+
+// optimalLengths runs Huffman's construction with two queues (van
+// Leeuwen, 1976) and returns the code length of each symbol, aligned
+// with weights. One queue holds the leaves in (weight, index) order; the
+// other holds merged nodes in creation order, which is also weight order
+// because every merge sums the two lightest nodes left. Each step pops
+// the lighter front twice, taking the leaf on a tie. Numbering leaves
+// 0..n-1 and merged nodes n, n+1, ... in creation order, that is exactly
+// the (weight, number) order a min-heap pops, so the lengths equal the
+// heap construction's bit for bit.
+func optimalLengths(weights []int64) []int {
+	n := len(weights)
+	leaves := byWeight(weights)
+	// Nodes 0..n-1 are the leaves, n..2n-2 the merged nodes.
+	w := make([]int64, 2*n-1)
+	copy(w, weights)
+	parent := make([]int, 2*n-1)
+	li, qi := 0, n // fronts of the leaf and merged queues
+	pop := func(next int) int {
+		if li < n && (qi == next || w[leaves[li]] <= w[qi]) {
+			li++
+			return leaves[li-1]
+		}
+		qi++
+		return qi - 1
 	}
-	return lens
-}
-
-type item struct {
-	w     int64
-	idx   int
-	order int
-}
-
-type nodeHeap []item
-
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(i, j int) bool {
-	if h[i].w != h[j].w {
-		return h[i].w < h[j].w
+	for next := n; next < 2*n-1; next++ {
+		a := pop(next)
+		b := pop(next)
+		w[next] = w[a] + w[b]
+		parent[a], parent[b] = next, next
 	}
-	return h[i].order < h[j].order
+	// A parent is numbered after its children, so one descending pass
+	// from the root fixes every depth.
+	depth := make([]int, 2*n-1)
+	for i := 2*n - 3; i >= 0; i-- {
+		depth[i] = depth[parent[i]] + 1
+	}
+	return depth[:n]
 }
-func (h nodeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x any)   { *h = append(*h, x.(item)) }
-func (h *nodeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-func (h *nodeHeap) push(it item) { heap.Push(h, it) }
-func (h *nodeHeap) pop() item    { return heap.Pop(h).(item) }
 
 // packageMerge computes optimal length-limited code lengths (Larmore &
-// Hirschberg). Symbols are the leaves; the number of times a leaf appears
-// in the final solution set equals its code length. Packages are
-// represented as binary trees so merging is O(1) and leaf multiplicities
-// are recovered with one traversal at the end.
-func packageMerge(syms []uint64, freq map[uint64]int64, limit int) map[uint64]int {
+// Hirschberg), aligned with weights. Symbols are the leaves; the number
+// of times a leaf appears in the final solution set equals its code
+// length. Packages are represented as binary trees so merging is O(1)
+// and leaf multiplicities are recovered with one traversal at the end.
+func packageMerge(weights []int64, limit int) []int {
 	type pmNode struct {
 		w           int64
-		sym         uint64
+		sym         int // index into weights
 		leaf        bool
 		left, right *pmNode
 	}
-	ordered := make([]uint64, len(syms))
-	copy(ordered, syms)
-	sort.Slice(ordered, func(i, j int) bool {
-		if freq[ordered[i]] != freq[ordered[j]] {
-			return freq[ordered[i]] < freq[ordered[j]]
-		}
-		return ordered[i] < ordered[j]
-	})
+	ordered := byWeight(weights)
 	leafList := make([]*pmNode, len(ordered))
 	for i, s := range ordered {
-		leafList[i] = &pmNode{w: freq[s], sym: s, leaf: true}
+		leafList[i] = &pmNode{w: weights[s], sym: s, leaf: true}
 	}
 
 	merge := func(a, b []*pmNode) []*pmNode {
@@ -234,8 +214,8 @@ func packageMerge(syms []uint64, freq map[uint64]int64, limit int) map[uint64]in
 		list = merge(leafList, pair(list))
 	}
 	// Count leaf occurrences in the first 2n-2 packages of the final list.
-	need := 2*len(syms) - 2
-	lens := make(map[uint64]int, len(syms))
+	need := 2*len(weights) - 2
+	lens := make([]int, len(weights))
 	var stack []*pmNode
 	for i := 0; i < need && i < len(list); i++ {
 		stack = append(stack[:0], list[i])
@@ -252,37 +232,45 @@ func packageMerge(syms []uint64, freq map[uint64]int64, limit int) map[uint64]in
 	return lens
 }
 
-// newCanonical assigns canonical codewords given per-symbol lengths.
-func newCanonical(syms []uint64, lens map[uint64]int, freq map[uint64]int64) (*Table, error) {
-	t := &Table{codes: make(map[uint64]Code, len(syms))}
-	order := append([]uint64(nil), syms...)
-	sort.Slice(order, func(i, j int) bool {
-		if lens[order[i]] != lens[order[j]] {
-			return lens[order[i]] < lens[order[j]]
-		}
-		return order[i] < order[j]
-	})
-	code := uint64(0)
-	prevLen := 0
-	for _, s := range order {
-		l := lens[s]
-		if l > MaxCodeLen {
+// newCanonical assigns canonical codewords given per-symbol lengths,
+// both aligned with the sorted symbols. Canonical order is (length,
+// symbol); bucketing the already sorted symbols by length yields it
+// without a comparison sort.
+func newCanonical(syms []uint64, lens []int, weights []int64) (*Table, error) {
+	maxLen := slices.Max(lens)
+	start := make([]int, maxLen+2) // start[l+1] counts, then prefix-sums, lengths l
+	for _, l := range lens {
+		start[l+1]++
+	}
+	for l := 1; l <= maxLen; l++ {
+		if l > MaxCodeLen && start[l+1] > 0 {
 			return nil, fmt.Errorf("%w: code length %d", ErrTooLong, l)
 		}
+		start[l+1] += start[l]
+	}
+	t := &Table{
+		codes:  make(map[uint64]Code, len(syms)),
+		syms:   make([]uint64, len(syms)),
+		lens:   make([]int, len(syms)),
+		maxLen: maxLen,
+	}
+	for i, s := range syms {
+		l := lens[i]
+		k := start[l]
+		start[l]++
+		t.syms[k], t.lens[k] = s, l
+		t.symBits = max(t.symBits, bitsFor(s))
+		t.total += weights[i]
+		t.bits += weights[i] * int64(l)
+	}
+	code := uint64(0)
+	prevLen := 0
+	for k, s := range t.syms {
+		l := t.lens[k]
 		code <<= uint(l - prevLen)
 		t.codes[s] = Code{Bits: code, Len: l}
-		t.syms = append(t.syms, s)
-		t.lens = append(t.lens, l)
 		code++
 		prevLen = l
-		if l > t.maxLen {
-			t.maxLen = l
-		}
-		if w := bitsFor(s); w > t.symBits {
-			t.symBits = w
-		}
-		t.total += freq[s]
-		t.bits += freq[s] * int64(l)
 	}
 	return t, nil
 }

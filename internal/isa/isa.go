@@ -211,6 +211,11 @@ var formatLayouts = [NumFormats][]FieldSpec{
 	},
 }
 
+// MaxSlots is the number of slots in the longest format layout (Load):
+// the capacity a stack buffer for Op.AppendFieldValues needs, and the
+// slot dimension of per-format tables.
+const MaxSlots = 14
+
 // Layout returns the ordered field specification for a format,
 // most-significant field first. The returned slice must not be modified.
 func Layout(f Format) []FieldSpec {
@@ -326,7 +331,10 @@ type OpcodeInfo struct {
 	Latency int
 }
 
-var opcodeTable = map[OpType]map[Opcode]OpcodeInfo{
+// opcodeTable is indexed [type][code]; a zero Name marks an undefined
+// pair. OpType is 2 bits and Opcode 5 bits wide, so the array covers
+// every encodable pair and Lookup reads one entry instead of hashing.
+var opcodeTable = [4][32]OpcodeInfo{
 	TypeInt: {
 		OpADD:    {TypeInt, OpADD, "add", FmtIntALU, 1},
 		OpSUB:    {TypeInt, OpSUB, "sub", FmtIntALU, 1},
@@ -388,12 +396,11 @@ var opcodeTable = map[OpType]map[Opcode]OpcodeInfo{
 // Lookup returns the OpcodeInfo for a (type, opcode) pair. The boolean is
 // false if the pair is not a defined TEPIC operation.
 func Lookup(t OpType, c Opcode) (OpcodeInfo, bool) {
-	m, ok := opcodeTable[t]
-	if !ok {
+	if t >= 4 || c >= 32 {
 		return OpcodeInfo{}, false
 	}
-	info, ok := m[c]
-	return info, ok
+	info := &opcodeTable[t][c]
+	return *info, info.Name != ""
 }
 
 // MustLookup is Lookup for pairs known to be valid; it panics otherwise.
@@ -407,11 +414,12 @@ func MustLookup(t OpType, c Opcode) OpcodeInfo {
 
 // Opcodes returns all defined opcodes for a type in ascending code order.
 func Opcodes(t OpType) []OpcodeInfo {
-	m := opcodeTable[t]
-	out := make([]OpcodeInfo, 0, len(m))
-	for c := Opcode(0); int(c) < 32; c++ {
-		if info, ok := m[c]; ok {
-			out = append(out, info)
+	var out []OpcodeInfo
+	if t < 4 {
+		for _, info := range opcodeTable[t] {
+			if info.Name != "" {
+				out = append(out, info)
+			}
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -89,6 +90,56 @@ func TestLookupUndefined(t *testing.T) {
 	}
 	if _, ok := Lookup(TypeFloat, 31); ok {
 		t.Error("Lookup(TypeFloat, 31) should be undefined")
+	}
+}
+
+// TestLookupOutOfRange sweeps every (type, code) byte pair. The opcode
+// table is a dense [4][32] array, so a pair outside it must come back
+// undefined rather than index past the array.
+func TestLookupOutOfRange(t *testing.T) {
+	defined := 0
+	for ti := 0; ti < 256; ti++ {
+		typ := OpType(ti)
+		infos := Opcodes(typ)
+		if ti >= 4 && len(infos) != 0 {
+			t.Errorf("Opcodes(%d) = %d entries, want none", ti, len(infos))
+		}
+		for ci := 0; ci < 256; ci++ {
+			code := Opcode(ci)
+			info, ok := Lookup(typ, code)
+			o := Op{Type: typ, Code: code}
+			err := o.Validate()
+			if !ok {
+				if !errors.Is(err, ErrBadOp) {
+					t.Errorf("Validate(%d/%d) = %v, want ErrBadOp", ti, ci, err)
+				}
+				if f := FormatOf(typ, code); f != FmtIntALU {
+					t.Errorf("FormatOf(%d/%d) = %v, want fallback IntALU", ti, ci, f)
+				}
+				continue
+			}
+			defined++
+			if info.Type != typ || info.Code != code {
+				t.Errorf("Lookup(%d/%d) returned %v/%d", ti, ci, info.Type, info.Code)
+			}
+			if err != nil {
+				t.Errorf("Validate(%d/%d) = %v on a defined pair", ti, ci, err)
+			}
+		}
+	}
+	if defined != 48 {
+		t.Errorf("%d defined (type, code) pairs, want 48", defined)
+	}
+}
+
+// TestMaxSlots pins MaxSlots to the longest format layout.
+func TestMaxSlots(t *testing.T) {
+	longest := 0
+	for f := Format(0); int(f) < NumFormats; f++ {
+		longest = max(longest, len(Layout(f)))
+	}
+	if longest != MaxSlots {
+		t.Errorf("longest layout has %d slots, MaxSlots = %d", longest, MaxSlots)
 	}
 }
 

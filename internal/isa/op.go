@@ -219,28 +219,33 @@ func DecodeBytes(b [OpBytes]byte) (Op, error) {
 	return Decode(w)
 }
 
-// FieldValues returns the operation's value for every slot of its format
-// layout, in layout order (reserved slots yield zero). The compression
-// schemes use this to cut an operation into stream symbols without
-// re-deriving bit offsets.
-func (o *Op) FieldValues() []uint32 {
-	layout := Layout(o.Format())
-	out := make([]uint32, len(layout))
-	for i, fs := range layout {
+// AppendFieldValues appends the operation's value for every slot of its
+// format layout, in layout order (reserved slots yield zero), and returns
+// the extended slice. The tailored encoding and the schedule verifier
+// read fields through it without re-deriving bit offsets; per-op callers
+// pass a [MaxSlots]uint32 stack buffer so nothing is allocated.
+func (o *Op) AppendFieldValues(dst []uint32) []uint32 {
+	for _, fs := range Layout(o.Format()) {
+		var v uint32
 		if fs.ID != FieldReserved {
-			out[i] = o.field(fs.ID)
+			v = o.field(fs.ID)
 		}
+		dst = append(dst, v)
 	}
-	return out
+	return dst
 }
 
-// SliceBits extracts bits [from, to) of the operation's 40-bit encoding,
-// where bit 0 is the most significant (the tail bit). It is the primitive
-// the stream-based Huffman alphabets are built on.
-func (o *Op) SliceBits(from, to int) uint64 {
+// SliceWord extracts bits [from, to) of a 40-bit TEPIC word, where bit 0
+// is the most significant (the tail bit). It is the primitive the
+// stream-based Huffman alphabets are built on: encode an operation once,
+// then slice every stream field from the word.
+func SliceWord(w uint64, from, to int) uint64 {
 	if from < 0 || to > OpBits || from >= to {
 		panic(fmt.Sprintf("isa: bad bit slice [%d,%d)", from, to))
 	}
-	w := o.Encode()
 	return w >> uint(OpBits-to) & (1<<uint(to-from) - 1)
 }
+
+// SliceBits extracts bits [from, to) of the operation's 40-bit encoding;
+// see SliceWord.
+func (o *Op) SliceBits(from, to int) uint64 { return SliceWord(o.Encode(), from, to) }

@@ -108,7 +108,7 @@ func TestFieldValuesMatchesSliceBits(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		o := RandomOp(r)
 		layout := Layout(o.Format())
-		vals := o.FieldValues()
+		vals := o.AppendFieldValues(nil)
 		off := 0
 		for j, fs := range layout {
 			got := o.SliceBits(off, off+fs.Width)

@@ -24,7 +24,6 @@ package tailor
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/bitio"
 	"repro/internal/huffman"
@@ -43,16 +42,11 @@ var (
 	ErrWidth = errors.New("tailor: value does not fit tailored field")
 )
 
-// slotKey identifies one tailorable field slot: a format and the slot's
-// index within that format's layout.
-type slotKey struct {
-	format isa.Format
-	slot   int
-}
-
 // slotMap is one slot's tailoring decision: either a hardwired constant
-// (width 0) or a direct binary field narrowed to `width` bits.
+// (width 0) or a direct binary field narrowed to `width` bits. A slot the
+// program never fills (or one the shared prefix replaces) is not seen.
 type slotMap struct {
+	seen     bool
 	id       isa.FieldID
 	width    int    // 0 for constant slots
 	constant uint32 // the hardwired value when width == 0
@@ -60,142 +54,104 @@ type slotMap struct {
 }
 
 // Tailored is a program-specific compact encoding. It implements
-// compress.Encoder.
+// compress.Encoder. Every table is dense: slots by [format][slot],
+// opcodes by [type][code], so the per-op paths read arrays, not maps.
 type Tailored struct {
 	optWidth int
 	opcWidth int
-	typeOf   map[isa.OpType]uint32 // type -> tailored OPT code
-	types    []isa.OpType          // tailored OPT code -> type
-	opcOf    map[isa.OpType]map[isa.Opcode]uint32
-	opcs     map[isa.OpType][]isa.Opcode
-	slots    map[slotKey]*slotMap
-	opBits   map[opKey]int // cached per-(type,code) op size
-}
-
-type opKey struct {
-	t isa.OpType
-	c isa.Opcode
+	typeOf   [4]uint32       // type -> tailored OPT code
+	types    []isa.OpType    // tailored OPT code -> type
+	opcOf    [4][32]uint32   // (type, code) -> tailored OPCODE
+	opcs     [4][]isa.Opcode // tailored OPCODE -> code, per type
+	slots    [isa.NumFormats][isa.MaxSlots]slotMap
+	opBits   [4][32]int // per-(type,code) op size; 0 = not in the ISA
 }
 
 // tPrefix is the number of leading layout slots replaced by the shared
 // tailored prefix: only the tail bit; OPT/OPCODE slots are skipped by ID.
 const tPrefix = 1
 
+// tailorable reports whether a slot keeps a tailored field of its own:
+// reserved bits are dropped, OPT and OPCODE live in the shared prefix.
+func tailorable(id isa.FieldID) bool {
+	return id != isa.FieldReserved && id != isa.FieldOpt && id != isa.FieldOpcode
+}
+
 // New analyzes a scheduled program and generates its tailored encoding.
 func New(p *sched.Program) (*Tailored, error) {
-	t := &Tailored{
-		typeOf: map[isa.OpType]uint32{},
-		opcOf:  map[isa.OpType]map[isa.Opcode]uint32{},
-		opcs:   map[isa.OpType][]isa.Opcode{},
-		slots:  map[slotKey]*slotMap{},
-		opBits: map[opKey]int{},
-	}
+	t := &Tailored{}
 
 	// Pass 1: collect the value universe.
-	typeSet := map[isa.OpType]bool{}
-	opcSet := map[isa.OpType]map[isa.Opcode]bool{}
-	type slotStat struct {
-		max      uint32
-		first    uint32
-		seen     bool
-		constant bool
-	}
-	stats := map[slotKey]*slotStat{}
+	var opcSet [4][32]bool
+	var varies [isa.NumFormats][isa.MaxSlots]bool
+	var buf [isa.MaxSlots]uint32
 	for _, b := range p.Blocks {
 		for i := range b.Ops {
 			op := &b.Ops[i]
-			typeSet[op.Type] = true
-			if opcSet[op.Type] == nil {
-				opcSet[op.Type] = map[isa.Opcode]bool{}
+			if op.Type >= 4 || op.Code >= 32 {
+				return nil, fmt.Errorf("tailor: %w: opcode %v/%d", isa.ErrBadOp, op.Type, op.Code)
 			}
 			opcSet[op.Type][op.Code] = true
 			f := op.Format()
 			layout := isa.Layout(f)
-			vals := op.FieldValues()
+			vals := op.AppendFieldValues(buf[:0])
 			for s := tPrefix; s < len(layout); s++ {
-				fs := layout[s]
-				if fs.ID == isa.FieldReserved || fs.ID == isa.FieldOpt ||
-					fs.ID == isa.FieldOpcode {
+				if !tailorable(layout[s].ID) {
 					continue
 				}
-				k := slotKey{f, s}
-				st := stats[k]
-				if st == nil {
-					st = &slotStat{first: vals[s], constant: true}
-					stats[k] = st
+				sm := &t.slots[f][s]
+				if !sm.seen {
+					*sm = slotMap{seen: true, id: layout[s].ID, constant: vals[s]}
 				}
-				st.seen = true
-				if vals[s] != st.first {
-					st.constant = false
+				if vals[s] != sm.constant {
+					varies[f][s] = true
 				}
-				if vals[s] > st.max {
-					st.max = vals[s]
-				}
+				sm.maxVal = max(sm.maxVal, vals[s])
 			}
 		}
 	}
-	if len(typeSet) == 0 {
-		return nil, fmt.Errorf("tailor: empty program")
-	}
 
-	// Global OPT mapping: fixed position, fixed size.
+	// Global OPT mapping: fixed position, fixed size. Global OPCODE
+	// width: the max over types, so the (T, OPT, OPCODE) prefix has one
+	// size everywhere.
 	for ty := isa.OpType(0); ty < 4; ty++ {
-		if typeSet[ty] {
+		for c := isa.Opcode(0); c < 32; c++ {
+			if opcSet[ty][c] {
+				t.opcOf[ty][c] = uint32(len(t.opcs[ty]))
+				t.opcs[ty] = append(t.opcs[ty], c)
+			}
+		}
+		if len(t.opcs[ty]) > 0 {
 			t.typeOf[ty] = uint32(len(t.types))
 			t.types = append(t.types, ty)
+			t.opcWidth = max(t.opcWidth, bitsFor(len(t.opcs[ty])))
 		}
+	}
+	if len(t.types) == 0 {
+		return nil, fmt.Errorf("tailor: empty program")
 	}
 	t.optWidth = bitsFor(len(t.types))
 
-	// Global OPCODE width: the max over types, so the (T, OPT, OPCODE)
-	// prefix has one size everywhere.
-	for ty, set := range opcSet {
-		var codes []isa.Opcode
-		for c := range set {
-			codes = append(codes, c)
-		}
-		sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
-		m := map[isa.Opcode]uint32{}
-		for i, c := range codes {
-			m[c] = uint32(i)
-		}
-		t.opcOf[ty] = m
-		t.opcs[ty] = codes
-		if w := bitsFor(len(codes)); w > t.opcWidth {
-			t.opcWidth = w
-		}
-	}
-
 	// Per-slot widths: constants drop to zero bits, everything else keeps
 	// its direct value narrowed to the observed maximum.
-	for k, st := range stats {
-		sm := &slotMap{id: isa.Layout(k.format)[k.slot].ID, maxVal: st.max}
-		if st.constant {
-			sm.width = 0
-			sm.constant = st.first
-		} else {
-			sm.width = bitsFor(int(st.max) + 1)
+	for f := range t.slots {
+		for s := range t.slots[f] {
+			if sm := &t.slots[f][s]; varies[f][s] {
+				sm.width = bitsFor(int(sm.maxVal) + 1)
+				sm.constant = 0
+			}
 		}
-		t.slots[k] = sm
 	}
 
 	// Cache per-opcode sizes.
-	for ty, codes := range t.opcs {
-		for _, c := range codes {
+	for _, ty := range t.types {
+		for _, c := range t.opcs[ty] {
 			f := isa.FormatOf(ty, c)
 			bits := 1 + t.optWidth + t.opcWidth
-			layout := isa.Layout(f)
-			for s := tPrefix; s < len(layout); s++ {
-				fs := layout[s]
-				if fs.ID == isa.FieldReserved || fs.ID == isa.FieldOpt ||
-					fs.ID == isa.FieldOpcode {
-					continue
-				}
-				if sm := t.slots[slotKey{f, s}]; sm != nil {
-					bits += sm.width
-				}
+			for s := range isa.Layout(f) {
+				bits += t.slots[f][s].width
 			}
-			t.opBits[opKey{ty, c}] = bits
+			t.opBits[ty][c] = bits
 		}
 	}
 	return t, nil
@@ -221,11 +177,19 @@ func (*Tailored) Tables() []*huffman.Table { return nil }
 
 // OpBits returns the tailored size of one (type, code) operation.
 func (t *Tailored) OpBits(ty isa.OpType, c isa.Opcode) (int, error) {
-	bits, ok := t.opBits[opKey{ty, c}]
-	if !ok {
-		return 0, fmt.Errorf("tailor: opcode %v/%d not in tailored ISA", ty, c)
+	if bits := t.opSize(ty, c); bits > 0 {
+		return bits, nil
 	}
-	return bits, nil
+	return 0, fmt.Errorf("tailor: opcode %v/%d not in tailored ISA", ty, c)
+}
+
+// opSize is the tailored size of a (type, code) operation, 0 if the
+// tailored ISA lacks it.
+func (t *Tailored) opSize(ty isa.OpType, c isa.Opcode) int {
+	if ty >= 4 || c >= 32 {
+		return 0
+	}
+	return t.opBits[ty][c]
 }
 
 // PrefixWidths returns the fixed (OPT, OPCODE) field widths.
@@ -235,9 +199,7 @@ func (t *Tailored) PrefixWidths() (opt, opc int) { return t.optWidth, t.opcWidth
 func (t *Tailored) BlockBits(ops []isa.Op) int {
 	bits := 0
 	for i := range ops {
-		if b, err := t.OpBits(ops[i].Type, ops[i].Code); err == nil {
-			bits += b
-		}
+		bits += t.opSize(ops[i].Type, ops[i].Code)
 	}
 	return bits
 }
@@ -257,23 +219,24 @@ func (t *Tailored) EncodeBlock(w *bitio.Writer, ops []isa.Op) error {
 // must exist (ErrNotInISA) and every field value must fit its tailored
 // width or match its hardwired constant (ErrWidth).
 func (t *Tailored) ValidateOp(op *isa.Op) error {
-	if _, ok := t.typeOf[op.Type]; !ok {
+	if op.Type >= 4 || len(t.opcs[op.Type]) == 0 {
 		return fmt.Errorf("%w: type %v", ErrNotInISA, op.Type)
 	}
-	if _, ok := t.opcOf[op.Type][op.Code]; !ok {
+	if t.opSize(op.Type, op.Code) == 0 {
 		return fmt.Errorf("%w: opcode %v/%d", ErrNotInISA, op.Type, op.Code)
 	}
 	f := op.Format()
 	layout := isa.Layout(f)
-	vals := op.FieldValues()
+	var buf [isa.MaxSlots]uint32
+	vals := op.AppendFieldValues(buf[:0])
 	for s := tPrefix; s < len(layout); s++ {
 		fs := layout[s]
-		if fs.ID == isa.FieldReserved || fs.ID == isa.FieldOpt || fs.ID == isa.FieldOpcode {
+		if !tailorable(fs.ID) {
 			continue
 		}
-		sm := t.slots[slotKey{f, s}]
+		sm := &t.slots[f][s]
 		switch {
-		case sm == nil:
+		case !sm.seen:
 			if vals[s] != 0 {
 				return fmt.Errorf("%w: unexpected value %d in unseen slot %v",
 					ErrWidth, vals[s], fs.ID)
@@ -304,18 +267,13 @@ func (t *Tailored) encodeOp(w *bitio.Writer, op *isa.Op) error {
 	w.WriteBits(uint64(t.opcOf[op.Type][op.Code]), t.opcWidth)
 
 	f := op.Format()
-	layout := isa.Layout(f)
-	vals := op.FieldValues()
-	for s := tPrefix; s < len(layout); s++ {
-		fs := layout[s]
-		if fs.ID == isa.FieldReserved || fs.ID == isa.FieldOpt || fs.ID == isa.FieldOpcode {
-			continue
+	var buf [isa.MaxSlots]uint32
+	for s, v := range op.AppendFieldValues(buf[:0]) {
+		// The prefix, untailorable and unseen slots have width 0, as do
+		// hardwired constants.
+		if width := t.slots[f][s].width; width > 0 {
+			w.WriteBits(uint64(v), width)
 		}
-		sm := t.slots[slotKey{f, s}]
-		if sm == nil || sm.width == 0 {
-			continue
-		}
-		w.WriteBits(uint64(vals[s]), sm.width)
 	}
 	return nil
 }
@@ -383,8 +341,8 @@ func (t *Tailored) decodeOp(r *bitio.Reader) (isa.Op, error) {
 		case fs.ID == isa.FieldReserved:
 			// zero
 		default:
-			sm := t.slots[slotKey{f, s}]
-			if sm == nil {
+			sm := &t.slots[f][s]
+			if !sm.seen {
 				break // slot never occurred: decode as zero
 			}
 			if sm.width == 0 {
@@ -415,25 +373,20 @@ type FieldReport struct {
 // Report returns every tailored slot, ordered by format then position.
 func (t *Tailored) Report() []FieldReport {
 	var out []FieldReport
-	var keys []slotKey
-	for k := range t.slots {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].format != keys[j].format {
-			return keys[i].format < keys[j].format
+	for f := range t.slots {
+		layout := isa.Layout(isa.Format(f))
+		for s, sm := range t.slots[f] {
+			if !sm.seen {
+				continue
+			}
+			out = append(out, FieldReport{
+				Format:   isa.Format(f),
+				Field:    sm.id,
+				Orig:     layout[s].Width,
+				Width:    sm.width,
+				Constant: sm.width == 0,
+			})
 		}
-		return keys[i].slot < keys[j].slot
-	})
-	for _, k := range keys {
-		sm := t.slots[k]
-		out = append(out, FieldReport{
-			Format:   k.format,
-			Field:    sm.id,
-			Orig:     isa.Layout(k.format)[k.slot].Width,
-			Width:    sm.width,
-			Constant: sm.width == 0,
-		})
 	}
 	return out
 }
@@ -448,9 +401,11 @@ func (t *Tailored) DictionaryEntries() int {
 	for _, codes := range t.opcs {
 		n += len(codes)
 	}
-	for _, sm := range t.slots {
-		if sm.width == 0 {
-			n++
+	for f := range t.slots {
+		for _, sm := range t.slots[f] {
+			if sm.seen && sm.width == 0 {
+				n++
+			}
 		}
 	}
 	return n

@@ -116,12 +116,15 @@ func TestNoOpExceedsBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, bits := range tl.opBits {
-		if bits > isa.OpBits {
-			t.Errorf("opcode %v/%d tailored to %d bits > baseline 40", key.t, key.c, bits)
-		}
-		if bits < 1 {
-			t.Errorf("opcode %v/%d tailored to %d bits", key.t, key.c, bits)
+	for _, ty := range tl.types {
+		for _, c := range tl.opcs[ty] {
+			bits := tl.opBits[ty][c]
+			if bits > isa.OpBits {
+				t.Errorf("opcode %v/%d tailored to %d bits > baseline 40", ty, c, bits)
+			}
+			if bits < 1 {
+				t.Errorf("opcode %v/%d tailored to %d bits", ty, c, bits)
+			}
 		}
 	}
 }

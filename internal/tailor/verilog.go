@@ -2,7 +2,7 @@ package tailor
 
 import (
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/cliio"
 	"repro/internal/isa"
@@ -15,10 +15,8 @@ import (
 // signals (the original TEPIC field values).
 func (t *Tailored) EmitVerilog(w io.Writer, module string) error {
 	maxBits := 0
-	for _, b := range t.opBits {
-		if b > maxBits {
-			maxBits = b
-		}
+	for ty := range t.opBits {
+		maxBits = max(maxBits, slices.Max(t.opBits[ty][:]))
 	}
 	cw := cliio.New(w)
 	p := func(format string, args ...any) {
@@ -73,7 +71,7 @@ func (t *Tailored) EmitVerilog(w io.Writer, module string) error {
 		for opcCode, code := range t.opcs[ty] {
 			info := isa.MustLookup(ty, code)
 			p("          %d'd%d: begin // %s (%d-bit op)",
-				maxInt(t.opcWidth, 1), opcCode, info.Name, t.opBits[opKey{ty, code}])
+				maxInt(t.opcWidth, 1), opcCode, info.Name, t.opBits[ty][code])
 			p("            sig_opcode = 5'd%d;", uint32(code))
 			t.emitSlots(p, ty, code, hi)
 			p("          end")
@@ -98,11 +96,8 @@ func (t *Tailored) emitSlots(p func(string, ...any), ty isa.OpType, code isa.Opc
 	off := 1 + t.optWidth + t.opcWidth
 	for s := tPrefix; s < len(layout); s++ {
 		fs := layout[s]
-		if fs.ID == isa.FieldReserved || fs.ID == isa.FieldOpt || fs.ID == isa.FieldOpcode {
-			continue
-		}
-		sm := t.slots[slotKey{f, s}]
-		if sm == nil {
+		sm := &t.slots[f][s]
+		if !sm.seen {
 			continue
 		}
 		sig := signalFor(fs.ID)
@@ -147,15 +142,10 @@ func maxInt(a, b int) int {
 // layout order, for tests and reports.
 func (t *Tailored) SlotWidths(f isa.Format) map[isa.FieldID]int {
 	out := map[isa.FieldID]int{}
-	var keys []slotKey
-	for k := range t.slots {
-		if k.format == f {
-			keys = append(keys, k)
+	for _, sm := range t.slots[f] {
+		if sm.seen {
+			out[sm.id] = sm.width
 		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].slot < keys[j].slot })
-	for _, k := range keys {
-		out[t.slots[k].id] = t.slots[k].width
 	}
 	return out
 }

@@ -86,7 +86,8 @@ func checkOpFields(rep *Report, block, op int, o *isa.Op) {
 	}
 	layout := isa.Layout(o.Format())
 	offs := isa.FieldOffsets(o.Format())
-	vals := o.FieldValues()
+	var buf [isa.MaxSlots]uint32
+	vals := o.AppendFieldValues(buf[:0])
 	for i, fs := range layout {
 		if fs.ID == isa.FieldReserved {
 			continue
