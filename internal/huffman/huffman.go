@@ -238,7 +238,9 @@ func packageMerge(weights []int64, limit int) []int {
 // without a comparison sort.
 func newCanonical(syms []uint64, lens []int, weights []int64) (*Table, error) {
 	maxLen := slices.Max(lens)
-	start := make([]int, maxLen+2) // start[l+1] counts, then prefix-sums, lengths l
+	// Count each length into start[l+1]; the prefix sums then leave in
+	// start[l] the canonical index of the first length-l code.
+	start := make([]int, maxLen+2)
 	for _, l := range lens {
 		start[l+1]++
 	}
