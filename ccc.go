@@ -29,12 +29,9 @@
 package ccc
 
 import (
-	"repro/internal/bitio"
 	"repro/internal/cache"
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/emu"
-	"repro/internal/huffman"
 	"repro/internal/image"
 	"repro/internal/scheme"
 	"repro/internal/trace"
@@ -71,14 +68,6 @@ type (
 // NewDriver returns a compilation driver with the given worker-pool
 // width (<= 0 selects GOMAXPROCS).
 func NewDriver(workers int) *Driver { return core.NewDriver(workers) }
-
-// NewDriverWithCache returns a driver whose artifact store is sharded
-// and bounded: at most capacity cached artifacts across shards, evicted
-// least-recently-used (capacity <= 0 keeps the store unbounded). This
-// is the long-running service configuration; see cmd/tepicd.
-func NewDriverWithCache(workers, shards, capacity int) *Driver {
-	return core.NewDriverWithCache(workers, shards, capacity)
-}
 
 // NewSuiteWithDriver creates an experiment suite on an existing driver,
 // sharing its worker pool and artifact cache.
@@ -169,10 +158,6 @@ func SweepTable(rows []SweepRow) interface{ Render() string } { return core.Swee
 // SweepJSON renders sweep rows as an indented JSON report.
 func SweepJSON(rows []SweepRow) ([]byte, error) { return core.SweepJSON(rows) }
 
-// NewOrgSim builds an IFetch simulator for any registered organization;
-// rom is required exactly when the organization's spec sets NeedsROM.
-var NewOrgSim = cache.NewOrgSim
-
 // DefaultConfig returns the paper's cache configuration for an
 // organization (16 KB 2-way; 20 KB effective for Base).
 func DefaultConfig(org Org) Config { return cache.DefaultConfig(org) }
@@ -184,53 +169,11 @@ var NewSim = cache.NewSim
 // NewMachine returns a fresh TEPIC interpreter.
 func NewMachine() *Machine { return emu.NewMachine() }
 
-// Batched decode. The lane-parallel kernel decodes independent
-// byte-aligned blocks MaxLanes at a time with interleaved bit cursors;
-// every Huffman scheme's encoder also implements BatchDecoder, and a
-// compiled program exposes a memoized per-scheme DecodePlan
-// (Compiled.DecodePlan, Compiled.DecodeSymbolsParallel) plus the
-// three-tier throughput measurement (Compiled.MeasureDecodeThroughput).
-type (
-	// LaneDecoder is the batched Huffman kernel beneath the per-symbol
-	// decoders; see huffman.LaneDecoder.
-	LaneDecoder = huffman.LaneDecoder
-	// Lane is one stream's decode state within a LaneDecoder run.
-	Lane = huffman.Lane
-	// Cursor is the multi-cursor bit reader the kernel interleaves.
-	Cursor = bitio.Cursor
-	// Reader is the sequential bit reader of the per-symbol decode path.
-	Reader = bitio.Reader
-	// BatchDecoder is the allocation-free batch decode face every
-	// Huffman scheme implements; see compress.BatchDecoder.
-	BatchDecoder = compress.BatchDecoder
-	// SymbolDecoder is the per-symbol decode face the throughput
-	// measurement's fast tier drives.
-	SymbolDecoder = compress.SymbolDecoder
-	// DecodePlan is a scheme's prebuilt batch-decode geometry: the lane
-	// kernel plus flattened block addresses, memoized in the artifact
-	// store; see core.DecodePlan.
-	DecodePlan = core.DecodePlan
-	// DecodeThroughput is one scheme's measured reference/fast/batch
-	// decode rates with their speedup ratios.
-	DecodeThroughput = core.DecodeThroughput
-)
-
-// MaxLanes is the width of the lane-parallel decode kernel.
-const MaxLanes = huffman.MaxLanes
-
-// ErrShortBatchOutput reports a batch decode output slice smaller than
-// the symbol count the block queue implies.
-var ErrShortBatchOutput = compress.ErrShortBatchOutput
-
-// NewLaneDecoder builds a lane kernel over a per-symbol table schedule.
-var NewLaneDecoder = huffman.NewLaneDecoder
-
-// NewReader returns a heap-allocated sequential bit reader over data.
-var NewReader = bitio.NewReader
-
-// MakeReader returns a Reader over data by value, for embedding in
-// caller-owned state without an allocation.
-var MakeReader = bitio.MakeReader
+// DecodePlan is a scheme's prebuilt batch-decode geometry: the lane
+// kernel plus flattened block addresses, memoized in the artifact store
+// (Compiled.DecodePlan); see core.DecodePlan. The three-tier decode
+// throughput measurement is Compiled.MeasureDecodeThroughput.
+type DecodePlan = core.DecodePlan
 
 // Trace streaming.
 type (
@@ -242,18 +185,6 @@ type (
 	// MemUsage is a point-in-time heap snapshot (see emu.MemSnapshot).
 	MemUsage = emu.MemUsage
 )
-
-// NewSliceStream adapts a materialized trace into the Stream interface,
-// cutting it into chunkEvents-sized chunks (<= 0 selects the default).
-var NewSliceStream = trace.NewSliceStream
-
-// StochasticStream streams maxBlocks events out of the stochastic
-// walker without materializing the trace.
-var StochasticStream = emu.StochasticStream
-
-// StochasticStreamOps streams events until at least maxOps dynamic
-// operations have been delivered.
-var StochasticStreamOps = emu.StochasticStreamOps
 
 // MemSnapshot forces a GC and returns the current heap usage — the
 // instrument behind the streaming pipeline's bounded-memory assertions.

@@ -70,7 +70,7 @@ func runServe(o serveRun, w *cliio.Writer) error {
 		benchmarks = ccc.Benchmarks
 	}
 
-	drv := core.NewDriverWithCache(o.par, 0, o.cachecap)
+	drv := core.NewDriverWithCache(o.par, o.cachecap)
 	s := serve.New(serve.Config{Driver: drv})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -11,7 +11,7 @@
 //	tepicd                              # listen on :8344
 //	tepicd -addr 127.0.0.1:9000         # explicit listen address
 //	tepicd -par 8                       # compilation worker-pool width
-//	tepicd -shards 16 -cachecap 1024    # artifact store geometry
+//	tepicd -cachecap 1024               # artifact store capacity in entries
 //	tepicd -maxbody 65536               # request body cap in bytes
 //
 // Endpoints: POST /v1/compile, /v1/encode, /v1/decode, /v1/lint,
@@ -77,7 +77,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tepicd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8344", "listen address")
 	par := fs.Int("par", 0, "compilation worker-pool width (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "artifact store shard count (0 = default)")
 	cachecap := fs.Int("cachecap", 4096, "artifact store capacity in entries (0 = unbounded)")
 	maxbody := fs.Int64("maxbody", serve.DefaultMaxBody, "request body cap in bytes")
 	if err := fs.Parse(args); err != nil {
@@ -85,7 +84,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	s := serve.New(serve.Config{
-		Driver:  core.NewDriverWithCache(*par, *shards, *cachecap),
+		Driver:  core.NewDriverWithCache(*par, *cachecap),
 		MaxBody: *maxbody,
 	})
 	ln, err := net.Listen("tcp", *addr)

@@ -50,8 +50,7 @@ type DecodeThroughput struct {
 // per-pass symbol and bit counts of all three tiers are asserted equal,
 // so the rates divide work that is provably identical.
 //
-// When the compilation is attached to a driver, the rates are also
-// accumulated in its registry under "decode.fast.<scheme>",
+// The rates are also accumulated in the driver's registry under "decode.fast.<scheme>",
 // "decode.reference.<scheme>" and "decode.batch.<scheme>", so the
 // benchmark report aggregates across benchmarks.
 func (c *Compiled) MeasureDecodeThroughput(scheme string, repeats int) (*DecodeThroughput, error) {
@@ -156,11 +155,9 @@ func (c *Compiled) MeasureDecodeThroughput(scheme string, repeats int) (*DecodeT
 	fast.Observe(fsyms, fbits, fdur)
 	ref.Observe(rsyms, rbits, rdur)
 	batch.Observe(bsyms, bbits, bdur)
-	if c.drv != nil {
-		c.drv.obs.Throughput("decode.fast."+scheme).Observe(fsyms, fbits, fdur)
-		c.drv.obs.Throughput("decode.reference."+scheme).Observe(rsyms, rbits, rdur)
-		c.drv.obs.Throughput("decode.batch."+scheme).Observe(bsyms, bbits, bdur)
-	}
+	c.drv.obs.Throughput("decode.fast."+scheme).Observe(fsyms, fbits, fdur)
+	c.drv.obs.Throughput("decode.reference."+scheme).Observe(rsyms, rbits, rdur)
+	c.drv.obs.Throughput("decode.batch."+scheme).Observe(bsyms, bbits, bdur)
 	dt := &DecodeThroughput{
 		Scheme:    scheme,
 		Fast:      fast.Snapshot(),

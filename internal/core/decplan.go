@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/compress"
-)
+import "repro/internal/compress"
 
 // DecodePlan is the prebuilt batch-decode artifact for one (program,
 // scheme) pair: the scheme's lane kernel (its memoized decode tables)
@@ -56,11 +52,6 @@ func (p *DecodePlan) DecodeSymbolsInto(data []byte, out []uint64) (int64, int64,
 	return p.Batch.DecodeRun(data, p.Addrs, p.Counts, out)
 }
 
-// decodeSpan batch-decodes the half-open block range [lo, hi).
-func (p *DecodePlan) decodeSpan(lo, hi int) (int64, int64, error) {
-	return p.Batch.DecodeRun(p.Data, p.Addrs[lo:hi], p.Counts[lo:hi], nil)
-}
-
 // buildDecodePlan assembles a plan from a built encoder and image.
 func buildDecodePlan(scheme string, bd compress.BatchDecoder, data []byte, addrs, counts []int) *DecodePlan {
 	p := &DecodePlan{
@@ -79,26 +70,25 @@ func buildDecodePlan(scheme string, bd compress.BatchDecoder, data []byte, addrs
 
 // DecodePlan builds (and caches) the batch-decode plan for a scheme.
 // Schemes without a Huffman batch face (base, tailored, dict) return
-// (nil, nil) — there is nothing to plan. Safe for concurrent use; with
-// an attached driver the plan is content-cached under decodePlanKey and
-// timed under the "decplan.<scheme>" stage, so a service answering many
-// decode requests for one image builds its tables and geometry exactly
-// once.
+// (nil, nil) — there is nothing to plan. Safe for concurrent use; the
+// plan is content-cached under decodePlanKey and timed under the
+// "decplan.<scheme>" stage, so a service answering many decode requests
+// for one image builds its tables and geometry exactly once.
 func (c *Compiled) DecodePlan(scheme string) (*DecodePlan, error) {
-	v, hit, err := c.arts.do("dec/"+scheme, func() (any, error) {
-		build := func() (*DecodePlan, error) {
-			enc, err := c.Encoder(scheme)
-			if err != nil {
-				return nil, err
-			}
-			bd, ok := enc.(compress.BatchDecoder)
-			if !ok {
-				return nil, nil
-			}
-			im, err := c.Image(scheme)
-			if err != nil {
-				return nil, err
-			}
+	return memoAs(c.drv, c.decodePlanKey(scheme), func() (*DecodePlan, error) {
+		enc, err := c.Encoder(scheme)
+		if err != nil {
+			return nil, err
+		}
+		bd, ok := enc.(compress.BatchDecoder)
+		if !ok {
+			return nil, nil
+		}
+		im, err := c.Image(scheme)
+		if err != nil {
+			return nil, err
+		}
+		return timed(c.drv, "decplan."+scheme, func() (*DecodePlan, error) {
 			addrs := make([]int, len(im.Blocks))
 			counts := make([]int, len(im.Blocks))
 			for i := range im.Blocks {
@@ -106,85 +96,6 @@ func (c *Compiled) DecodePlan(scheme string) (*DecodePlan, error) {
 				counts[i] = im.Blocks[i].Ops
 			}
 			return buildDecodePlan(scheme, bd, im.Data, addrs, counts), nil
-		}
-		if c.drv == nil {
-			return build()
-		}
-		return memoAs(c.drv, c.decodePlanKey(scheme), func() (*DecodePlan, error) {
-			var p *DecodePlan
-			err := c.drv.obs.Timer("decplan." + scheme).Time(func() error {
-				var berr error
-				p, berr = build()
-				return berr
-			})
-			return p, err
 		})
 	})
-	c.countHit(hit)
-	if err != nil {
-		return nil, err
-	}
-	// The cached value may be a typed nil *DecodePlan (no batch face);
-	// normalize it so callers compare against plain nil.
-	if p, _ := v.(*DecodePlan); p != nil {
-		return p, nil
-	}
-	return nil, nil
-}
-
-// DecodeSymbolsParallel batch-decodes the whole image with block spans
-// fanned across the driver pool: the plan's block list is cut into
-// contiguous spans (one per worker by default; spans <= 0), each span
-// batch-decodes independently through the shared plan, and the totals
-// sum in block order. Block-granular parallelism is sound for the same
-// reason lanes are — every block is an independent byte-aligned stream
-// — so the result is identical to DecodeSymbols, including which
-// terminal error surfaces (the first failing block's, by block order).
-// Without an attached driver it falls back to the sequential batch
-// decode.
-func (c *Compiled) DecodeSymbolsParallel(scheme string, spans int) (int64, int64, error) {
-	p, err := c.DecodePlan(scheme)
-	if err != nil {
-		return 0, 0, err
-	}
-	if p == nil {
-		return 0, 0, fmt.Errorf("core: scheme %s has no batch decode face", scheme)
-	}
-	if c.drv == nil {
-		return p.DecodeSymbols(nil)
-	}
-	if spans <= 0 {
-		spans = c.drv.Workers()
-	}
-	if spans > p.Blocks() {
-		spans = p.Blocks()
-	}
-	if spans <= 1 {
-		return p.DecodeSymbols(nil)
-	}
-	type spanTotals struct {
-		syms, bits int64
-		err        error
-	}
-	totals, err := mapN(c.drv, spans, func(i int) (spanTotals, error) {
-		lo := p.Blocks() * i / spans
-		hi := p.Blocks() * (i + 1) / spans
-		syms, bits, derr := p.decodeSpan(lo, hi)
-		// A span's decode error is data, not infrastructure: keep it in
-		// the result so block-order error selection below stays exact
-		// even when a later span fails first in wall-clock time.
-		return spanTotals{syms: syms, bits: bits, err: derr}, nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	syms, bits := int64(0), int64(0)
-	for _, t := range totals {
-		syms += t.syms
-		bits += t.bits
-		if t.err != nil {
-			return syms, bits, t.err
-		}
-	}
-	return syms, bits, nil
 }

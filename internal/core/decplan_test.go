@@ -1,13 +1,9 @@
 package core
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestDecodePlanEquivalence proves, per batch scheme, that the memoized
-// plan decodes the image to exactly the sequential fast face's totals —
-// and that parallel span decoding changes nothing.
+// plan decodes the image to exactly the sequential fast face's totals.
 func TestDecodePlanEquivalence(t *testing.T) {
 	d := NewDriver(4)
 	c, err := d.CompileBenchmark("go")
@@ -47,18 +43,6 @@ func TestDecodePlanEquivalence(t *testing.T) {
 			csyms, cbits, err := plan.DecodeSymbolsInto(nil, out)
 			if err != nil || csyms != syms || cbits != bits {
 				t.Fatalf("DecodeSymbolsInto = (%d, %d, %v), want (%d, %d, nil)", csyms, cbits, err, syms, bits)
-			}
-			// Parallel fan-out over the driver pool, at several span
-			// widths including degenerate ones.
-			for _, spans := range []int{0, 1, 3, 64, plan.Blocks() + 7} {
-				psyms, pbits, err := c.DecodeSymbolsParallel(scheme, spans)
-				if err != nil {
-					t.Fatalf("spans=%d: %v", spans, err)
-				}
-				if psyms != syms || pbits != bits {
-					t.Fatalf("spans=%d: parallel = (%d, %d), sequential (%d, %d)",
-						spans, psyms, pbits, syms, bits)
-				}
 			}
 		})
 	}
@@ -107,7 +91,7 @@ func TestDecodePlanMemoized(t *testing.T) {
 }
 
 // TestDecodePlanAbsent: schemes without a Huffman batch face plan to
-// nil, and the parallel entry point reports them.
+// nil.
 func TestDecodePlanAbsent(t *testing.T) {
 	c, err := CompileBenchmark("compress")
 	if err != nil {
@@ -121,15 +105,11 @@ func TestDecodePlanAbsent(t *testing.T) {
 		if p != nil {
 			t.Errorf("%s: unexpected decode plan", scheme)
 		}
-		if _, _, err := c.DecodeSymbolsParallel(scheme, 0); err == nil ||
-			!strings.Contains(err.Error(), "no batch decode face") {
-			t.Errorf("%s: DecodeSymbolsParallel error = %v", scheme, err)
-		}
 	}
 }
 
-// TestDecodePlanStandalone: plans work without a driver (sequential
-// fallback for the parallel entry point included).
+// TestDecodePlanStandalone: a standalone compilation's plan, built on
+// its private driver, decodes the image.
 func TestDecodePlanStandalone(t *testing.T) {
 	c, err := CompileBenchmark("li")
 	if err != nil {
@@ -145,9 +125,5 @@ func TestDecodePlanStandalone(t *testing.T) {
 	syms, bits, err := plan.DecodeSymbols(nil)
 	if err != nil || syms == 0 || bits == 0 {
 		t.Fatalf("DecodeSymbols = (%d, %d, %v)", syms, bits, err)
-	}
-	psyms, pbits, err := c.DecodeSymbolsParallel("stream", 8)
-	if err != nil || psyms != syms || pbits != bits {
-		t.Fatalf("driverless parallel = (%d, %d, %v), want (%d, %d, nil)", psyms, pbits, err, syms, bits)
 	}
 }

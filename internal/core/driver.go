@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"repro/internal/image"
 	"repro/internal/ir"
@@ -21,10 +22,11 @@ import (
 // (program content, scheme configuration, cache version; see key.go),
 // built once under single-flight, and shared by every job that asks for
 // it. The store is sharded and optionally bounded with LRU eviction
-// (see store.go), so a long-running service driver holds steady memory
-// under skewed traffic. Stage latencies and cache traffic are recorded
-// in a stats.Registry so drivers of the driver (tepicbench, tepiccc,
-// tepicd) can export them.
+// (see store.go), and it is the only place artifacts are held — a
+// Compiled keeps none of its own — so a long-running service driver
+// holds steady memory under skewed traffic. Stage latencies and cache
+// traffic are recorded in a stats.Registry so drivers of the driver
+// (tepicbench, tepiccc, tepicd) can export them.
 //
 // All methods are safe for concurrent use.
 type Driver struct {
@@ -38,15 +40,15 @@ type Driver struct {
 // selects GOMAXPROCS. The artifact store is unbounded — the right shape
 // for batch runs that want every figure's artifacts resident.
 func NewDriver(workers int) *Driver {
-	return NewDriverWithCache(workers, 0, 0)
+	return NewDriverWithCache(workers, 0)
 }
 
-// NewDriverWithCache returns a driver whose artifact store has the given
-// shard count (<= 0 selects the default, 8) and total entry capacity
-// (<= 0 means unbounded). Service drivers (tepicd) bound the store so a
-// long tail of cold programs cannot grow memory without limit; the hot
-// set stays resident under LRU.
-func NewDriverWithCache(workers, shards, capacity int) *Driver {
+// NewDriverWithCache returns a driver whose artifact store is bounded to
+// capacity entries, split evenly over its shards and rounded up per
+// shard (<= 0 means unbounded). Service drivers (tepicd) bound the
+// store so a long tail of cold programs cannot grow memory without
+// limit; the hot set stays resident under LRU.
+func NewDriverWithCache(workers, capacity int) *Driver {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -55,7 +57,7 @@ func NewDriverWithCache(workers, shards, capacity int) *Driver {
 		workers: workers,
 		obs:     obs,
 		sem:     make(chan struct{}, workers),
-		store:   newArtifactStore(shards, capacity, obs),
+		store:   newArtifactStore(storeShards, capacity, obs),
 	}
 }
 
@@ -101,6 +103,14 @@ func memoAs[T any](d *Driver, key string, build func() (T, error)) (T, error) {
 	return v.(T), nil
 }
 
+// timed runs build and records its duration under the named stage.
+func timed[T any](d *Driver, stage string, build func() (T, error)) (T, error) {
+	start := time.Now()
+	v, err := build()
+	d.obs.Timer(stage).Observe(time.Since(start))
+	return v, err
+}
+
 // mapN runs fn(0..n-1) on the worker pool and collects results in index
 // order; the first error (by index) wins. Task functions may build
 // artifacts — builds run on the caller's worker slot — but must not call
@@ -135,33 +145,26 @@ func mapN[T any](d *Driver, n int, fn func(int) (T, error)) ([]T, error) {
 // for concurrent use and route through the driver's cache.
 func (d *Driver) Compile(prof workload.Profile) (*Compiled, error) {
 	return memoAs(d, profileKey(prof), func() (*Compiled, error) {
-		var (
-			p     *ir.Program
-			alloc regalloc.Result
-			sp    *sched.Program
-			err   error
-		)
-		if err = d.obs.Timer("compile.generate").Time(func() error {
-			p, err = workload.Generate(prof)
-			return err
-		}); err != nil {
+		p, err := timed(d, "compile.generate", func() (*ir.Program, error) {
+			return workload.Generate(prof)
+		})
+		if err != nil {
 			return nil, err
 		}
-		if err = d.obs.Timer("compile.regalloc").Time(func() error {
-			alloc, err = regalloc.Allocate(p)
-			return err
-		}); err != nil {
+		alloc, err := timed(d, "compile.regalloc", func() (regalloc.Result, error) {
+			return regalloc.Allocate(p)
+		})
+		if err != nil {
 			return nil, err
 		}
-		if err = d.obs.Timer("compile.schedule").Time(func() error {
-			sp, err = sched.Schedule(p)
-			return err
-		}); err != nil {
+		sp, err := timed(d, "compile.schedule", func() (*sched.Program, error) {
+			return sched.Schedule(p)
+		})
+		if err != nil {
 			return nil, err
 		}
-		c := newCompiled(p, sp, alloc)
+		c := newCompiled(d, p, sp, alloc)
 		c.Profile = &prof
-		c.drv = d
 		return c, nil
 	})
 }
@@ -176,9 +179,11 @@ func (d *Driver) CompileBenchmark(name string) (*Compiled, error) {
 	return d.Compile(prof)
 }
 
-// Bind attaches an independently compiled program (asm input,
-// ScheduleOnly, CompileIR) to the driver so its artifact builds share
-// the content-addressed cache and report stage timings. It returns c.
+// Bind moves an independently compiled program (asm input,
+// ScheduleOnly, CompileIR) from its private driver onto d, so its
+// artifact builds share d's content-addressed cache and report stage
+// timings there. Call it before requesting any artifact from c: the
+// swap is not synchronized with concurrent builders. It returns c.
 func (d *Driver) Bind(c *Compiled) *Compiled {
 	c.drv = d
 	return c

@@ -36,11 +36,11 @@ func SchemeNames() []string { return scheme.Names() }
 var Figure5Schemes = []string{"byte", "stream", "stream_1", "full", "tailored"}
 
 // Compiled is a program pushed through the compiler substrate. Artifact
-// builders (Encoder, Image, Trace) are safe for concurrent use: each
-// artifact builds exactly once under single-flight. When the compilation
-// is attached to a Driver, builds additionally route through the
-// driver's content-addressed cache, so identical artifacts are shared
-// across compilations and stage latencies are recorded.
+// builders (Encoder, Image, Trace, DecodePlan) are safe for concurrent
+// use and memoize through the attached Driver's content-addressed store:
+// each artifact builds once while it stays resident, identical artifacts
+// are shared across compilations, and stage latencies are recorded.
+// Standalone compilations carry a private driver.
 type Compiled struct {
 	Name    string
 	IR      *ir.Program
@@ -48,63 +48,12 @@ type Compiled struct {
 	Alloc   regalloc.Result
 	Profile *workload.Profile // nil for hand-written programs
 
-	drv  *Driver // nil for standalone compilations
-	arts onceMap // per-artifact single-flight; values are encoders/images/traces
+	drv *Driver // the artifact store every builder memoizes through
 
 	keyOnce sync.Once
 	key     string // content hash of Prog (see programHash)
 
-	// Registry of successfully built artifacts, for Verify.
-	regMu    sync.Mutex
-	encBuilt map[string]compress.Encoder
-	imgBuilt map[string]*image.Image
-}
-
-// onceMap is a keyed single-flight: do runs each key's build function
-// exactly once, concurrent callers share the result. Build functions may
-// call do for other keys (the artifact graph is acyclic); no lock is
-// held while they run.
-type onceMap struct {
-	mu sync.Mutex
-	m  map[string]*onceCall
-}
-
-type onceCall struct {
-	done chan struct{}
-	val  any
-	err  error
-}
-
-// do returns the value under key, running build on first request. The
-// second result reports whether the request was served from the map (a
-// hit) rather than by running build.
-func (o *onceMap) do(key string, build func() (any, error)) (any, bool, error) {
-	o.mu.Lock()
-	if o.m == nil {
-		o.m = map[string]*onceCall{}
-	}
-	c, ok := o.m[key]
-	if !ok {
-		c = &onceCall{done: make(chan struct{})}
-		o.m[key] = c
-	}
-	o.mu.Unlock()
-	if ok {
-		<-c.done
-		return c.val, true, c.err
-	}
-	c.val, c.err = build()
-	close(c.done)
-	return c.val, false, c.err
-}
-
-// countHit records a locally served artifact request in the driver's
-// cache counters, so hit-rate accounting sees requests resolved by the
-// compilation's own single-flight layer as well as the driver's.
-func (c *Compiled) countHit(hit bool) {
-	if c.drv != nil && hit {
-		c.drv.obs.Counter("artifact.hit").Add(1)
-	}
+	built sync.Map // scheme names whose images were requested, for Verify
 }
 
 // contentKey returns (computing once) the program's content hash.
@@ -120,27 +69,15 @@ func (c *Compiled) contentKey() string {
 func (c *Compiled) ContentKey() string { return c.contentKey() }
 
 // CompileBenchmark generates and compiles one of the eight SPECint95
-// benchmark stand-ins.
+// benchmark stand-ins on a private driver.
 func CompileBenchmark(name string) (*Compiled, error) {
-	prof, ok := workload.ProfileFor(name)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown benchmark %q", name)
-	}
-	return CompileProfile(prof)
+	return NewDriver(0).CompileBenchmark(name)
 }
 
-// CompileProfile generates and compiles a program from a profile.
+// CompileProfile generates and compiles a program from a profile on a
+// private driver.
 func CompileProfile(prof workload.Profile) (*Compiled, error) {
-	p, err := workload.Generate(prof)
-	if err != nil {
-		return nil, err
-	}
-	c, err := CompileIR(p)
-	if err != nil {
-		return nil, err
-	}
-	c.Profile = &prof
-	return c, nil
+	return NewDriver(0).Compile(prof)
 }
 
 // CompileBenchmarkSpeculative compiles a benchmark with the
@@ -168,7 +105,7 @@ func CompileBenchmarkSpeculative(name string) (*Compiled, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	c := newCompiled(p, sp, alloc)
+	c := newCompiled(NewDriver(0), p, sp, alloc)
 	c.Profile = &prof
 	return c, hoisted, nil
 }
@@ -186,7 +123,7 @@ func CompileIR(p *ir.Program) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newCompiled(p, sp, alloc), nil
+	return newCompiled(NewDriver(0), p, sp, alloc), nil
 }
 
 // ScheduleOnly schedules an already register-allocated (e.g. hand-written)
@@ -196,15 +133,16 @@ func ScheduleOnly(p *ir.Program) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newCompiled(p, sp, regalloc.Result{}), nil
+	return newCompiled(NewDriver(0), p, sp, regalloc.Result{}), nil
 }
 
-func newCompiled(p *ir.Program, sp *sched.Program, alloc regalloc.Result) *Compiled {
+func newCompiled(d *Driver, p *ir.Program, sp *sched.Program, alloc regalloc.Result) *Compiled {
 	return &Compiled{
 		Name:  p.Name,
 		IR:    p,
 		Prog:  sp,
 		Alloc: alloc,
+		drv:   d,
 	}
 }
 
@@ -223,35 +161,14 @@ func buildEncoder(p *sched.Program, name string) (compress.Encoder, error) {
 }
 
 // Encoder builds (and caches) the encoder for a scheme name. Safe for
-// concurrent use; with an attached driver, the build is content-cached
-// and timed under the "encode.<scheme>" stage.
+// concurrent use; the build is content-cached and timed under the
+// "encode.<scheme>" stage.
 func (c *Compiled) Encoder(name string) (compress.Encoder, error) {
-	v, hit, err := c.arts.do("enc/"+name, func() (any, error) {
-		if c.drv == nil {
+	return memoAs(c.drv, c.encoderKey(name), func() (compress.Encoder, error) {
+		return timed(c.drv, "encode."+name, func() (compress.Encoder, error) {
 			return buildEncoder(c.Prog, name)
-		}
-		return memoAs(c.drv, c.encoderKey(name), func() (compress.Encoder, error) {
-			var e compress.Encoder
-			err := c.drv.obs.Timer("encode." + name).Time(func() error {
-				var berr error
-				e, berr = buildEncoder(c.Prog, name)
-				return berr
-			})
-			return e, err
 		})
 	})
-	c.countHit(hit)
-	if err != nil {
-		return nil, err
-	}
-	e := v.(compress.Encoder)
-	c.regMu.Lock()
-	if c.encBuilt == nil {
-		c.encBuilt = map[string]compress.Encoder{}
-	}
-	c.encBuilt[name] = e
-	c.regMu.Unlock()
-	return e, nil
 }
 
 // buildImage lays out the program under a prebuilt encoder, attaching
@@ -273,11 +190,12 @@ func buildImage(p *sched.Program, enc compress.Encoder, base *image.Image) (*ima
 
 // Image builds (and caches) the program image under a scheme, with its
 // ATT attached for every non-self-indexed scheme. Safe for concurrent
-// use; with an attached driver, the build is content-cached, timed under
-// the "image.<scheme>" stage, and accounted in the
-// bytes.base/bytes.encoded throughput counters.
+// use; the build is content-cached, timed under the "image.<scheme>"
+// stage, and accounted in the bytes.base/bytes.encoded throughput
+// counters. The encoder and base image are requested only when the
+// image itself builds.
 func (c *Compiled) Image(name string) (*image.Image, error) {
-	v, hit, err := c.arts.do("img/"+name, func() (any, error) {
+	im, err := memoAs(c.drv, c.imageKey(name), func() (*image.Image, error) {
 		sc, ok := scheme.Lookup(name)
 		if !ok {
 			return nil, fmt.Errorf("core: unknown scheme %q", name)
@@ -292,34 +210,19 @@ func (c *Compiled) Image(name string) (*image.Image, error) {
 				return nil, err
 			}
 		}
-		if c.drv == nil {
+		im, err := timed(c.drv, "image."+name, func() (*image.Image, error) {
 			return buildImage(c.Prog, enc, base)
-		}
-		return memoAs(c.drv, c.imageKey(name), func() (*image.Image, error) {
-			var im *image.Image
-			err := c.drv.obs.Timer("image." + name).Time(func() error {
-				var berr error
-				im, berr = buildImage(c.Prog, enc, base)
-				return berr
-			})
-			if err == nil {
-				c.drv.obs.Counter("bytes.base").Add(int64(c.Prog.TotalOps() * isa.OpBits / 8))
-				c.drv.obs.Counter("bytes.encoded").Add(int64(im.CodeBytes))
-			}
-			return im, err
 		})
+		if err == nil {
+			c.drv.obs.Counter("bytes.base").Add(int64(c.Prog.TotalOps() * isa.OpBits / 8))
+			c.drv.obs.Counter("bytes.encoded").Add(int64(im.CodeBytes))
+		}
+		return im, err
 	})
-	c.countHit(hit)
 	if err != nil {
 		return nil, err
 	}
-	im := v.(*image.Image)
-	c.regMu.Lock()
-	if c.imgBuilt == nil {
-		c.imgBuilt = map[string]*image.Image{}
-	}
-	c.imgBuilt[name] = im
-	c.regMu.Unlock()
+	c.built.LoadOrStore(name, true)
 	return im, nil
 }
 
@@ -356,8 +259,8 @@ func (c *Compiled) Tailored() (*tailor.Tailored, error) {
 
 // Trace produces the benchmark's dynamic trace: profile-driven stochastic
 // walk using the profile's seed and phase count. maxBlocks <= 0 selects
-// the profile's default length. Safe for concurrent use; with an
-// attached driver the walk is content-cached and timed under "trace".
+// the profile's default length. Safe for concurrent use; the walk is
+// content-cached and timed under "trace".
 func (c *Compiled) Trace(maxBlocks int) (*trace.Trace, error) {
 	if c.Profile == nil {
 		return nil, fmt.Errorf("core: %s has no profile; use emu.Machine to run it", c.Name)
@@ -366,25 +269,11 @@ func (c *Compiled) Trace(maxBlocks int) (*trace.Trace, error) {
 		maxBlocks = c.Profile.DynBlocks
 	}
 	seed, phases := c.Profile.Seed, c.Profile.Phases
-	v, hit, err := c.arts.do(fmt.Sprintf("trace/%d/%d/%d", seed, maxBlocks, phases), func() (any, error) {
-		if c.drv == nil {
+	return memoAs(c.drv, c.traceKey(seed, maxBlocks, phases), func() (*trace.Trace, error) {
+		return timed(c.drv, "trace", func() (*trace.Trace, error) {
 			return emu.StochasticTrace(c.Prog, seed, maxBlocks, phases)
-		}
-		return memoAs(c.drv, c.traceKey(seed, maxBlocks, phases), func() (*trace.Trace, error) {
-			var tr *trace.Trace
-			err := c.drv.obs.Timer("trace").Time(func() error {
-				var berr error
-				tr, berr = emu.StochasticTrace(c.Prog, seed, maxBlocks, phases)
-				return berr
-			})
-			return tr, err
 		})
 	})
-	c.countHit(hit)
-	if err != nil {
-		return nil, err
-	}
-	return v.(*trace.Trace), nil
 }
 
 // StreamTrace produces the benchmark's dynamic trace as a bounded
@@ -414,24 +303,26 @@ func (c *Compiled) StreamTraceOps(maxOps int64, chunkEvents int) (trace.Stream, 
 	return emu.StochasticStreamOps(c.Prog, c.Profile.Seed, maxOps, c.Profile.Phases, chunkEvents)
 }
 
-// Verify round-trips every block of every built image, proving the
-// encodings are executable.
+// Verify round-trips every block of every image requested so far,
+// proving the encodings are executable. Each image and its encoder come
+// back through the store, so an evicted artifact rebuilds first.
 func (c *Compiled) Verify() error {
-	c.regMu.Lock()
-	schemes := make([]string, 0, len(c.imgBuilt))
-	for scheme := range c.imgBuilt {
-		schemes = append(schemes, scheme)
-	}
+	var schemes []string
+	c.built.Range(func(k, _ any) bool {
+		schemes = append(schemes, k.(string))
+		return true
+	})
 	sort.Strings(schemes)
-	imgs := make([]*image.Image, len(schemes))
-	encs := make([]compress.Encoder, len(schemes))
-	for i, scheme := range schemes {
-		imgs[i] = c.imgBuilt[scheme]
-		encs[i] = c.encBuilt[scheme]
-	}
-	c.regMu.Unlock()
-	for i, scheme := range schemes {
-		if err := image.VerifyRoundTrip(imgs[i], c.Prog, encs[i]); err != nil {
+	for _, scheme := range schemes {
+		im, err := c.Image(scheme)
+		if err != nil {
+			return err
+		}
+		enc, err := c.Encoder(scheme)
+		if err != nil {
+			return err
+		}
+		if err := image.VerifyRoundTrip(im, c.Prog, enc); err != nil {
 			return fmt.Errorf("core: scheme %s: %w", scheme, err)
 		}
 	}

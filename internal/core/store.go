@@ -49,25 +49,18 @@ type storeEntry struct {
 	prev, next *storeEntry
 }
 
-// defaultStoreShards is the shard count when the caller does not choose
-// one: enough to keep a handful of concurrent request handlers off each
-// other's locks without fragmenting tiny caches.
-const defaultStoreShards = 8
+// storeShards is the driver store's shard count: enough to keep a
+// handful of concurrent request handlers off each other's locks without
+// fragmenting tiny caches.
+const storeShards = 8
 
-// newArtifactStore builds a store with the given shard count (<= 0
-// selects defaultStoreShards) and total entry capacity (<= 0 means
-// unbounded — the pre-service driver behaviour). The capacity is split
-// evenly across shards, each shard keeping at least one slot.
+// newArtifactStore builds a store with the given shard count and total
+// entry capacity (<= 0 means unbounded — the batch driver's shape). The
+// capacity is split evenly across shards, rounding up.
 func newArtifactStore(shards, capacity int, obs *stats.Registry) *artifactStore {
-	if shards <= 0 {
-		shards = defaultStoreShards
-	}
 	perShard := 0
 	if capacity > 0 {
 		perShard = (capacity + shards - 1) / shards
-		if perShard < 1 {
-			perShard = 1
-		}
 	}
 	st := &artifactStore{obs: obs, shards: make([]storeShard, shards)}
 	for i := range st.shards {

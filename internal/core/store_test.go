@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/scheme"
 	"repro/internal/stats"
 )
 
@@ -203,24 +204,77 @@ func TestStoreCachesFailedBuilds(t *testing.T) {
 	}
 }
 
+// resident reports whether key currently has an entry in the store.
+func (st *artifactStore) resident(key string) bool {
+	sh := st.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, ok := sh.entries[key]
+	return ok
+}
+
 // TestDriverBoundedCache exercises the bound through the Driver face:
-// a capacity-1 driver still compiles and serves correct artifacts, it
-// just rebuilds what the bound evicted.
+// a driver with one slot per shard builds every scheme's image, holds
+// no more than its capacity once the builds finish, and rebuilds an
+// image the bound evicted. The hit/miss counters account every request
+// the builders make exactly once.
 func TestDriverBoundedCache(t *testing.T) {
-	d := NewDriverWithCache(2, 2, 4)
+	const capacity = storeShards
+	d := NewDriverWithCache(2, capacity)
 	c, err := d.CompileBenchmark("compress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Image("full"); err != nil {
-		t.Fatal(err)
+	schemes := SchemeNames()
+	imageCalls := int64(0)
+	requestImage := func(name string) {
+		t.Helper()
+		imageCalls++
+		if _, err := c.Image(name); err != nil {
+			t.Fatal(err)
+		}
+		if n := d.CacheEntries(); n > capacity {
+			t.Fatalf("after Image(%s): %d resident entries, capacity %d", name, n, capacity)
+		}
 	}
-	if n := d.CacheEntries(); n == 0 {
-		t.Error("CacheEntries() = 0 after builds")
+	for _, name := range schemes {
+		requestImage(name)
+	}
+	// More artifacts were built than fit, so some image was evicted.
+	evicted := ""
+	for _, name := range schemes {
+		if !d.store.resident(c.imageKey(name)) {
+			evicted = name
+			break
+		}
+	}
+	if evicted == "" {
+		t.Fatalf("every image still resident in a %d-entry store", capacity)
+	}
+	requestImage(evicted)
+	stages := d.Stats().Snapshot().Stages
+	if n := stages["image."+evicted].Count; n != 2 {
+		t.Errorf("image.%s built %d times, want 2 (evicted, then requested again)", evicted, n)
+	}
+
+	// Every build is one miss. Every request is the compile above, an
+	// image call, or a build's own request: its encoder, plus the base
+	// image for schemes that carry an ATT.
+	builds, requests := int64(1), int64(1)+imageCalls
+	for _, name := range schemes {
+		imgs := stages["image."+name].Count
+		builds += imgs + stages["encode."+name].Count
+		requests += imgs
+		if sc, _ := scheme.Lookup(name); !sc.SelfIndexed {
+			requests += imgs
+		}
 	}
 	hits := d.Stats().Counter("artifact.hit").Value()
 	misses := d.Stats().Counter("artifact.miss").Value()
-	if hits+misses == 0 {
-		t.Error("no cache traffic recorded")
+	if misses != builds {
+		t.Errorf("misses = %d, want %d (one per build)", misses, builds)
+	}
+	if hits+misses != requests {
+		t.Errorf("hits (%d) + misses (%d) = %d, want %d requests", hits, misses, hits+misses, requests)
 	}
 }

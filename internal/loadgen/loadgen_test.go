@@ -178,7 +178,7 @@ func TestOptionsValidation(t *testing.T) {
 // small fleet against it end to end: every request must succeed, the
 // tallies must be consistent, and the latency percentiles ordered.
 func TestFleetAgainstService(t *testing.T) {
-	s := serve.New(serve.Config{Driver: core.NewDriverWithCache(0, 4, 256)})
+	s := serve.New(serve.Config{Driver: core.NewDriverWithCache(0, 256)})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -3,50 +3,12 @@ package serve
 import (
 	"testing"
 
-	"repro/internal/bitio"
-	"repro/internal/compress"
 	"repro/internal/core"
 )
 
-// TestScanBlocksZeroAlloc is the dynamic half of the //tepic:hotpath
-// contract on scanBlocks, the service decode hot loop: zero allocations
-// per whole-image symbol scan on a real benchmark image under the full
-// whole-op scheme. The static half is the hotalloc analyzer over the
-// annotated body.
-func TestScanBlocksZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are perturbed by the race detector")
-	}
-	c, err := core.CompileBenchmark("compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := c.Encoder("full")
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, err := c.Image("full")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd, ok := enc.(compress.SymbolDecoder)
-	if !ok {
-		t.Fatal("full encoder does not expose a symbol decoder")
-	}
-	r := bitio.NewReader(im.Data)
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := scanBlocks(sd, r, im.Blocks); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("scanBlocks: %.1f allocs per image scan, want 0", allocs)
-	}
-}
-
-// TestBatchScanZeroAlloc is the same contract on the batch path the
-// /v1/decode handler now takes: once the decode plan is resident, a
-// whole-image symbol scan through the lane kernel allocates nothing.
+// TestBatchScanZeroAlloc pins the allocation contract on the symbol
+// scan the /v1/decode handler runs: once the decode plan is resident, a
+// whole-image scan through the lane kernel allocates nothing.
 func TestBatchScanZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")

@@ -14,7 +14,7 @@ import (
 )
 
 // DecodeSummary is the digest of one full image decode: operation
-// count, Huffman symbols consumed by the fast decoder (0 for schemes
+// count, Huffman symbols consumed by the batch scan (0 for schemes
 // without a symbol stream), and the content hash over every decoded
 // operation word in image placement order. Two decode paths are
 // bit-identical exactly when their OpsHash values match.
@@ -25,38 +25,23 @@ type DecodeSummary struct {
 }
 
 // DecodeImage decodes every block of the image through the encoder and
-// digests the result. For schemes exposing a Huffman symbol stream the
-// whole image's symbol streams are scanned first — the same
-// entropy-decode shape a hardware-model fetch would take — before the
-// operations are materialized for hashing. It is DecodeImagePlanned
-// without a plan: the scan runs per-symbol through scanBlocks.
-func DecodeImage(im *image.Image, enc compress.Encoder) (DecodeSummary, error) {
-	return DecodeImagePlanned(im, enc, nil)
-}
-
-// DecodeImagePlanned is DecodeImage with a prebuilt batch-decode plan.
-// A non-nil plan routes the symbol scan through the lane-parallel
-// kernel's batch face — decode tables and block geometry come prebuilt
-// from the artifact cache, so the request does no table work. A nil
-// plan (schemes without a batch face, or callers without a driver)
-// falls back to the per-symbol scanBlocks loop. Either path consumes
-// the identical symbol streams and reports identical counts.
-func DecodeImagePlanned(im *image.Image, enc compress.Encoder, plan *core.DecodePlan) (DecodeSummary, error) {
+// digests the result. A non-nil plan first scans the whole image's
+// symbol streams through the lane kernel's batch face — the same
+// entropy-decode shape a hardware-model fetch would take, with decode
+// tables and block geometry prebuilt in the artifact store — before the
+// operations are materialized for hashing. The plan is nil exactly for
+// schemes without a Huffman symbol stream (base, tailored), which
+// report zero symbols.
+func DecodeImage(im *image.Image, enc compress.Encoder, plan *core.DecodePlan) (DecodeSummary, error) {
 	var sum DecodeSummary
-	r := bitio.NewReader(im.Data)
 	if plan != nil {
 		syms, _, err := plan.DecodeSymbols(im.Data)
 		if err != nil {
 			return sum, fmt.Errorf("batch symbol scan %s/%s: %w", im.Name, im.Scheme, err)
 		}
 		sum.Symbols = syms
-	} else if sd, ok := enc.(compress.SymbolDecoder); ok {
-		syms, err := scanBlocks(sd, r, im.Blocks)
-		if err != nil {
-			return sum, fmt.Errorf("symbol scan %s/%s: %w", im.Name, im.Scheme, err)
-		}
-		sum.Symbols = syms
 	}
+	r := bitio.NewReader(im.Data)
 	h := sha256.New()
 	var buf [8]byte
 	for i := range im.Blocks {
@@ -95,26 +80,4 @@ func HashOps(blocks [][]isa.Op) string {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// scanBlocks drives the scheme's table-driven fast decoder over every
-// block's symbol stream through a caller-owned reader. This is the
-// service decode hot loop: it must stay allocation-free (the static
-// half is the hotalloc analyzer; the dynamic half is
-// TestScanBlocksZeroAlloc).
-//
-//tepic:hotpath
-func scanBlocks(sd compress.SymbolDecoder, r *bitio.Reader, blocks []image.Block) (int64, error) {
-	syms := int64(0)
-	for i := range blocks {
-		if err := r.SeekBit(blocks[i].Addr * 8); err != nil {
-			return syms, err
-		}
-		n, err := sd.DecodeBlockSymbols(r, blocks[i].Ops)
-		syms += int64(n)
-		if err != nil {
-			return syms, err
-		}
-	}
-	return syms, nil
 }

@@ -382,7 +382,7 @@ func (s *Server) handleDecode(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("decode plan %s/%s: %w", req.Benchmark, req.Scheme, err)
 	}
-	sum, err := DecodeImagePlanned(im, enc, plan)
+	sum, err := DecodeImage(im, enc, plan)
 	if err != nil {
 		return nil, fmt.Errorf("decode %s/%s: %w", req.Benchmark, req.Scheme, err)
 	}

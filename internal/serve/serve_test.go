@@ -465,7 +465,7 @@ func TestStatsEndpoint(t *testing.T) {
 // consistent under eviction pressure.
 func TestConcurrentRequests(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
-		Driver: core.NewDriverWithCache(0, 4, 16),
+		Driver: core.NewDriverWithCache(0, 16),
 	})
 	const goroutines = 16
 	const perG = 8
