@@ -100,9 +100,9 @@ func SchemeNames() []string { return core.SchemeNames() }
 
 // IFetch simulation.
 type (
-	// Org selects an IFetch organization (OrgBase, OrgCompressed,
-	// OrgTailored, OrgCodePack, or any organization registered through
-	// cache.RegisterOrg).
+	// Org selects an IFetch organization: one of OrgBase,
+	// OrgCompressed, OrgTailored and OrgCodePack, the rows of
+	// internal/cache's OrgSpec table.
 	Org = cache.Org
 	// Config is the cache geometry.
 	Config = cache.Config
@@ -114,7 +114,7 @@ type (
 	Machine = emu.Machine
 	// PredictorKind names a registered branch-direction predictor.
 	PredictorKind = cache.PredictorKind
-	// Pairing is one registered (encoding scheme, organization) point.
+	// Pairing is one (encoding scheme, organization) point.
 	Pairing = scheme.Pairing
 	// SweepPoint is one geometry/predictor sweep configuration.
 	SweepPoint = core.SweepPoint
@@ -138,7 +138,7 @@ const (
 	PredictorPAs     = cache.PredictorPAs
 )
 
-// Pairings lists every registered (encoding, organization) pairing.
+// Pairings lists every (encoding, organization) pairing in table order.
 func Pairings() []Pairing { return scheme.Pairings() }
 
 // PairingByName resolves a pairing label case-insensitively.
@@ -148,8 +148,8 @@ func PairingByName(name string) (Pairing, bool) { return scheme.PairingByName(na
 // (bimodal).
 func ParsePredictor(name string) (PredictorKind, error) { return cache.ParsePredictor(name) }
 
-// DefaultSweepPoints enumerates the registry-driven default sweep grid
-// for a pairing.
+// DefaultSweepPoints enumerates the table-driven default sweep grid for
+// a pairing.
 func DefaultSweepPoints(p Pairing) []SweepPoint { return core.DefaultSweepPoints(p) }
 
 // SweepTable renders sweep rows for terminals.

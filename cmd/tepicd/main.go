@@ -1,17 +1,17 @@
 // Command tepicd is the compression-as-a-service daemon: the whole
 // compile → encode → lint → simulate pipeline behind a long-running
 // HTTP/JSON API, backed by the concurrent compilation driver and its
-// sharded, bounded, LRU-evicting artifact store. One process serves
-// many clients; hot benchmark × scheme artifacts stay cached, cold ones
-// rebuild on demand, and /v1/stats exposes the hit/miss/eviction
-// counters live.
+// bounded, LRU-evicting artifact store, which holds at most -cachecap
+// completed artifacts. One process serves many clients; hot benchmark ×
+// scheme artifacts stay cached, cold ones rebuild on demand, and
+// /v1/stats exposes the hit/miss/eviction counters live.
 //
 // Usage:
 //
 //	tepicd                              # listen on :8344
 //	tepicd -addr 127.0.0.1:9000         # explicit listen address
 //	tepicd -par 8                       # compilation worker-pool width
-//	tepicd -cachecap 1024               # artifact store capacity in entries
+//	tepicd -cachecap 1024               # artifact store capacity in entries (exact)
 //	tepicd -maxbody 65536               # request body cap in bytes
 //
 // Endpoints: POST /v1/compile, /v1/encode, /v1/decode, /v1/lint,

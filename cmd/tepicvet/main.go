@@ -1,8 +1,7 @@
-// Command tepicvet runs the repo's own analyzer suite — the five
+// Command tepicvet runs the repo's own analyzer suite — the four
 // invariants go vet cannot see: allocation-free //tepic:hotpath
 // functions, sentinel-wrapped errors in the taxonomy packages,
-// registry/corpus completeness, pool-scoped concurrency, and stable
-// verifier check IDs. It exits non-zero when any finding survives, so
+// pool-scoped concurrency, and stable verifier check IDs. It exits non-zero when any finding survives, so
 // CI runs it as a gate next to go vet and staticcheck.
 //
 // Usage:

@@ -1,15 +1,14 @@
 // Package anz is the repo's static-analysis framework: a minimal,
 // dependency-free sibling of golang.org/x/tools/go/analysis. The
 // toolchain's conventions — allocation-free hot paths, sentinel-wrapped
-// errors, registry/corpus completeness, pool-scoped concurrency, stable
-// check IDs — are enforced by analyzers built on this package and driven
+// errors, pool-scoped concurrency, stable check IDs — are enforced by analyzers built on this package and driven
 // by cmd/tepicvet.
 //
 // The x/tools module is deliberately not imported: the repro module is
 // self-contained (stdlib only), so the framework re-creates the three
 // pieces the analyzers need — an Analyzer descriptor, a per-package Pass
-// with full type information, and a whole-Program view for cross-package
-// checks — on top of go/parser, go/types and the stdlib source importer.
+// with full type information, and the whole loaded Program each Pass can
+// look across — on top of go/parser, go/types and the stdlib source importer.
 // Loading is in loader.go; the analysistest-style fixture harness is in
 // the sibling package anztest.
 package anz
@@ -23,10 +22,7 @@ import (
 	"strings"
 )
 
-// Analyzer describes one static check. Exactly one of Run (invoked once
-// per loaded package) or RunProgram (invoked once with the whole loaded
-// program, for cross-package checks like registry completeness) must be
-// set.
+// Analyzer describes one static check, run once per loaded package.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and CLI flags. Names
 	// are lower-case identifiers ("hotalloc", "typederr", ...).
@@ -35,8 +31,6 @@ type Analyzer struct {
 	Doc string
 	// Run analyzes one package.
 	Run func(*Pass) error
-	// RunProgram analyzes the whole program at once.
-	RunProgram func(*Program, func(*Package, Diagnostic)) error
 }
 
 // Diagnostic is one finding, positioned in the loaded file set.
@@ -109,36 +103,24 @@ func (f Finding) String() string {
 func Run(prog *Program, analyzers []*Analyzer) ([]Finding, error) {
 	var out []Finding
 	for _, a := range analyzers {
-		a := a
-		collect := func(pkg *Package, d Diagnostic) {
-			out = append(out, Finding{
-				Analyzer: a.Name,
-				Package:  pkg.ImportPath,
-				Pos:      prog.Fset.Position(d.Pos),
-				Message:  d.Message,
-			})
-		}
-		switch {
-		case a.RunProgram != nil:
-			if err := a.RunProgram(prog, collect); err != nil {
-				return nil, fmt.Errorf("%s: %w", a.Name, err)
+		for _, pkg := range prog.Packages {
+			pass := &Pass{
+				Analyzer: a,
+				Fset:     prog.Fset,
+				Pkg:      pkg,
+				Program:  prog,
+				report: func(d Diagnostic) {
+					out = append(out, Finding{
+						Analyzer: a.Name,
+						Package:  pkg.ImportPath,
+						Pos:      prog.Fset.Position(d.Pos),
+						Message:  d.Message,
+					})
+				},
 			}
-		case a.Run != nil:
-			for _, pkg := range prog.Packages {
-				pkg := pkg
-				pass := &Pass{
-					Analyzer: a,
-					Fset:     prog.Fset,
-					Pkg:      pkg,
-					Program:  prog,
-					report:   func(d Diagnostic) { collect(pkg, d) },
-				}
-				if err := a.Run(pass); err != nil {
-					return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
-				}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
 			}
-		default:
-			return nil, fmt.Errorf("%s: analyzer has neither Run nor RunProgram", a.Name)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -225,16 +207,4 @@ func CalleePath(info *types.Info, call *ast.CallExpr) (pkg, name string) {
 	}
 	// Error.Error and friends from the universe scope.
 	return "", f.Name()
-}
-
-// EnclosingFunc returns the innermost function declaration containing
-// pos in the file, or nil (literals do not count: a FuncLit inside an
-// annotated function still belongs to that function's contract).
-func EnclosingFunc(file *ast.File, pos token.Pos) *ast.FuncDecl {
-	for _, d := range file.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos <= fd.End() {
-			return fd
-		}
-	}
-	return nil
 }

@@ -1,4 +1,4 @@
-// Package analysis assembles the repo's analyzer suite — the five
+// Package analysis assembles the repo's analyzer suite — the four
 // tepicvet checks, each configured for this module's layout. cmd/tepicvet
 // drives the suite over go-list patterns; CI and scripts/vet.sh run it
 // alongside go vet and staticcheck. The individual analyzers live in
@@ -10,7 +10,6 @@ import (
 	"repro/internal/analysis/anz"
 	"repro/internal/analysis/concsafety"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/registrycomplete"
 	"repro/internal/analysis/stableid"
 	"repro/internal/analysis/typederr"
 )
@@ -20,7 +19,6 @@ func Suite() []*anz.Analyzer {
 	return []*anz.Analyzer{
 		hotalloc.New(),
 		typederr.New(typederr.DefaultConfig()),
-		registrycomplete.New(registrycomplete.DefaultConfig()),
 		concsafety.New(),
 		stableid.New(stableid.DefaultConfig()),
 	}

@@ -17,9 +17,6 @@ var (
 	// ErrBadGeometry marks a degenerate cache configuration (non-positive
 	// sets, associativity or line size).
 	ErrBadGeometry = errors.New("cache: bad geometry")
-	// ErrBadSpec marks an invalid registration: an organization spec
-	// missing required pieces, or a duplicate name.
-	ErrBadSpec = errors.New("cache: bad spec")
 	// ErrBadConfig marks a simulator misconfiguration: an unknown
 	// organization or predictor, or a ROM image supplied (or omitted)
 	// against the organization's spec.

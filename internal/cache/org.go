@@ -1,16 +1,13 @@
 package cache
 
-import (
-	"fmt"
-	"strings"
-	"sync"
-)
+import "strings"
 
 // OrgSpec is the declarative description of one IFetch organization: the
 // stage composition Sim.Run drives. An organization is data — geometry
 // defaults, which optional stages exist, the Decompressor volume rules
-// and the Table 1 startup-cycle matrix — so new (encoding, organization)
-// pairs register at runtime without touching the simulator loop.
+// and the Table 1 startup-cycle matrix — so a new (encoding,
+// organization) pair is one more row in orgSpecs, not an edit to the
+// simulator loop.
 type OrgSpec struct {
 	// Name is the figure label ("Base", "Compressed", ...).
 	Name string
@@ -29,57 +26,59 @@ type OrgSpec struct {
 	Timing StartupTable
 }
 
-var (
-	orgMu    sync.RWMutex
-	orgSpecs []OrgSpec
-	orgIDs   = map[string]Org{} // lower-cased name -> Org
-)
-
-// RegisterOrg adds an organization to the registry and returns its Org
-// id. Names are unique case-insensitively; the Decode stage is required.
-func RegisterOrg(spec OrgSpec) (Org, error) {
-	if spec.Name == "" {
-		return 0, fmt.Errorf("%w: organization needs a name", ErrBadSpec)
-	}
-	if spec.Decode == nil {
-		return 0, fmt.Errorf("%w: organization %s needs a Decompressor", ErrBadSpec, spec.Name)
-	}
-	orgMu.Lock()
-	defer orgMu.Unlock()
-	key := strings.ToLower(spec.Name)
-	if _, dup := orgIDs[key]; dup {
-		return 0, fmt.Errorf("%w: organization %s already registered", ErrBadSpec, spec.Name)
-	}
-	org := Org(len(orgSpecs))
-	orgSpecs = append(orgSpecs, spec)
-	orgIDs[key] = org
-	return org, nil
+// orgSpecs holds the organizations of Figures 11–13 plus the §6
+// CodePack model, indexed by the Org constants. The StartupTable cells
+// are the paper's Table 1 (see the StartupTable doc comment in
+// timing.go for the two deliberate deviations from the published
+// matrix).
+var orgSpecs = [...]OrgSpec{
+	OrgBase: {
+		Name:      "Base",
+		LineBytes: 40, // uncompressed cache: a 40-bit-op multiple
+		Decode:    PassThrough{},
+		Timing:    StartupTable{PredHit: 1, PredMiss: 1, MispredHit: 2, MispredMiss: 8},
+	},
+	OrgTailored: {
+		Name:      "Tailored",
+		LineBytes: 32,
+		Decode:    PassThrough{}, // extraction cost is the +1 on the miss-path cells
+		Timing:    StartupTable{PredHit: 1, PredMiss: 2, MispredHit: 2, MispredMiss: 9},
+	},
+	OrgCompressed: {
+		Name:      "Compressed",
+		LineBytes: 32,
+		HasL0:     true,
+		Decode:    HitDecompress{},
+		Timing: StartupTable{
+			PredHit: 1, PredMiss: 3, MispredHit: 3, MispredMiss: 10,
+			// The hit path streams through the decompressor, so hit
+			// cells scale with n too (one line's worth per cycle).
+			HitScalesN: true,
+			BufPredHit: 1, BufMispred: 2,
+		},
+	},
+	OrgCodePack: {
+		Name:      "CodePack",
+		LineBytes: 40, // the cache is uncompressed, as in Base
+		NeedsROM:  true,
+		Decode:    MissDecompress{},
+		// Hit path identical to Base; the miss path carries the
+		// decompressor, like Tailored's extraction stage, over the
+		// *compressed* line count n.
+		Timing: StartupTable{PredHit: 1, PredMiss: 2, MispredHit: 2, MispredMiss: 9},
+	},
 }
 
-// MustRegisterOrg is RegisterOrg, panicking on error (for init-time
-// registration of built-ins).
-func MustRegisterOrg(spec OrgSpec) Org {
-	org, err := RegisterOrg(spec)
-	if err != nil {
-		panic(err)
-	}
-	return org
-}
-
-// Spec returns the registered description of an organization.
+// Spec returns the description of an organization.
 func (o Org) Spec() (OrgSpec, bool) {
-	orgMu.RLock()
-	defer orgMu.RUnlock()
 	if o < 0 || int(o) >= len(orgSpecs) {
 		return OrgSpec{}, false
 	}
-	return orgSpecs[int(o)], true
+	return orgSpecs[o], true
 }
 
-// Orgs returns every registered organization in registration order.
+// Orgs returns every organization in table (Org constant) order.
 func Orgs() []Org {
-	orgMu.RLock()
-	defer orgMu.RUnlock()
 	out := make([]Org, len(orgSpecs))
 	for i := range out {
 		out[i] = Org(i)
@@ -89,61 +88,10 @@ func Orgs() []Org {
 
 // OrgByName resolves an organization label case-insensitively.
 func OrgByName(name string) (Org, bool) {
-	orgMu.RLock()
-	defer orgMu.RUnlock()
-	org, ok := orgIDs[strings.ToLower(name)]
-	return org, ok
-}
-
-// The built-in organizations of Figures 11–13 plus the §6 CodePack
-// model, registered in Org constant order. The StartupTable cells are
-// the paper's Table 1 (see the StartupTable doc comment in timing.go for
-// the two deliberate deviations from the published matrix).
-func init() {
-	builtins := []struct {
-		org  Org
-		spec OrgSpec
-	}{
-		{OrgBase, OrgSpec{
-			Name:      "Base",
-			LineBytes: 40, // uncompressed cache: a 40-bit-op multiple
-			Decode:    PassThrough{},
-			Timing:    StartupTable{PredHit: 1, PredMiss: 1, MispredHit: 2, MispredMiss: 8},
-		}},
-		{OrgTailored, OrgSpec{
-			Name:      "Tailored",
-			LineBytes: 32,
-			Decode:    PassThrough{}, // extraction cost is the +1 on the miss-path cells
-			Timing:    StartupTable{PredHit: 1, PredMiss: 2, MispredHit: 2, MispredMiss: 9},
-		}},
-		{OrgCompressed, OrgSpec{
-			Name:      "Compressed",
-			LineBytes: 32,
-			HasL0:     true,
-			Decode:    HitDecompress{},
-			Timing: StartupTable{
-				PredHit: 1, PredMiss: 3, MispredHit: 3, MispredMiss: 10,
-				// The hit path streams through the decompressor, so hit
-				// cells scale with n too (one line's worth per cycle).
-				HitScalesN: true,
-				BufPredHit: 1, BufMispred: 2,
-			},
-		}},
-		{OrgCodePack, OrgSpec{
-			Name:      "CodePack",
-			LineBytes: 40, // the cache is uncompressed, as in Base
-			NeedsROM:  true,
-			Decode:    MissDecompress{},
-			// Hit path identical to Base; the miss path carries the
-			// decompressor, like Tailored's extraction stage, over the
-			// *compressed* line count n.
-			Timing: StartupTable{PredHit: 1, PredMiss: 2, MispredHit: 2, MispredMiss: 9},
-		}},
-	}
-	for _, b := range builtins {
-		if got := MustRegisterOrg(b.spec); got != b.org {
-			panic(fmt.Sprintf("cache: %s registered as Org(%d), want Org(%d)",
-				b.spec.Name, int(got), int(b.org)))
+	for i := range orgSpecs {
+		if strings.EqualFold(orgSpecs[i].Name, name) {
+			return Org(i), true
 		}
 	}
+	return 0, false
 }

@@ -7,8 +7,8 @@ import (
 	"repro/internal/image"
 )
 
-// TestOrgRegistryBuiltins pins the built-in registration order (the Org
-// constants are indices into the registry) and name resolution.
+// TestOrgRegistryBuiltins pins the built-in table order (the Org
+// constants are indices into the OrgSpec table) and name resolution.
 func TestOrgRegistryBuiltins(t *testing.T) {
 	want := []struct {
 		org  Org
@@ -21,7 +21,7 @@ func TestOrgRegistryBuiltins(t *testing.T) {
 	}
 	orgs := Orgs()
 	if len(orgs) < len(want) {
-		t.Fatalf("%d registered organizations, want >= %d", len(orgs), len(want))
+		t.Fatalf("%d organizations, want >= %d", len(orgs), len(want))
 	}
 	for _, w := range want {
 		spec, ok := w.org.Spec()
@@ -40,24 +40,6 @@ func TestOrgRegistryBuiltins(t *testing.T) {
 	}
 	if spec, ok := OrgCodePack.Spec(); !ok || !spec.NeedsROM {
 		t.Error("CodePack spec must need a ROM image")
-	}
-}
-
-func TestOrgRegistryValidation(t *testing.T) {
-	if _, err := RegisterOrg(OrgSpec{Decode: PassThrough{}}); err == nil {
-		t.Error("RegisterOrg accepted a nameless spec")
-	}
-	if _, err := RegisterOrg(OrgSpec{Name: "NoDecode"}); err == nil {
-		t.Error("RegisterOrg accepted a spec without a Decompressor")
-	}
-	if _, err := RegisterOrg(OrgSpec{Name: "base", Decode: PassThrough{}}); err == nil {
-		t.Error("RegisterOrg accepted a case-insensitive duplicate of Base")
-	}
-	if _, ok := Org(1 << 20).Spec(); ok {
-		t.Error("Spec() resolved an unregistered organization")
-	}
-	if _, ok := OrgByName("nonesuch"); ok {
-		t.Error("OrgByName resolved an unknown name")
 	}
 }
 

@@ -9,7 +9,7 @@
 // The simulator is one fixed stage pipeline: Sim.RunStream drives the
 // ATB, the optional L0 buffer, the banked line cache and the memory bus
 // directly, and each organization — including the related-work CodePack
-// model (§6) — is a declarative OrgSpec in a registry (org.go) naming
+// model (§6) — is a declarative row of the OrgSpec table (org.go) naming
 // its optional stages, Decompressor volume rule (stages.go) and Table 1
 // timing.
 package cache
@@ -49,7 +49,7 @@ type Config struct {
 // tailored caches; organizations holding uncompressed ops need a line
 // size that is a multiple of the 40-bit op, making theirs effectively
 // 20 KB (256 sets x 40 B lines). The line size comes from the
-// organization's registered spec.
+// organization's spec.
 func DefaultConfig(org Org) Config {
 	cfg := Config{
 		Sets: 256, Assoc: 2, LineBytes: 32,
@@ -178,8 +178,9 @@ func NewSim(org Org, cfg Config, im *image.Image, sp *sched.Program) (*Sim, erro
 	return NewOrgSim(org, cfg, im, nil, sp)
 }
 
-// NewOrgSim builds a simulator for any registered organization. rom is
-// the separately encoded ROM image behind the bus and must be non-nil
+// NewOrgSim builds a simulator for any organization in the OrgSpec
+// table; an Org outside it fails with ErrBadConfig. rom is the
+// separately encoded ROM image behind the bus and must be non-nil
 // exactly when the organization's spec sets NeedsROM.
 func NewOrgSim(org Org, cfg Config, im, rom *image.Image, sp *sched.Program) (*Sim, error) {
 	spec, ok := org.Spec()

@@ -2,9 +2,8 @@ package cache
 
 import "fmt"
 
-// Org selects one of the registered IFetch organizations. The four
-// built-ins below register in constant order at init time (org.go);
-// further organizations can be added with RegisterOrg.
+// Org selects one of the IFetch organizations; it indexes the OrgSpec
+// table in org.go.
 type Org int
 
 // The three organizations of Figures 11–13, plus the §6 CodePack model.

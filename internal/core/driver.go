@@ -21,8 +21,8 @@ import (
 // ATT, stochastic trace — is keyed by a hash of its exact inputs
 // (program content, scheme configuration, cache version; see key.go),
 // built once under single-flight, and shared by every job that asks for
-// it. The store is sharded and optionally bounded with LRU eviction
-// (see store.go), and it is the only place artifacts are held — a
+// it. The store is optionally bounded with LRU eviction (see
+// store.go), and it is the only place artifacts are held — a
 // Compiled keeps none of its own — so a long-running service driver
 // holds steady memory under skewed traffic. Stage latencies and cache
 // traffic are recorded in a stats.Registry so drivers of the driver
@@ -43,11 +43,11 @@ func NewDriver(workers int) *Driver {
 	return NewDriverWithCache(workers, 0)
 }
 
-// NewDriverWithCache returns a driver whose artifact store is bounded to
-// capacity entries, split evenly over its shards and rounded up per
-// shard (<= 0 means unbounded). Service drivers (tepicd) bound the
-// store so a long tail of cold programs cannot grow memory without
-// limit; the hot set stays resident under LRU.
+// NewDriverWithCache returns a driver whose artifact store holds at
+// most capacity completed entries once its builds finish (<= 0 means
+// unbounded). Service drivers (tepicd) bound the store so a long tail
+// of cold programs cannot grow memory without limit; the hot set stays
+// resident under LRU.
 func NewDriverWithCache(workers, capacity int) *Driver {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -57,7 +57,7 @@ func NewDriverWithCache(workers, capacity int) *Driver {
 		workers: workers,
 		obs:     obs,
 		sem:     make(chan struct{}, workers),
-		store:   newArtifactStore(storeShards, capacity, obs),
+		store:   newArtifactStore(capacity, obs),
 	}
 }
 

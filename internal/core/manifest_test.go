@@ -8,40 +8,46 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/scheme"
 )
 
 // coverageManifest is the committed snapshot of what the equivalence
-// corpus covers: every registered scheme (exercised scheme-by-scheme in
+// corpus covers: every scheme (exercised scheme-by-scheme in
 // TestPipelineFacade's decode-equivalence loop), every pairing (pinned
 // benchmark×pairing in golden_results.json and replayed through the
-// simcheck oracle matrix by SimLint), and every organization a pairing
-// reaches. The registrycomplete analyzer cross-checks registration call
-// sites against this file, so registering a scheme, org or pairing
-// without extending the corpus fails tepicvet until this manifest — and
-// with it the golden snapshot — is deliberately regenerated.
+// simcheck oracle matrix by SimLint), and every organization, each of
+// which a pairing must reach. TestCoverageManifest is the completeness
+// gate for the scheme, organization and pairing tables: adding or
+// deleting a row without extending the corpus fails it until this
+// manifest — and with it the golden snapshot — is deliberately
+// regenerated.
 type coverageManifest struct {
 	Schemes  []string `json:"schemes"`
 	Orgs     []string `json:"orgs"`
 	Pairings []string `json:"pairings"`
 }
 
-// currentCoverage derives the manifest from the live registries.
+// currentCoverage derives the manifest from the live tables. An
+// organization no pairing reaches has no golden result, so it fails
+// here rather than entering the manifest uncovered.
 func currentCoverage(t *testing.T) coverageManifest {
 	t.Helper()
 	var m coverageManifest
 	m.Schemes = append(m.Schemes, SchemeNames()...)
-	orgSeen := map[string]bool{}
+	reached := map[cache.Org]bool{}
 	for _, p := range scheme.Pairings() {
 		m.Pairings = append(m.Pairings, p.Name)
-		spec, ok := p.Org.Spec()
-		if !ok {
-			t.Fatalf("pairing %s references unregistered org %d", p.Name, int(p.Org))
+		if _, ok := p.Org.Spec(); !ok {
+			t.Fatalf("pairing %s references unknown org %d", p.Name, int(p.Org))
 		}
-		if !orgSeen[spec.Name] {
-			orgSeen[spec.Name] = true
-			m.Orgs = append(m.Orgs, spec.Name)
+		reached[p.Org] = true
+	}
+	for _, org := range cache.Orgs() {
+		if !reached[org] {
+			t.Errorf("organization %s has no pairing, so no golden result covers it", org)
 		}
+		m.Orgs = append(m.Orgs, org.String())
 	}
 	sort.Strings(m.Schemes)
 	sort.Strings(m.Orgs)
@@ -50,7 +56,7 @@ func currentCoverage(t *testing.T) coverageManifest {
 }
 
 // TestCoverageManifest keeps testdata/coverage_manifest.json in sync
-// with the registries and the golden snapshot. Regenerate with
+// with the tables and the golden snapshot. Regenerate with
 // GOLDEN_UPDATE=1 alongside the golden results.
 func TestCoverageManifest(t *testing.T) {
 	path := filepath.Join("testdata", "coverage_manifest.json")
@@ -117,12 +123,12 @@ func diffStrings(t *testing.T, what string, got, want []string) {
 	}
 	for _, s := range got {
 		if !ws[s] {
-			t.Errorf("%s: %q registered but missing from coverage manifest (GOLDEN_UPDATE=1)", what, s)
+			t.Errorf("%s: %q in the tables but missing from coverage manifest (GOLDEN_UPDATE=1)", what, s)
 		}
 	}
 	for _, s := range want {
 		if !gs[s] {
-			t.Errorf("%s: %q in coverage manifest but no longer registered", what, s)
+			t.Errorf("%s: %q in coverage manifest but no longer in the tables", what, s)
 		}
 	}
 }

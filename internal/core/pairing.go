@@ -8,11 +8,7 @@ import (
 	"repro/internal/scheme"
 )
 
-// Pairings returns every registered (encoding, organization) pairing in
-// registration order.
-func Pairings() []scheme.Pairing { return scheme.Pairings() }
-
-// SimFor builds the IFetch simulator for one registry pairing over this
+// SimFor builds the IFetch simulator for one pairing over this
 // compilation's images: the cache indexes the pairing's cache-scheme
 // image, and — for miss-path-decompression organizations — the bus
 // fetches from the pairing's ROM-scheme image. Image builds share the

@@ -25,10 +25,9 @@ import (
 	"repro/internal/workload"
 )
 
-// SchemeNames lists every registered encoding scheme in report order:
-// the baseline, byte-based Huffman, the six stream configurations,
-// whole-op Huffman, and the tailored ISA (plus any schemes registered
-// beyond the built-ins).
+// SchemeNames lists every encoding scheme in report order: the
+// baseline, byte-based Huffman, the six stream configurations, whole-op
+// Huffman, and the tailored ISA.
 func SchemeNames() []string { return scheme.Names() }
 
 // Figure5Schemes are the schemes the paper's Figure 5 plots: byte-wise,

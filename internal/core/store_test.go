@@ -10,7 +10,7 @@ import (
 	"repro/internal/stats"
 )
 
-// TestStoreSingleFlight hammers a 4-shard store with 64 goroutines over
+// TestStoreSingleFlight hammers a store with 64 goroutines over
 // a key set the capacity fully holds, asserting the single-flight
 // contract: exactly one build per content key no matter how many
 // requests race for it, every request resolved to the built value, and
@@ -22,7 +22,7 @@ func TestStoreSingleFlight(t *testing.T) {
 		keys       = 16
 	)
 	obs := stats.NewRegistry()
-	st := newArtifactStore(4, 4*keys, obs)
+	st := newArtifactStore(4*keys, obs)
 	var builds atomic.Int64
 	var wg sync.WaitGroup
 	errs := make([]error, goroutines)
@@ -71,7 +71,7 @@ func TestStoreSingleFlight(t *testing.T) {
 }
 
 // TestStoreBoundedEviction forces evictions: 64 goroutines over a key
-// space eight times the capacity of a 4-shard store. Memory must stay
+// space eight times the store's capacity. Memory must stay
 // bounded (resident entries never exceed capacity plus the in-flight
 // build count), counters must stay consistent (hits + misses ==
 // requests; one build per miss; evictions <= misses), and the store
@@ -84,7 +84,7 @@ func TestStoreBoundedEviction(t *testing.T) {
 		capacity   = 8
 	)
 	obs := stats.NewRegistry()
-	st := newArtifactStore(4, capacity, obs)
+	st := newArtifactStore(capacity, obs)
 	var builds atomic.Int64
 	var wg sync.WaitGroup
 	errs := make([]error, goroutines)
@@ -147,12 +147,13 @@ func TestStoreBoundedEviction(t *testing.T) {
 	}
 }
 
-// TestStoreLRUOrder pins the eviction policy on a single shard: the
-// least recently *used* entry goes first, not the least recently
-// inserted.
+// TestStoreLRUOrder pins the eviction policy: the least recently *used*
+// entry goes first, not the least recently inserted, and a store of
+// capacity n holds exactly the n most recently used keys of a longer
+// sequence.
 func TestStoreLRUOrder(t *testing.T) {
 	obs := stats.NewRegistry()
-	st := newArtifactStore(1, 2, obs)
+	st := newArtifactStore(2, obs)
 	builds := map[string]int{}
 	get := func(key string) {
 		t.Helper()
@@ -181,6 +182,22 @@ func TestStoreLRUOrder(t *testing.T) {
 	if builds["c"] != 1 {
 		t.Errorf("c built %d times, want 1", builds["c"])
 	}
+
+	const capacity, keys = 3, 16
+	st = newArtifactStore(capacity, stats.NewRegistry())
+	for i := 0; i < keys; i++ {
+		if _, err := st.do(fmt.Sprint(i), func() (any, error) { return i, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := st.len(); n != capacity {
+		t.Errorf("%d entries resident after %d keys, want exactly capacity %d", n, keys, capacity)
+	}
+	for i := 0; i < keys; i++ {
+		if want := i >= keys-capacity; st.resident(fmt.Sprint(i)) != want {
+			t.Errorf("key %d resident = %v, want %v (only the %d most recent stay)", i, !want, want, capacity)
+		}
+	}
 }
 
 // TestStoreCachesFailedBuilds keeps the pre-service contract: a failed
@@ -188,7 +205,7 @@ func TestStoreLRUOrder(t *testing.T) {
 // the second request for a poisoned key is a hit, not a rebuild.
 func TestStoreCachesFailedBuilds(t *testing.T) {
 	obs := stats.NewRegistry()
-	st := newArtifactStore(2, 0, obs)
+	st := newArtifactStore(0, obs)
 	calls := 0
 	fail := func() (any, error) { calls++; return nil, fmt.Errorf("boom %d", calls) }
 	_, err1 := st.do("bad", fail)
@@ -206,20 +223,26 @@ func TestStoreCachesFailedBuilds(t *testing.T) {
 
 // resident reports whether key currently has an entry in the store.
 func (st *artifactStore) resident(key string) bool {
-	sh := st.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.entries[key]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	_, ok := st.entries[key]
 	return ok
 }
 
 // TestDriverBoundedCache exercises the bound through the Driver face:
-// a driver with one slot per shard builds every scheme's image, holds
-// no more than its capacity once the builds finish, and rebuilds an
+// a driver with a small capacity builds every scheme's image, holds no
+// more than its capacity after every top-level request, and rebuilds an
 // image the bound evicted. The hit/miss counters account every request
 // the builders make exactly once.
 func TestDriverBoundedCache(t *testing.T) {
-	const capacity = storeShards
+	for _, capacity := range []int{1, 3} {
+		t.Run(fmt.Sprintf("cap%d", capacity), func(t *testing.T) {
+			testDriverBoundedCache(t, capacity)
+		})
+	}
+}
+
+func testDriverBoundedCache(t *testing.T, capacity int) {
 	d := NewDriverWithCache(2, capacity)
 	c, err := d.CompileBenchmark("compress")
 	if err != nil {
@@ -251,10 +274,11 @@ func TestDriverBoundedCache(t *testing.T) {
 	if evicted == "" {
 		t.Fatalf("every image still resident in a %d-entry store", capacity)
 	}
+	before := d.Stats().Snapshot().Stages["image."+evicted].Count
 	requestImage(evicted)
 	stages := d.Stats().Snapshot().Stages
-	if n := stages["image."+evicted].Count; n != 2 {
-		t.Errorf("image.%s built %d times, want 2 (evicted, then requested again)", evicted, n)
+	if n := stages["image."+evicted].Count; n != before+1 {
+		t.Errorf("image.%s built %d times, want %d (evicted, then requested again)", evicted, n, before+1)
 	}
 
 	// Every build is one miss. Every request is the compile above, an

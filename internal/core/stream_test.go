@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/scheme"
 	"repro/internal/simcheck"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -34,7 +35,7 @@ func TestStreamEquivalenceMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range Pairings() {
+			for _, p := range scheme.Pairings() {
 				cfg := cache.DefaultConfig(p.Org)
 				sim, err := c.SimFor(p, cfg)
 				if err != nil {

@@ -56,12 +56,11 @@ type SweepRow struct {
 	Result         cache.Result `json:"result"`
 }
 
-// DefaultSweepPoints enumerates the registry-driven default grid for one
+// DefaultSweepPoints enumerates the table-driven default grid for one
 // pairing: sets {128, 256, 512} × associativity {1, 2, 4} × every
 // built-in direction predictor, crossed with L0 capacities {16, 32}
 // when the organization's spec carries an L0 buffer. The grid adapts to
-// the pairing registry — sweeping a freshly registered pairing needs no
-// edit here.
+// the pairing's spec — sweeping a new pairing row needs no edit here.
 func DefaultSweepPoints(p scheme.Pairing) []SweepPoint {
 	spec, ok := p.Org.Spec()
 	if !ok {

@@ -9,30 +9,30 @@ import (
 	"repro/internal/tailor"
 )
 
-// The built-in encodings, registered in the toolchain's report order:
-// the baseline, byte-based Huffman, the six stream configurations of
-// §2.2, whole-op Huffman, and the tailored ISA. Stream schemes key
-// their exact cut points (not their display names); Huffman schemes
-// fold in the code-length bound that shapes their tables.
-func init() {
-	MustRegister(Scheme{
+// schemes holds the encodings in the toolchain's report order: the
+// baseline, byte-based Huffman, the six stream configurations of §2.2,
+// whole-op Huffman, and the tailored ISA. Stream schemes key their
+// exact cut points (not their display names); Huffman schemes fold in
+// the code-length bound that shapes their tables.
+var schemes = builtinSchemes()
+
+func builtinSchemes() []Scheme {
+	out := []Scheme{{
 		Name:        BaseName,
 		ContentKey:  "base",
 		SelfIndexed: true,
 		Build: func(*sched.Program) (compress.Encoder, error) {
 			return compress.NewBase(), nil
 		},
-	})
-	MustRegister(Scheme{
+	}, {
 		Name:       "byte",
 		ContentKey: fmt.Sprintf("byte/limit=%d", compress.CodeLenLimit),
 		Build: func(p *sched.Program) (compress.Encoder, error) {
 			return compress.NewByteHuffman(p)
 		},
-	})
+	}}
 	for _, cfg := range compress.StreamConfigs {
-		cfg := cfg
-		MustRegister(Scheme{
+		out = append(out, Scheme{
 			Name:       cfg.Name,
 			Group:      GroupStream,
 			ContentKey: fmt.Sprintf("%s/limit=%d", cfg.Key(), compress.CodeLenLimit),
@@ -41,34 +41,30 @@ func init() {
 			},
 		})
 	}
-	MustRegister(Scheme{
+	return append(out, Scheme{
 		Name:       "full",
 		ContentKey: fmt.Sprintf("full/limit=%d", compress.CodeLenLimit),
 		Build: func(p *sched.Program) (compress.Encoder, error) {
 			return compress.NewFullHuffman(p)
 		},
-	})
-	MustRegister(Scheme{
+	}, Scheme{
 		Name:       "tailored",
 		ContentKey: "tailored",
 		Build: func(p *sched.Program) (compress.Encoder, error) {
 			return tailor.New(p)
 		},
 	})
+}
 
-	// The co-designed pairings: the paper's three cache-study
-	// organizations (Figures 11–13) and the related-work CodePack model
-	// (§6) with a byte-Huffman ROM behind an uncompressed cache.
-	MustRegisterPairing(Pairing{
-		Name: "Base", Org: cache.OrgBase, CacheScheme: BaseName, Study: true,
-	})
-	MustRegisterPairing(Pairing{
-		Name: "Compressed", Org: cache.OrgCompressed, CacheScheme: "full", Study: true,
-	})
-	MustRegisterPairing(Pairing{
-		Name: "Tailored", Org: cache.OrgTailored, CacheScheme: "tailored", Study: true,
-	})
-	MustRegisterPairing(Pairing{
-		Name: "CodePack", Org: cache.OrgCodePack, CacheScheme: BaseName, ROMScheme: "byte",
-	})
+// pairings holds the co-designed points: the paper's three cache-study
+// organizations (Figures 11–13) and the related-work CodePack model (§6)
+// with a byte-Huffman ROM behind an uncompressed cache. Every
+// CacheScheme and ROMScheme names a row of schemes, and ROMScheme is
+// set exactly when the organization's spec sets NeedsROM
+// (TestTableConsistency).
+var pairings = []Pairing{
+	{Name: "Base", Org: cache.OrgBase, CacheScheme: BaseName, Study: true},
+	{Name: "Compressed", Org: cache.OrgCompressed, CacheScheme: "full", Study: true},
+	{Name: "Tailored", Org: cache.OrgTailored, CacheScheme: "tailored", Study: true},
+	{Name: "CodePack", Org: cache.OrgCodePack, CacheScheme: BaseName, ROMScheme: "byte"},
 }

@@ -1,19 +1,20 @@
-// Package scheme is the unified registry behind the paper's co-design
+// Package scheme holds the fixed tables behind the paper's co-design
 // argument (Larin & Conte §4–§5): an encoding scheme and the fetch
 // organization built for it are one point, not two switch statements.
-// The package registers every encoding (how to construct its encoder,
-// its canonical content key for artifact caching, whether its image
-// carries an Address Translation Table) and every pairing of an encoding
-// with a cache organization (internal/cache's Org registry). The
-// toolchain (internal/core), the figure experiments and the CLIs resolve
-// schemes and pairings here; adding a new (encoding, organization) pair
-// is a registration, not an edit to the simulator or the build pipeline.
+// The package lists every encoding (how to construct its encoder, its
+// canonical content key for artifact caching, whether its image carries
+// an Address Translation Table) and every pairing of an encoding with a
+// cache organization (internal/cache's OrgSpec table). The toolchain
+// (internal/core), the figure experiments and the CLIs resolve schemes
+// and pairings here; adding a new (encoding, organization) pair is one
+// row in each table (builtin.go and internal/cache/org.go), not an edit
+// to the simulator or the build pipeline. The tables are written once
+// at package initialization and only read afterwards.
 package scheme
 
 import (
-	"fmt"
+	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/compress"
@@ -33,7 +34,7 @@ const (
 
 // Scheme bundles everything the toolchain needs to build one encoding.
 type Scheme struct {
-	// Name is the scheme's registry key and report label.
+	// Name is the scheme's table key and report label.
 	Name string
 	// Group optionally classifies the scheme for sweeps (e.g.
 	// GroupStream); the built-in singleton schemes leave it empty.
@@ -51,57 +52,19 @@ type Scheme struct {
 	SelfIndexed bool
 }
 
-var (
-	mu      sync.RWMutex
-	schemes []Scheme
-	byName  = map[string]int{}
-)
-
-// Register adds a scheme to the registry. Names are unique; Build and
-// ContentKey are required.
-func Register(s Scheme) error {
-	if s.Name == "" {
-		return fmt.Errorf("scheme: registration needs a name")
-	}
-	if s.Build == nil {
-		return fmt.Errorf("scheme: %s needs a Build function", s.Name)
-	}
-	if s.ContentKey == "" {
-		return fmt.Errorf("scheme: %s needs a ContentKey", s.Name)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := byName[s.Name]; dup {
-		return fmt.Errorf("scheme: %s already registered", s.Name)
-	}
-	byName[s.Name] = len(schemes)
-	schemes = append(schemes, s)
-	return nil
-}
-
-// MustRegister is Register, panicking on error.
-func MustRegister(s Scheme) {
-	if err := Register(s); err != nil {
-		panic(err)
-	}
-}
-
 // Lookup resolves a scheme by name.
 func Lookup(name string) (Scheme, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
-	i, ok := byName[name]
-	if !ok {
-		return Scheme{}, false
+	for _, s := range schemes {
+		if s.Name == name {
+			return s, true
+		}
 	}
-	return schemes[i], true
+	return Scheme{}, false
 }
 
-// Names returns every registered scheme name in registration order —
-// the toolchain's report order.
+// Names returns every scheme name in table order — the toolchain's
+// report order.
 func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
 	out := make([]string, len(schemes))
 	for i, s := range schemes {
 		out[i] = s.Name
@@ -109,11 +72,9 @@ func Names() []string {
 	return out
 }
 
-// GroupNames returns the names of every scheme in a group, in
-// registration order.
+// GroupNames returns the names of every scheme in a group, in table
+// order.
 func GroupNames(group string) []string {
-	mu.RLock()
-	defer mu.RUnlock()
 	var out []string
 	for _, s := range schemes {
 		if s.Group == group {
@@ -131,7 +92,7 @@ type Pairing struct {
 	// Name is the organization-level label used in figures ("Base",
 	// "Compressed", ...); for the built-ins it matches Org.String().
 	Name string
-	// Org is the fetch organization in internal/cache's registry.
+	// Org is the fetch organization in internal/cache's OrgSpec table.
 	Org cache.Org
 	// CacheScheme names the encoding held by the cache.
 	CacheScheme string
@@ -143,80 +104,22 @@ type Pairing struct {
 	Study bool
 }
 
-var (
-	pairMu   sync.RWMutex
-	pairings []Pairing
-	pairIdx  = map[string]int{} // lower-cased name -> index
-)
-
-// RegisterPairing adds a pairing, validating that its schemes exist and
-// that the ROM scheme matches the organization's NeedsROM contract.
-func RegisterPairing(p Pairing) error {
-	if p.Name == "" {
-		return fmt.Errorf("scheme: pairing needs a name")
-	}
-	spec, ok := p.Org.Spec()
-	if !ok {
-		return fmt.Errorf("scheme: pairing %s names unregistered organization %d",
-			p.Name, int(p.Org))
-	}
-	if _, ok := Lookup(p.CacheScheme); !ok {
-		return fmt.Errorf("scheme: pairing %s names unknown cache scheme %q",
-			p.Name, p.CacheScheme)
-	}
-	if spec.NeedsROM != (p.ROMScheme != "") {
-		return fmt.Errorf("scheme: pairing %s: organization %s NeedsROM=%v but ROM scheme is %q",
-			p.Name, spec.Name, spec.NeedsROM, p.ROMScheme)
-	}
-	if p.ROMScheme != "" {
-		if _, ok := Lookup(p.ROMScheme); !ok {
-			return fmt.Errorf("scheme: pairing %s names unknown ROM scheme %q",
-				p.Name, p.ROMScheme)
-		}
-	}
-	pairMu.Lock()
-	defer pairMu.Unlock()
-	key := strings.ToLower(p.Name)
-	if _, dup := pairIdx[key]; dup {
-		return fmt.Errorf("scheme: pairing %s already registered", p.Name)
-	}
-	pairIdx[key] = len(pairings)
-	pairings = append(pairings, p)
-	return nil
-}
-
-// MustRegisterPairing is RegisterPairing, panicking on error.
-func MustRegisterPairing(p Pairing) {
-	if err := RegisterPairing(p); err != nil {
-		panic(err)
-	}
-}
-
-// Pairings returns every registered pairing in registration order.
-func Pairings() []Pairing {
-	pairMu.RLock()
-	defer pairMu.RUnlock()
-	out := make([]Pairing, len(pairings))
-	copy(out, pairings)
-	return out
-}
+// Pairings returns every pairing in table order.
+func Pairings() []Pairing { return slices.Clone(pairings) }
 
 // PairingByName resolves a pairing label case-insensitively (CLI flags
 // use lower case, figures the capitalized form).
 func PairingByName(name string) (Pairing, bool) {
-	pairMu.RLock()
-	defer pairMu.RUnlock()
-	i, ok := pairIdx[strings.ToLower(name)]
-	if !ok {
-		return Pairing{}, false
+	for _, p := range pairings {
+		if strings.EqualFold(p.Name, name) {
+			return p, true
+		}
 	}
-	return pairings[i], true
+	return Pairing{}, false
 }
 
-// PairingFor returns the first registered pairing of an organization.
+// PairingFor returns the first pairing of an organization.
 func PairingFor(org cache.Org) (Pairing, bool) {
-	pairMu.RLock()
-	defer pairMu.RUnlock()
 	for _, p := range pairings {
 		if p.Org == org {
 			return p, true
@@ -226,10 +129,8 @@ func PairingFor(org cache.Org) (Pairing, bool) {
 }
 
 // StudyPairings returns the pairings of the paper's cache study
-// (Figures 13/14) in registration order.
+// (Figures 13/14) in table order.
 func StudyPairings() []Pairing {
-	pairMu.RLock()
-	defer pairMu.RUnlock()
 	var out []Pairing
 	for _, p := range pairings {
 		if p.Study {

@@ -1,8 +1,8 @@
 // Package serve exposes the whole pipeline — compile, encode, lint,
 // simulate, decode — as a long-running HTTP/JSON service on top of the
 // concurrent compilation driver. Every handler resolves its artifacts
-// through the driver's sharded, bounded, LRU-evicting content-addressed
-// store, so concurrent requests for one program share a single build
+// through the driver's bounded, LRU-evicting content-addressed store,
+// so concurrent requests for one program share a single build
 // (the access-pattern-skew insight: a few hot programs dominate service
 // traffic, and their artifacts stay resident while the cold tail is
 // evicted and rebuilt on demand).

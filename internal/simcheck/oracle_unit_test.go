@@ -8,26 +8,42 @@ import (
 
 // TestStartupCyclesMatchesTable cross-checks the oracle's independent
 // Table 1 evaluator against the cache package's StartupTable.Cycles
-// over every cell of every registered organization's matrix and a range
-// of n — the two implementations must price every fetch identically.
+// over every cell of every organization's matrix and a range of n — the
+// two implementations must price every fetch identically. One extra
+// matrix that no organization uses (PredHit 2 and a buffered mispredict
+// of 3 appear in no built-in row) covers cell values outside Table 1.
 func TestStartupCyclesMatchesTable(t *testing.T) {
+	type matrix struct {
+		name  string
+		hasL0 bool
+		tab   cache.StartupTable
+	}
+	var matrices []matrix
 	for _, org := range cache.Orgs() {
 		spec, ok := org.Spec()
 		if !ok {
 			t.Fatalf("org %d has no spec", int(org))
 		}
+		matrices = append(matrices, matrix{spec.Name, spec.HasL0, spec.Timing})
+	}
+	matrices = append(matrices, matrix{"OracleProbe", true, cache.StartupTable{
+		PredHit: 2, PredMiss: 4, MispredHit: 4, MispredMiss: 11,
+		HitScalesN: true,
+		BufPredHit: 1, BufMispred: 3,
+	}})
+	for _, m := range matrices {
 		for _, predOK := range []bool{true, false} {
 			for _, hit := range []bool{true, false} {
 				for _, buf := range []bool{true, false} {
-					if buf && !spec.HasL0 {
+					if buf && !m.hasL0 {
 						continue
 					}
 					for n := 0; n <= 5; n++ {
-						got := startupCycles(spec.Timing, predOK, hit, buf, n)
-						want := int64(spec.Timing.Cycles(predOK, hit, buf, n))
+						got := startupCycles(m.tab, predOK, hit, buf, n)
+						want := int64(m.tab.Cycles(predOK, hit, buf, n))
 						if got != want {
 							t.Errorf("%s: pred=%v hit=%v buf=%v n=%d: oracle %d, table %d",
-								spec.Name, predOK, hit, buf, n, got, want)
+								m.name, predOK, hit, buf, n, got, want)
 						}
 					}
 				}

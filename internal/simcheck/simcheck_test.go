@@ -1,8 +1,6 @@
 // End-to-end tests for the simulation oracle. They live in an external
-// test package for two reasons: simcheck is imported by internal/core
-// (so importing core here would otherwise cycle), and the organization
-// registered by TestCheckNewlyRegisteredOrg must stay invisible to
-// count-sensitive registry tests in other packages' binaries.
+// test package because simcheck is imported by internal/core, so
+// importing core here would otherwise cycle.
 package simcheck_test
 
 import (
@@ -10,9 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/compress"
 	"repro/internal/core"
-	"repro/internal/sched"
 	"repro/internal/scheme"
 	"repro/internal/simcheck"
 	"repro/internal/trace"
@@ -60,7 +56,7 @@ func inputFor(t *testing.T, c *core.Compiled, p scheme.Pairing, tr *trace.Trace)
 }
 
 // TestOracleAgreesEverywhere is the tentpole acceptance check: for every
-// benchmark × registered pairing, the analytical oracle's recomputation
+// benchmark × pairing, the analytical oracle's recomputation
 // of Cycles, BusBeats, BytesFetched, LinesFetched (and every other
 // modeled counter) must agree with Sim.Run exactly — and the full
 // checking layer (identities, metamorphic invariants, fault matrix)
@@ -89,65 +85,6 @@ func TestOracleAgreesEverywhere(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestCheckNewlyRegisteredOrg registers a fresh organization — a
-// Tailored-flavored spec with an L0 buffer, deliberately NOT one of the
-// built-in stage compositions — plus an encoding and pairing, and runs
-// the full checking layer on it. The oracle is driven purely by the
-// registered OrgSpec, so a registry-extension org must check out as
-// cleanly as the built-ins.
-func TestCheckNewlyRegisteredOrg(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles a benchmark; too slow for -short")
-	}
-	if err := scheme.Register(scheme.Scheme{
-		Name:       "full-oracle",
-		ContentKey: "full-oracle/simcheck-test",
-		Build: func(p *sched.Program) (compress.Encoder, error) {
-			return compress.NewFullHuffman(p)
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	org, err := cache.RegisterOrg(cache.OrgSpec{
-		Name:      "OracleProbe",
-		LineBytes: 32,
-		HasL0:     true,
-		Decode:    cache.HitDecompress{},
-		Timing: cache.StartupTable{
-			PredHit: 2, PredMiss: 4, MispredHit: 4, MispredMiss: 11,
-			HitScalesN: true,
-			BufPredHit: 1, BufMispred: 3,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := scheme.RegisterPairing(scheme.Pairing{
-		Name: "OracleProbe", Org: org, CacheScheme: "full-oracle",
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	c := compile(t, "go")
-	tr, err := c.Trace(oracleBlocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, ok := scheme.PairingByName("OracleProbe")
-	if !ok {
-		t.Fatal("OracleProbe pairing not registered")
-	}
-	rep, err := c.CheckSim(p, cache.DefaultConfig(org), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		for _, d := range rep.Diags {
-			t.Error(d)
-		}
 	}
 }
 
