@@ -43,6 +43,42 @@ func TestOrgRegistryBuiltins(t *testing.T) {
 	}
 }
 
+// TestOrgRegistryValidation checks the OrgSpec table: Orgs() lists the
+// constants in order, every spec has a Name and a Decode stage, names are
+// unique ignoring case and round-trip through OrgByName, and Org values
+// outside the table and unknown names resolve to nothing.
+func TestOrgRegistryValidation(t *testing.T) {
+	names := map[string]bool{}
+	for i, org := range Orgs() {
+		if org != Org(i) {
+			t.Errorf("Orgs()[%d] = %d; want the constant order", i, int(org))
+		}
+		spec, ok := org.Spec()
+		if !ok {
+			t.Fatalf("Org(%d) has no spec", i)
+		}
+		if spec.Name == "" || spec.Decode == nil {
+			t.Errorf("Org(%d) spec %+v lacks a Name or a Decode stage", i, spec)
+		}
+		key := strings.ToLower(spec.Name)
+		if names[key] {
+			t.Errorf("organization name %q is not unique ignoring case", spec.Name)
+		}
+		names[key] = true
+		if got, ok := OrgByName(spec.Name); !ok || got != org {
+			t.Errorf("OrgByName(%q) = %v, %v; want %v", spec.Name, got, ok, org)
+		}
+	}
+	for _, org := range []Org{-1, Org(len(Orgs())), Org(1 << 20)} {
+		if _, ok := org.Spec(); ok {
+			t.Errorf("Org(%d).Spec() resolved an organization outside the table", int(org))
+		}
+	}
+	if _, ok := OrgByName("nonesuch"); ok {
+		t.Error("OrgByName resolved an unknown name")
+	}
+}
+
 func TestPredictorRegistry(t *testing.T) {
 	kinds := PredictorKinds()
 	for _, want := range []PredictorKind{PredictorBimodal, PredictorGShare, PredictorPAs} {

@@ -61,7 +61,7 @@ func builtinSchemes() []Scheme {
 // with a byte-Huffman ROM behind an uncompressed cache. Every
 // CacheScheme and ROMScheme names a row of schemes, and ROMScheme is
 // set exactly when the organization's spec sets NeedsROM
-// (TestTableConsistency).
+// (TestRegistryValidation).
 var pairings = []Pairing{
 	{Name: "Base", Org: cache.OrgBase, CacheScheme: BaseName, Study: true},
 	{Name: "Compressed", Org: cache.OrgCompressed, CacheScheme: "full", Study: true},

@@ -4,16 +4,16 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/scheme"
 )
 
-// TestTableConsistency checks the scheme, pairing and organization
-// tables against each other: every pairing names existing schemes and
-// an existing organization, carries a ROM scheme exactly when its
-// organization needs one, and every name and content key is unique.
-// Unknown names and out-of-range Org values resolve to nothing.
-func TestTableConsistency(t *testing.T) {
+// TestRegistryValidation checks the scheme and pairing tables against
+// each other and the organization table: every pairing names existing
+// schemes and an existing organization, carries a ROM scheme exactly
+// when its organization needs one, and every name and content key is
+// unique. Unknown names resolve to nothing. The organization table's own
+// rules are checked by cache.TestOrgRegistryValidation.
+func TestRegistryValidation(t *testing.T) {
 	keys := map[string]string{}
 	names := map[string]bool{}
 	for _, name := range scheme.Names() {
@@ -34,28 +34,6 @@ func TestTableConsistency(t *testing.T) {
 			t.Errorf("schemes %q and %q share ContentKey %q", prev, name, s.ContentKey)
 		}
 		keys[s.ContentKey] = name
-	}
-
-	orgNames := map[string]bool{}
-	for i, org := range cache.Orgs() {
-		if org != cache.Org(i) {
-			t.Errorf("Orgs()[%d] = %d; want the constant order", i, int(org))
-		}
-		spec, ok := org.Spec()
-		if !ok {
-			t.Fatalf("Org(%d) has no spec", i)
-		}
-		if spec.Name == "" || spec.Decode == nil {
-			t.Errorf("Org(%d) spec %+v lacks a Name or a Decode stage", i, spec)
-		}
-		key := strings.ToLower(spec.Name)
-		if orgNames[key] {
-			t.Errorf("organization name %q is not unique ignoring case", spec.Name)
-		}
-		orgNames[key] = true
-		if got, ok := cache.OrgByName(spec.Name); !ok || got != org {
-			t.Errorf("OrgByName(%q) = %v, %v; want %v", spec.Name, got, ok, org)
-		}
 	}
 
 	pairNames := map[string]bool{}
@@ -84,14 +62,6 @@ func TestTableConsistency(t *testing.T) {
 		}
 	}
 
-	for _, org := range []cache.Org{-1, cache.Org(len(cache.Orgs()))} {
-		if _, ok := org.Spec(); ok {
-			t.Errorf("Org(%d).Spec() resolved an organization outside the table", int(org))
-		}
-	}
-	if _, ok := cache.OrgByName("nonesuch"); ok {
-		t.Error("OrgByName resolved an unknown name")
-	}
 	if _, ok := scheme.Lookup("nonesuch"); ok {
 		t.Error("Lookup resolved an unknown scheme")
 	}
