@@ -56,7 +56,7 @@ func TestCodePackProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpSim, err := NewCodePackSim(DefaultConfig(OrgCodePack), ims[OrgBase], byteIm, sp)
+	cpSim, err := NewOrgSim(OrgCodePack, DefaultConfig(OrgCodePack), ims[OrgBase], byteIm, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestCodePackProfile(t *testing.T) {
 func TestCodePackMismatchedROM(t *testing.T) {
 	sp, ims := pipeline(t, "compress")
 	spB, imsB := pipeline(t, "go")
-	if _, err := NewCodePackSim(DefaultConfig(OrgCodePack), ims[OrgBase], imsB[OrgCompressed], sp); err == nil {
+	if _, err := NewOrgSim(OrgCodePack, DefaultConfig(OrgCodePack), ims[OrgBase], imsB[OrgCompressed], sp); err == nil {
 		t.Error("accepted ROM image from a different program")
 	}
 	_ = spB

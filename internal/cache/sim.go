@@ -170,10 +170,10 @@ type fetchEntry struct {
 // (base for OrgBase, a Huffman scheme for OrgCompressed, the tailored
 // encoding for OrgTailored); the simulator is agnostic beyond block
 // addresses and sizes. Organizations that fetch from a separate ROM
-// image need NewOrgSim (or NewCodePackSim).
+// image need NewOrgSim.
 func NewSim(org Org, cfg Config, im *image.Image, sp *sched.Program) (*Sim, error) {
 	if spec, ok := org.Spec(); ok && spec.NeedsROM {
-		return nil, fmt.Errorf("%w: Org%s needs two images; use NewCodePackSim", ErrBadConfig, spec.Name)
+		return nil, fmt.Errorf("%w: Org%s needs two images; use NewOrgSim", ErrBadConfig, spec.Name)
 	}
 	return NewOrgSim(org, cfg, im, nil, sp)
 }
@@ -273,15 +273,6 @@ func validateImage(im *image.Image, role string, sp *sched.Program) error {
 		}
 	}
 	return nil
-}
-
-// NewCodePackSim builds the related-work miss-path-decompression
-// organization (§6): the cache indexes the *uncompressed* image (cacheIm,
-// the base encoding) while the bus fetches from the *compressed* ROM
-// (romIm — typically the byte scheme, as in IBM CodePack). Miss repair
-// fetches the block's compressed lines and decompresses at miss time.
-func NewCodePackSim(cfg Config, cacheIm, romIm *image.Image, sp *sched.Program) (*Sim, error) {
-	return NewOrgSim(OrgCodePack, cfg, cacheIm, romIm, sp)
 }
 
 // Run replays a trace through the IFetch stage pipeline: predictor and

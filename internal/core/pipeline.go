@@ -171,28 +171,22 @@ func (c *Compiled) Encoder(name string) (compress.Encoder, error) {
 }
 
 // buildImage lays out the program under a prebuilt encoder, attaching
-// the ATT against the prebuilt base image for non-base schemes.
-func buildImage(p *sched.Program, enc compress.Encoder, base *image.Image) (*image.Image, error) {
+// the ATT when withATT is set.
+func buildImage(p *sched.Program, enc compress.Encoder, withATT bool) (*image.Image, error) {
 	im, err := image.Build(p, enc)
-	if err != nil {
-		return nil, err
+	if err != nil || !withATT {
+		return im, err
 	}
-	if base != nil {
-		att, err := image.BuildATT(base, im)
-		if err != nil {
-			return nil, err
-		}
-		im.ATT = att
-	}
-	return im, nil
+	im.ATT, err = image.BuildATT(p, im)
+	return im, err
 }
 
 // Image builds (and caches) the program image under a scheme, with its
 // ATT attached for every non-self-indexed scheme. Safe for concurrent
 // use; the build is content-cached, timed under the "image.<scheme>"
 // stage, and accounted in the bytes.base/bytes.encoded throughput
-// counters. The encoder and base image are requested only when the
-// image itself builds.
+// counters. The encoder is requested only when the image itself builds,
+// and it is the only artifact the build requests.
 func (c *Compiled) Image(name string) (*image.Image, error) {
 	im, err := memoAs(c.drv, c.imageKey(name), func() (*image.Image, error) {
 		sc, ok := scheme.Lookup(name)
@@ -203,14 +197,8 @@ func (c *Compiled) Image(name string) (*image.Image, error) {
 		if err != nil {
 			return nil, err
 		}
-		var base *image.Image
-		if !sc.SelfIndexed {
-			if base, err = c.Image(scheme.BaseName); err != nil {
-				return nil, err
-			}
-		}
 		im, err := timed(c.drv, "image."+name, func() (*image.Image, error) {
-			return buildImage(c.Prog, enc, base)
+			return buildImage(c.Prog, enc, !sc.SelfIndexed)
 		})
 		if err == nil {
 			c.drv.obs.Counter("bytes.base").Add(int64(c.Prog.TotalOps() * isa.OpBits / 8))
@@ -226,7 +214,7 @@ func (c *Compiled) Image(name string) (*image.Image, error) {
 }
 
 // Dictionary builds the beyond-Huffman dictionary scheme (§7 future work)
-// at the given index width, along with its program image.
+// at the given index width, along with its program image and ATT.
 func (c *Compiled) Dictionary(indexBits int) (*compress.Dictionary, *image.Image, error) {
 	d, err := compress.NewDictionary(c.Prog, indexBits)
 	if err != nil {
@@ -236,11 +224,7 @@ func (c *Compiled) Dictionary(indexBits int) (*compress.Dictionary, *image.Image
 	if err != nil {
 		return nil, nil, err
 	}
-	base, err := c.Image("base")
-	if err != nil {
-		return nil, nil, err
-	}
-	if im.ATT, err = image.BuildATT(base, im); err != nil {
+	if im.ATT, err = image.BuildATT(c.Prog, im); err != nil {
 		return nil, nil, err
 	}
 	return d, im, nil

@@ -232,8 +232,10 @@ func (st *artifactStore) resident(key string) bool {
 // TestDriverBoundedCache exercises the bound through the Driver face:
 // a driver with a small capacity builds every scheme's image, holds no
 // more than its capacity after every top-level request, and rebuilds an
-// image the bound evicted. The hit/miss counters account every request
-// the builders make exactly once.
+// image the bound evicted. An image build requests only its encoder, so
+// the first pass builds each image and encoder exactly once however
+// small the store, and the hit/miss counters account every request the
+// builders make exactly once.
 func TestDriverBoundedCache(t *testing.T) {
 	for _, capacity := range []int{1, 3} {
 		t.Run(fmt.Sprintf("cap%d", capacity), func(t *testing.T) {
@@ -263,6 +265,17 @@ func testDriverBoundedCache(t *testing.T, capacity int) {
 	for _, name := range schemes {
 		requestImage(name)
 	}
+	stages := d.Stats().Snapshot().Stages
+	for _, stage := range []string{"image." + scheme.BaseName, "encode." + scheme.BaseName} {
+		if n := stages[stage].Count; n != 1 {
+			t.Errorf("%s built %d times, want 1", stage, n)
+		}
+	}
+	// The compile, then one image and one encoder per scheme.
+	if misses, want := d.Stats().Counter("artifact.miss").Value(), int64(1+2*len(schemes)); misses != want {
+		t.Errorf("misses after one pass = %d, want %d", misses, want)
+	}
+
 	// More artifacts were built than fit, so some image was evicted.
 	evicted := ""
 	for _, name := range schemes {
@@ -274,24 +287,20 @@ func testDriverBoundedCache(t *testing.T, capacity int) {
 	if evicted == "" {
 		t.Fatalf("every image still resident in a %d-entry store", capacity)
 	}
-	before := d.Stats().Snapshot().Stages["image."+evicted].Count
+	before := stages["image."+evicted].Count
 	requestImage(evicted)
-	stages := d.Stats().Snapshot().Stages
+	stages = d.Stats().Snapshot().Stages
 	if n := stages["image."+evicted].Count; n != before+1 {
 		t.Errorf("image.%s built %d times, want %d (evicted, then requested again)", evicted, n, before+1)
 	}
 
 	// Every build is one miss. Every request is the compile above, an
-	// image call, or a build's own request: its encoder, plus the base
-	// image for schemes that carry an ATT.
+	// image call, or an image build's request for its encoder.
 	builds, requests := int64(1), int64(1)+imageCalls
 	for _, name := range schemes {
 		imgs := stages["image."+name].Count
 		builds += imgs + stages["encode."+name].Count
 		requests += imgs
-		if sc, _ := scheme.Lookup(name); !sc.SelfIndexed {
-			requests += imgs
-		}
 	}
 	hits := d.Stats().Counter("artifact.hit").Value()
 	misses := d.Stats().Counter("artifact.miss").Value()

@@ -16,6 +16,7 @@ import (
 	"repro/internal/bitio"
 	"repro/internal/compress"
 	"repro/internal/huffman"
+	"repro/internal/isa"
 	"repro/internal/sched"
 )
 
@@ -133,7 +134,7 @@ func VerifyRoundTrip(im *Image, p *sched.Program, enc compress.Encoder) error {
 // to fetch the whole block in pipelined fashion (encoded address, size,
 // op/MOP counts — the "last PC" is derivable from Ops).
 type ATTEntry struct {
-	Orig  int // address in the original (base) image
+	Orig  int // address in the original program (OrigAddrs)
 	Enc   int // address in this image
 	Ops   int
 	MOPs  int
@@ -148,22 +149,38 @@ type ATT struct {
 	CompressedBytes int // Huffman-compressed size as stored in ROM
 }
 
-// BuildATT constructs the translation table from the original (base)
-// image to the encoded image and measures its ROM footprint: entries are
-// delta/varint serialized and the byte stream Huffman compressed, with
-// the dictionary's storage charged at one (symbol, length) pair per entry.
-func BuildATT(orig, enc *Image) (*ATT, error) {
-	if len(orig.Blocks) != len(enc.Blocks) {
-		return nil, fmt.Errorf("image: block count mismatch %d != %d",
-			len(orig.Blocks), len(enc.Blocks))
+// OrigAddrs returns each block's address in the original program: the
+// base image's layout, where every op is isa.OpBits wide, each block
+// starts on a byte boundary and blocks sit in program order. The ATT's
+// Orig column is this prefix sum, so no base image is needed to build
+// or check it.
+func OrigAddrs(p *sched.Program) []int {
+	addrs := make([]int, len(p.Blocks))
+	addr := 0
+	for i, b := range p.Blocks {
+		addrs[i] = addr
+		addr += (len(b.Ops)*isa.OpBits + 7) / 8
 	}
-	att := &ATT{}
-	for i := range enc.Blocks {
-		ob, eb := orig.Blocks[i], enc.Blocks[i]
-		att.Entries = append(att.Entries, ATTEntry{
-			Orig: ob.Addr, Enc: eb.Addr,
-			Ops: eb.Ops, MOPs: eb.MOPs, Bytes: eb.Bytes,
-		})
+	return addrs
+}
+
+// BuildATT constructs the translation table from the program's original
+// addresses (OrigAddrs) to the encoded image and measures its ROM
+// footprint: entries are delta/varint serialized and the byte stream
+// Huffman compressed, with the dictionary's storage charged at one
+// (symbol, length) pair per entry.
+func BuildATT(p *sched.Program, im *Image) (*ATT, error) {
+	if len(p.Blocks) != len(im.Blocks) {
+		return nil, fmt.Errorf("image: block count mismatch: program has %d, image %d",
+			len(p.Blocks), len(im.Blocks))
+	}
+	orig := OrigAddrs(p)
+	att := &ATT{Entries: make([]ATTEntry, len(im.Blocks))}
+	for i, b := range im.Blocks {
+		att.Entries[i] = ATTEntry{
+			Orig: orig[i], Enc: b.Addr,
+			Ops: b.Ops, MOPs: b.MOPs, Bytes: b.Bytes,
+		}
 	}
 	raw := SerializeATT(att.Entries)
 	att.RawBytes = len(raw)

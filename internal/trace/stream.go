@@ -387,19 +387,3 @@ func BlockCountsStream(s Stream, numBlocks int) ([]int64, error) {
 		}
 	}
 }
-
-// FootprintStream drains a stream and reports how many distinct blocks
-// it touches — the streaming face of Trace.Footprint.
-func FootprintStream(s Stream, numBlocks int) (int, error) {
-	counts, err := BlockCountsStream(s, numBlocks)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, c := range counts {
-		if c > 0 {
-			n++
-		}
-	}
-	return n, nil
-}

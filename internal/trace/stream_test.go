@@ -241,7 +241,6 @@ func TestCorruptChunkErrorOffsets(t *testing.T) {
 			{"refs", func(s Stream) error { return ValidateStreamRefs(s, 5) }},
 			{"chain", func(s Stream) error { return ValidateStream(s, 5) }},
 			{"counts", func(s Stream) error { _, err := BlockCountsStream(s, 5); return err }},
-			{"footprint", func(s Stream) error { _, err := FootprintStream(s, 5); return err }},
 		} {
 			err := check.run(NewSliceStream(tr, cs))
 			if !errors.Is(err, ErrMalformedTrace) {
@@ -286,12 +285,11 @@ func TestTraceValidateWrapsSentinel(t *testing.T) {
 	}
 }
 
-// TestBlockCountsFootprintStream checks the streaming aggregators agree
-// with the slice versions across chunk sizes.
-func TestBlockCountsFootprintStream(t *testing.T) {
+// TestBlockCountsStream checks the streaming block counts agree with
+// the slice version across chunk sizes.
+func TestBlockCountsStream(t *testing.T) {
 	tr := randomTrace(rand.New(rand.NewSource(31)), 200, 8)
 	wantCounts := tr.BlockCounts(8)
-	wantFP := tr.Footprint(8)
 	for _, cs := range []int{1, 9, 200, 201} {
 		counts, err := BlockCountsStream(NewSliceStream(tr, cs), 8)
 		if err != nil {
@@ -299,13 +297,6 @@ func TestBlockCountsFootprintStream(t *testing.T) {
 		}
 		if !reflect.DeepEqual(counts, wantCounts) {
 			t.Fatalf("chunk=%d: counts %v want %v", cs, counts, wantCounts)
-		}
-		fp, err := FootprintStream(NewSliceStream(tr, cs), 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fp != wantFP {
-			t.Fatalf("chunk=%d: footprint %d want %d", cs, fp, wantFP)
 		}
 	}
 }

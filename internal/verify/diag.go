@@ -171,7 +171,8 @@ const (
 	// CheckATTOverlap: translated (encoded) ranges must not overlap.
 	CheckATTOverlap CheckID = "att-overlap"
 	// CheckATTEntry: every entry must agree with the image block it
-	// translates to (address, size, op/MOP counts).
+	// translates to (address, size, op/MOP counts) and carry the block's
+	// original address in the program (image.OrigAddrs).
 	CheckATTEntry CheckID = "att-entry"
 	// CheckATTTarget: every branch target must be translatable (have an
 	// in-range ATT entry).

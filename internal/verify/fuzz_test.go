@@ -21,11 +21,7 @@ func FuzzVerifyImage(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	base, err := image.Build(sp, compress.NewBase())
-	if err != nil {
-		f.Fatal(err)
-	}
-	if im.ATT, err = image.BuildATT(base, im); err != nil {
+	if im.ATT, err = image.BuildATT(sp, im); err != nil {
 		f.Fatal(err)
 	}
 

@@ -28,8 +28,9 @@ type ImageOpts struct {
 // scheduled program: per-block extents within the data, no overlaps or
 // gaps, op/MOP counts matching the schedule, every block decodable back
 // to its scheduled operations, and the ATT sorted, consistent with the
-// image, non-overlapping, round-trippable through its ROM wire format,
-// and covering every branch target.
+// image and the program's original addresses, non-overlapping,
+// round-trippable through its ROM wire format, and covering every
+// branch target.
 func Image(im *image.Image, sp *sched.Program, enc compress.Encoder, opts ImageOpts) *Report {
 	stage := "image:" + im.Scheme
 	rep := &Report{}
@@ -167,11 +168,16 @@ func checkATT(rep *Report, stage string, im *image.Image, sp *sched.Program, opt
 		return
 	}
 
+	orig := image.OrigAddrs(sp)
 	for i, e := range att.Entries {
 		if i > 0 && opts.Order == nil && e.Orig <= att.Entries[i-1].Orig {
 			rep.Errorf(stage, CheckATTSorted, At(i),
 				"original address %d not above predecessor's %d",
 				e.Orig, att.Entries[i-1].Orig)
+		}
+		if e.Orig != orig[i] {
+			rep.Errorf(stage, CheckATTEntry, At(i),
+				"original address %d, program places the block at %d", e.Orig, orig[i])
 		}
 		ib := im.Blocks[i]
 		if e.Enc != ib.Addr || e.Bytes != ib.Bytes || e.Ops != ib.Ops || e.MOPs != ib.MOPs {

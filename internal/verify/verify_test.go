@@ -328,11 +328,7 @@ func buildImage(t *testing.T) (*sched.Program, *compress.FullHuffman, *image.Ima
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := image.Build(sp, compress.NewBase())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if im.ATT, err = image.BuildATT(base, im); err != nil {
+	if im.ATT, err = image.BuildATT(sp, im); err != nil {
 		t.Fatal(err)
 	}
 	return sp, enc, im
@@ -371,6 +367,9 @@ func TestImageCatchesBrokenFixtures(t *testing.T) {
 		}, CheckATTSorted},
 		{"att-entry-drift", func(im *image.Image) {
 			im.ATT.Entries[1].Bytes += 3
+		}, CheckATTEntry},
+		{"att-orig-drift", func(im *image.Image) {
+			im.ATT.Entries[len(im.ATT.Entries)-1].Orig++ // still ascending
 		}, CheckATTEntry},
 		{"att-enc-overlap", func(im *image.Image) {
 			im.ATT.Entries[1].Enc = im.ATT.Entries[0].Enc
