@@ -183,12 +183,9 @@ func TestBatchDecodeRunTruncated(t *testing.T) {
 			if err.Error() != wantErr.Error() {
 				t.Fatalf("terminal error:\nbatch:      %v\nsequential: %v", err, wantErr)
 			}
-			// The batch face always includes the failing block's partial
-			// symbols; the legacy per-scheme faces disagree among
-			// themselves there (stream reports partials, full/byte report
-			// zero), so only a lower bound is comparable across schemes.
-			if syms < wantSyms {
-				t.Fatalf("terminal symbol count %d below sequential %d", syms, wantSyms)
+			// Both faces count the failing block's partial symbols.
+			if syms != wantSyms {
+				t.Fatalf("terminal symbol count %d, sequential %d", syms, wantSyms)
 			}
 		})
 	}

@@ -84,10 +84,12 @@ func (*Base) DecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error) {
 func (*Base) Tables() []*huffman.Table { return nil }
 
 // ReferenceDecoder is implemented by the Huffman schemes, which decode
-// their hit path through the table-driven fast decoder but keep the
+// their hit path through the lane kernel (decodeBlock) but keep the
 // canonical bit-by-bit decoder as an oracle: ReferenceDecodeBlock is
-// DecodeBlock on the oracle, and the differential harness requires the
-// two to produce bit-identical symbol sequences on every image.
+// DecodeBlock on the oracle, and the two must return the same
+// operations, the same error and the same reader offset on every block
+// — on every image (the differential harness) and on corrupt blocks
+// (FuzzBlockDecodeEquivalence).
 type ReferenceDecoder interface {
 	ReferenceDecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error)
 }
@@ -148,18 +150,9 @@ func (e *ByteHuffman) EncodeBlock(w *bitio.Writer, ops []isa.Op) error {
 	return nil
 }
 
-// DecodeBlock implements Encoder.
+// DecodeBlock implements Encoder through decodeBlock.
 func (e *ByteHuffman) DecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error) {
-	nbytes := (n*isa.OpBits + 7) / 8
-	syms := make([]uint64, nbytes)
-	if err := e.fast.DecodeRun(r, syms); err != nil {
-		return nil, err
-	}
-	data := make([]byte, nbytes)
-	for i, v := range syms {
-		data[i] = byte(v)
-	}
-	return isa.UnpackOps(data, n)
+	return decodeBlock(e, r, n)
 }
 
 // ReferenceDecodeBlock implements ReferenceDecoder on the bit-by-bit
@@ -325,80 +318,9 @@ func (e *StreamHuffman) EncodeBlock(w *bitio.Writer, ops []isa.Op) error {
 	return nil
 }
 
-// DecodeBlock implements Encoder. A stream-encoded block is segment
-// codewords interleaved in one bit stream, so it decodes on a
-// single-lane kernel whose schedule cycles the segment tables, chunked
-// through stack scratch, then the reader is resynced to the cursor.
-// Success-path reader positions and Huffman-error terminals are
-// bit-identical to the per-symbol path (the kernel shares FastDecoder's
-// terminals); only a malformed-operand word replays its chunk
-// per-symbol to reproduce the exact legacy reader position.
+// DecodeBlock implements Encoder through decodeBlock.
 func (e *StreamHuffman) DecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error) {
-	segs := e.segs
-	nsegs := len(segs)
-	ops := make([]isa.Op, 0, n)
-	var lane [1]huffman.Lane
-	var buf [batchScratchSyms]uint64
-	chunkOps := batchScratchSyms / nsegs
-	if err := lane[0].Init(r.Source(), r.Offset(), buf[:0]); err != nil {
-		return nil, err
-	}
-	for done := 0; done < n; {
-		k := n - done
-		if k > chunkOps {
-			k = chunkOps
-		}
-		chunkStart := lane[0].Offset()
-		lane[0].Rearm(buf[:k*nsegs])
-		e.lane.Run(lane[:1])
-		if err := lane[0].Err(); err != nil {
-			if serr := r.SeekBit(lane[0].Offset()); serr != nil {
-				return nil, serr
-			}
-			return nil, err
-		}
-		for i := 0; i < k; i++ {
-			var word uint64
-			for si := 0; si < nsegs; si++ {
-				word = word<<uint(segs[si][1]-segs[si][0]) | buf[i*nsegs+si]
-			}
-			op, err := isa.Decode(word)
-			if err != nil {
-				return nil, e.replayChunk(r, chunkStart, i)
-			}
-			ops = append(ops, op)
-		}
-		done += k
-	}
-	if err := r.SeekBit(lane[0].Offset()); err != nil {
-		return nil, err
-	}
-	return ops, nil
-}
-
-// replayChunk reproduces the legacy per-symbol decode of a chunk up to
-// and including the operation whose assembled word failed isa.Decode,
-// so the malformed-operand error path leaves the reader exactly where
-// the pre-kernel implementation did.
-func (e *StreamHuffman) replayChunk(r *bitio.Reader, chunkStart, opIdx int) error {
-	if err := r.SeekBit(chunkStart); err != nil {
-		return err
-	}
-	for i := 0; i <= opIdx; i++ {
-		var word uint64
-		for si, seg := range e.segs {
-			v, err := e.fasts[si].Decode(r)
-			if err != nil {
-				return err
-			}
-			word = word<<uint(seg[1]-seg[0]) | v
-		}
-		if _, err := isa.Decode(word); err != nil {
-			return err
-		}
-	}
-	// Unreachable: the caller saw isa.Decode fail at opIdx.
-	return nil
+	return decodeBlock(e, r, n)
 }
 
 // ReferenceDecodeBlock implements ReferenceDecoder on the bit-by-bit
@@ -473,21 +395,9 @@ func (e *FullHuffman) EncodeBlock(w *bitio.Writer, ops []isa.Op) error {
 	return nil
 }
 
-// DecodeBlock implements Encoder.
+// DecodeBlock implements Encoder through decodeBlock.
 func (e *FullHuffman) DecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error) {
-	words := make([]uint64, n)
-	if err := e.fast.DecodeRun(r, words); err != nil {
-		return nil, err
-	}
-	ops := make([]isa.Op, 0, n)
-	for _, w := range words {
-		op, err := isa.Decode(w)
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, op)
-	}
-	return ops, nil
+	return decodeBlock(e, r, n)
 }
 
 // ReferenceDecodeBlock implements ReferenceDecoder on the bit-by-bit

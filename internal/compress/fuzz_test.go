@@ -1,6 +1,8 @@
 package compress_test
 
 import (
+	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -126,5 +128,101 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, encs := loadPool(t)
 		checkRoundTrip(t, encs, blockFromBytes(ops, data))
+	})
+}
+
+// blockDecodeSchemes are the Huffman schemes whose DecodeBlock must
+// match ReferenceDecodeBlock: byte, every stream configuration and full.
+func blockDecodeSchemes() []string {
+	names := []string{"byte"}
+	for _, cfg := range compress.StreamConfigs {
+		names = append(names, cfg.Name)
+	}
+	return append(names, "full")
+}
+
+// corruptBlock is one block of a scheme's image with flips bits
+// inverted at positions drawn from a seed fixed by block and flip
+// count.
+func corruptBlock(data []byte, blk, flips int) []byte {
+	out := append([]byte(nil), data...)
+	if len(out) == 0 {
+		return out
+	}
+	rng := rand.New(rand.NewSource(int64(blk*4 + flips)))
+	for i := 0; i < flips; i++ {
+		bit := rng.Intn(len(out) * 8)
+		out[bit/8] ^= 0x80 >> uint(bit%8)
+	}
+	return out
+}
+
+// FuzzBlockDecodeEquivalence decodes arbitrary bytes as an n-op block
+// under every Huffman scheme of one compiled benchmark, through
+// DecodeBlock and through the bit-by-bit ReferenceDecodeBlock. The two
+// must agree on the operations, the error text and the reader offset.
+// The seeds are the benchmark's own blocks with 1 to 3 bits flipped:
+// for each scheme image, the first few whose oracle decode ends
+// cleanly, on a codeword error, and on an invalid operation — the case
+// where the oracle stops before the block's last codeword.
+func FuzzBlockDecodeEquivalence(f *testing.F) {
+	c, err := core.CompileBenchmark("compress")
+	if err != nil {
+		f.Fatal(err)
+	}
+	names := blockDecodeSchemes()
+	encs := make([]compress.Encoder, len(names))
+	for i, name := range names {
+		if encs[i], err = c.Encoder(name); err != nil {
+			f.Fatal(err)
+		}
+	}
+	const perOutcome = 4
+	for i, name := range names {
+		im, err := c.Image(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		ref := encs[i].(compress.ReferenceDecoder)
+		var clean, codeword, operation int
+		for bi, b := range im.Blocks {
+			for flips := 1; flips <= 3; flips++ {
+				data := corruptBlock(im.Data[b.Addr:b.Addr+b.Bytes], bi, flips)
+				_, rerr := ref.ReferenceDecodeBlock(bitio.NewReader(data), b.Ops)
+				count := &clean
+				if errors.Is(rerr, isa.ErrBadOp) {
+					count = &operation
+				} else if rerr != nil {
+					count = &codeword
+				}
+				if *count < perOutcome {
+					*count++
+					f.Add(data, uint16(b.Ops))
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, nops uint16) {
+		n := int(nops) % 1024
+		for i, enc := range encs {
+			fr, rr := bitio.NewReader(data), bitio.NewReader(data)
+			fops, ferr := enc.DecodeBlock(fr, n)
+			rops, rerr := encs[i].(compress.ReferenceDecoder).ReferenceDecodeBlock(rr, n)
+			if (ferr == nil) != (rerr == nil) || (ferr != nil && ferr.Error() != rerr.Error()) {
+				t.Fatalf("%s: DecodeBlock error %v, reference %v", names[i], ferr, rerr)
+			}
+			if fr.Offset() != rr.Offset() {
+				t.Fatalf("%s: DecodeBlock stopped at bit %d, reference %d (error %v)",
+					names[i], fr.Offset(), rr.Offset(), ferr)
+			}
+			if len(fops) != len(rops) {
+				t.Fatalf("%s: DecodeBlock %d ops, reference %d", names[i], len(fops), len(rops))
+			}
+			for j := range fops {
+				if fops[j] != rops[j] {
+					t.Fatalf("%s: op %d = %s, reference %s", names[i], j, fops[j].String(), rops[j].String())
+				}
+			}
+		}
 	})
 }

@@ -3,7 +3,6 @@ package compress
 import (
 	"repro/internal/bitio"
 	"repro/internal/huffman"
-	"repro/internal/isa"
 )
 
 // SymbolDecoder exposes the Huffman symbol stream beneath a scheme's
@@ -27,101 +26,73 @@ import (
 // timed region would understate the decoder and overstate the swap.
 //
 // The three faces measured per scheme are deliberately distinct tiers:
-// reference (bit-by-bit oracle), fast (per-symbol/per-block decode
-// through a Reader — for the stream schemes this stays the
-// symbol-at-a-time path, the pre-kernel baseline the lane gain is
-// quoted against), and batch (BatchDecoder.DecodeRun, the lane-parallel
-// kernel over whole-image block batches).
+// reference (bit-by-bit oracle), fast (FastDecoder.Decode one symbol at
+// a time through a Reader, the baseline the lane gain is quoted
+// against), and batch (BatchDecoder.DecodeRun, the lane-parallel kernel
+// over whole-image block batches).
 type SymbolDecoder interface {
 	DecodeBlockSymbols(r *bitio.Reader, n int) (int, error)
 	ReferenceDecodeBlockSymbols(r *bitio.Reader, n int) (int, error)
 }
 
-// decodeRunDiscard batch-decodes n symbols into a chunked stack scratch
-// buffer, so the measurement faces pay no per-block allocation.
-func decodeRunDiscard(d *huffman.FastDecoder, r *bitio.Reader, n int) error {
-	var buf [256]uint64
-	for n > 0 {
-		k := n
-		if k > len(buf) {
-			k = len(buf)
+// fastSymbols is the fast tier of every Huffman scheme: nsyms symbols
+// decoded one at a time through FastDecoder.Decode, cycling the
+// per-symbol table schedule sched (one table for byte and full, the
+// segment tables for the stream schemes). It returns the symbols
+// decoded before any error.
+func fastSymbols(r *bitio.Reader, nsyms int, sched ...*huffman.FastDecoder) (int, error) {
+	t := 0
+	for i := 0; i < nsyms; i++ {
+		if _, err := sched[t].Decode(r); err != nil {
+			return i, err
 		}
-		if err := d.DecodeRun(r, buf[:k]); err != nil {
-			return err
+		if t++; t == len(sched) {
+			t = 0
 		}
-		n -= k
 	}
-	return nil
+	return nsyms, nil
+}
+
+// referenceSymbols is fastSymbols on the bit-by-bit oracle decoders.
+func referenceSymbols(r *bitio.Reader, nsyms int, sched ...*huffman.Decoder) (int, error) {
+	t := 0
+	for i := 0; i < nsyms; i++ {
+		if _, err := sched[t].Decode(r); err != nil {
+			return i, err
+		}
+		if t++; t == len(sched) {
+			t = 0
+		}
+	}
+	return nsyms, nil
 }
 
 // DecodeBlockSymbols implements SymbolDecoder.
 func (e *ByteHuffman) DecodeBlockSymbols(r *bitio.Reader, n int) (int, error) {
-	nbytes := (n*isa.OpBits + 7) / 8
-	if err := decodeRunDiscard(e.fast, r, nbytes); err != nil {
-		return 0, err
-	}
-	return nbytes, nil
+	return fastSymbols(r, e.BatchSymbols(n), e.fast)
 }
 
 // ReferenceDecodeBlockSymbols implements SymbolDecoder.
 func (e *ByteHuffman) ReferenceDecodeBlockSymbols(r *bitio.Reader, n int) (int, error) {
-	nbytes := (n*isa.OpBits + 7) / 8
-	for i := 0; i < nbytes; i++ {
-		if _, err := e.dec.Decode(r); err != nil {
-			return i, err
-		}
-	}
-	return nbytes, nil
+	return referenceSymbols(r, e.BatchSymbols(n), e.dec)
 }
 
-// DecodeBlockSymbols implements SymbolDecoder. The stream scheme's
-// symbols alternate between the per-segment tables, so both faces decode
-// symbol-at-a-time. This face intentionally stays the per-symbol
-// baseline — the batched path is DecodeRun, and BENCH_decode.json's
-// lane_gain for the stream schemes is exactly DecodeRun over this.
+// DecodeBlockSymbols implements SymbolDecoder.
 func (e *StreamHuffman) DecodeBlockSymbols(r *bitio.Reader, n int) (int, error) {
-	nsegs := len(e.fasts)
-	count := 0
-	for i := 0; i < n; i++ {
-		for si := 0; si < nsegs; si++ {
-			if _, err := e.fasts[si].Decode(r); err != nil {
-				return count, err
-			}
-			count++
-		}
-	}
-	return count, nil
+	return fastSymbols(r, e.BatchSymbols(n), e.fasts...)
 }
 
 // ReferenceDecodeBlockSymbols implements SymbolDecoder.
 func (e *StreamHuffman) ReferenceDecodeBlockSymbols(r *bitio.Reader, n int) (int, error) {
-	nsegs := len(e.decs)
-	count := 0
-	for i := 0; i < n; i++ {
-		for si := 0; si < nsegs; si++ {
-			if _, err := e.decs[si].Decode(r); err != nil {
-				return count, err
-			}
-			count++
-		}
-	}
-	return count, nil
+	return referenceSymbols(r, e.BatchSymbols(n), e.decs...)
 }
 
 // DecodeBlockSymbols implements SymbolDecoder.
 func (e *FullHuffman) DecodeBlockSymbols(r *bitio.Reader, n int) (int, error) {
-	if err := decodeRunDiscard(e.fast, r, n); err != nil {
-		return 0, err
-	}
-	return n, nil
+	return fastSymbols(r, e.BatchSymbols(n), e.fast)
 }
 
 // ReferenceDecodeBlockSymbols implements SymbolDecoder.
 func (e *FullHuffman) ReferenceDecodeBlockSymbols(r *bitio.Reader, n int) (int, error) {
-	for i := 0; i < n; i++ {
-		if _, err := e.dec.Decode(r); err != nil {
-			return i, err
-		}
-	}
-	return n, nil
+	return referenceSymbols(r, e.BatchSymbols(n), e.dec)
 }

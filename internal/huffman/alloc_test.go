@@ -8,10 +8,10 @@ import (
 )
 
 // TestDecodeZeroAlloc is the dynamic half of the //tepic:hotpath
-// contract on FastDecoder.Decode and DecodeRun: the static hotalloc
-// analyzer proves the bodies contain no allocating construct, and this
-// test pins the compiler's side of the bargain — zero allocations per
-// decoded batch on a real table. A regression here with a clean
+// contract on FastDecoder.Decode: the static hotalloc analyzer proves
+// the body contains no allocating construct, and this test pins the
+// compiler's side of the bargain — zero allocations per decoded symbol
+// run on a real table. A regression here with a clean
 // tepicvet run means an escape or a callee changed, not the annotated
 // body.
 func TestDecodeZeroAlloc(t *testing.T) {
@@ -41,27 +41,16 @@ func TestDecodeZeroAlloc(t *testing.T) {
 	r := bitio.NewReader(w.Bytes())
 	dec := tab.NewFastDecoder()
 	out := make([]uint64, count)
-
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := r.SeekBit(0); err != nil {
 			t.Fatal(err)
 		}
-		if err := dec.DecodeRun(r, out); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("DecodeRun: %.1f allocs per batch, want 0", allocs)
-	}
-
-	allocs = testing.AllocsPerRun(100, func() {
-		if err := r.SeekBit(0); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < count; i++ {
-			if _, err := dec.Decode(r); err != nil {
+		for i := range out {
+			sym, err := dec.Decode(r)
+			if err != nil {
 				t.Fatal(err)
 			}
+			out[i] = sym
 		}
 	})
 	if allocs != 0 {

@@ -83,24 +83,6 @@ func BenchmarkDecodeFast(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeRun(b *testing.B) {
-	for _, a := range benchAlphabets {
-		b.Run(a.name, func(b *testing.B) {
-			tab, data := buildBenchStream(b, a, benchOps)
-			dec := tab.NewFastDecoder()
-			out := make([]uint64, benchOps)
-			b.SetBytes(int64(len(data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r := bitio.NewReader(data)
-				if err := dec.DecodeRun(r, out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkDecodeReference(b *testing.B) {
 	for _, a := range benchAlphabets {
 		b.Run(a.name, func(b *testing.B) {

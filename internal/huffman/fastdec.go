@@ -1,7 +1,6 @@
 package huffman
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -106,7 +105,9 @@ func (t *Table) NewFastDecoder() *FastDecoder {
 }
 
 // Decode reads one symbol from the bit stream. See Decoder.Decode for
-// the exact (shared) error contract.
+// the exact (shared) error contract. It is the per-symbol fast tier of
+// the decode-throughput measurement, and its terminals (fail) are the
+// ones the lane kernel shares.
 //
 //tepic:hotpath
 func (d *FastDecoder) Decode(r *bitio.Reader) (uint64, error) {
@@ -123,87 +124,6 @@ func (d *FastDecoder) Decode(r *bitio.Reader) (uint64, error) {
 		return d.syms[e>>6], nil
 	}
 	return 0, d.fail(r)
-}
-
-// DecodeRun decodes len(out) consecutive symbols into out — the batch
-// face of the fast decoder and the form the compression schemes' block
-// decoders call. The hot loop runs a register-resident bit cursor
-// directly over the reader's backing bytes (refilling the accumulator a
-// word at a time, Giesen's branchless variant) and resyncs the reader
-// with SeekBit when it exits, so interleaving DecodeRun with any other
-// reader operation stays coherent. The stream tail — and every error —
-// is delegated to the per-symbol Decode, which shares its terminals with
-// the reference decoder, keeping batch error behaviour (consumed bits,
-// text, wrapped io.ErrUnexpectedEOF) bit-identical to both.
-//
-//tepic:hotpath
-func (d *FastDecoder) DecodeRun(r *bitio.Reader, out []uint64) error {
-	// The in-register loop guarantees 56 buffered bits per iteration;
-	// wider codes (possible only near MaxCodeLen) take the safe path.
-	if d.maxLen > 56 {
-		return d.decodeRunSlow(r, out)
-	}
-	data := r.Source()
-	pos := r.Offset() // absolute bit offset of the next unconsumed bit
-	i := 0
-
-	var buf uint64 // next bits at the top, low 64-nbit bits zero
-	nbit := 0
-	bytePos := pos >> 3
-	if rem := pos & 7; rem != 0 {
-		buf = uint64(data[bytePos]) << uint(56+rem)
-		nbit = 8 - int(rem)
-		bytePos++
-	}
-	rootMask := uint64(len(d.root) - 1)
-	for i < len(out) {
-		if nbit < 56 {
-			if bytePos+8 > len(data) {
-				break // tail: finish through the reader
-			}
-			buf |= binary.BigEndian.Uint64(data[bytePos:]) >> uint(nbit)
-			bytePos += (63 - nbit) >> 3
-			nbit |= 56
-		}
-		e := d.root[buf>>uint(64-d.rootBits)&rootMask]
-		if e&fastSubFlag != 0 {
-			bits := int(e & fastLenMask)
-			w := buf >> uint(64-d.rootBits-bits)
-			e = d.sub[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(bits)-1))]
-		}
-		l := int(e & fastLenMask)
-		if l == 0 || l > nbit {
-			break // invalid codeword: let Decode produce the terminal
-		}
-		buf <<= uint(l)
-		nbit -= l
-		pos += l
-		out[i] = d.syms[e>>6]
-		i++
-	}
-	if err := r.SeekBit(pos); err != nil {
-		return err
-	}
-	for ; i < len(out); i++ {
-		sym, err := d.Decode(r)
-		if err != nil {
-			return err
-		}
-		out[i] = sym
-	}
-	return nil
-}
-
-// decodeRunSlow is DecodeRun for codes too wide for the 56-bit window.
-func (d *FastDecoder) decodeRunSlow(r *bitio.Reader, out []uint64) error {
-	for i := range out {
-		sym, err := d.Decode(r)
-		if err != nil {
-			return err
-		}
-		out[i] = sym
-	}
-	return nil
 }
 
 // fail mirrors the reference decoder's two error terminals, consuming

@@ -234,90 +234,6 @@ func TestFastDecoderInvalidCodeword(t *testing.T) {
 	}
 }
 
-// DecodeRun must match per-symbol decoding in symbols, final reader
-// position, and terminal errors — across chunk sizes, unaligned block
-// starts, truncated tails, and the wide-code fallback.
-func TestDecodeRunMatchesDecode(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	for trial := 0; trial < 40; trial++ {
-		freq := randFreq(rng, 2+rng.Intn(300), trial%2 == 0)
-		tab, err := Build(freq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := encodeStream(t, tab, freq)
-		fast := tab.NewFastDecoder()
-		ref := tab.NewDecoder()
-		want, _, _ := func() ([]uint64, int, error) {
-			r := bitio.NewReader(data)
-			var syms []uint64
-			for {
-				s, err := ref.Decode(r)
-				if err != nil {
-					return syms, r.Offset(), err
-				}
-				syms = append(syms, s)
-			}
-		}()
-		// Whole-stream run.
-		r := bitio.NewReader(data)
-		got := make([]uint64, len(want))
-		if err := fast.DecodeRun(r, got); err != nil {
-			t.Fatalf("DecodeRun: %v", err)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("DecodeRun symbol %d = %d, want %d", i, got[i], want[i])
-			}
-		}
-		// Chunked runs with interleaved per-symbol decodes must resync.
-		r = bitio.NewReader(data)
-		oracle := bitio.NewReader(data)
-		idx := 0
-		for idx < len(want) {
-			n := rng.Intn(7)
-			if idx+n > len(want) {
-				n = len(want) - idx
-			}
-			chunk := make([]uint64, n)
-			if err := fast.DecodeRun(r, chunk); err != nil {
-				t.Fatalf("chunk at %d: %v", idx, err)
-			}
-			for j, s := range chunk {
-				if rs, _ := ref.Decode(oracle); s != rs {
-					t.Fatalf("chunk symbol %d = %d, want %d", idx+j, s, rs)
-				}
-			}
-			idx += n
-			if r.Offset() != oracle.Offset() {
-				t.Fatalf("after chunk at %d: offset %d, oracle %d", idx, r.Offset(), oracle.Offset())
-			}
-			if idx < len(want) && rng.Intn(3) == 0 {
-				s, err := fast.Decode(r)
-				if err != nil || s != want[idx] {
-					t.Fatalf("interleaved Decode at %d = (%d, %v), want %d", idx, s, err, want[idx])
-				}
-				ref.Decode(oracle)
-				idx++
-			}
-		}
-		// Asking for one symbol past the stream must reproduce the
-		// reference terminal error at the same offset.
-		rerrR := bitio.NewReader(data)
-		for range want {
-			ref.Decode(rerrR)
-		}
-		_, rerr := ref.Decode(rerrR)
-		berr := fast.DecodeRun(r, make([]uint64, 1))
-		if berr == nil || rerr == nil || berr.Error() != rerr.Error() {
-			t.Fatalf("DecodeRun terminal = %v, reference %v", berr, rerr)
-		}
-		if r.Offset() != rerrR.Offset() {
-			t.Fatalf("DecodeRun terminal offset %d, reference %d", r.Offset(), rerrR.Offset())
-		}
-	}
-}
-
 // The fast decoder must leave the reader positioned exactly like the
 // reference decoder after every symbol, so interleaving the two on one
 // stream also works.

@@ -67,29 +67,6 @@ func FuzzFastDecodeEquivalence(f *testing.F) {
 				t.Fatalf("step %d: fast symbol %d, reference %d", step, fsym, rsym)
 			}
 		}
-
-		// Batch face: DecodeRun over the same stream must produce the
-		// reference's symbol prefix, final offset, and terminal error.
-		refSyms, refOff, refErr := referenceDecodeAll(ref, stream)
-		br := bitio.NewReader(stream)
-		got := make([]uint64, len(refSyms))
-		if err := fast.DecodeRun(br, got); err != nil {
-			t.Fatalf("DecodeRun over %d decodable symbols: %v", len(refSyms), err)
-		}
-		for i := range got {
-			if got[i] != refSyms[i] {
-				t.Fatalf("DecodeRun symbol %d = %d, reference %d", i, got[i], refSyms[i])
-			}
-		}
-		if refErr != nil {
-			berr := fast.DecodeRun(br, make([]uint64, 1))
-			if berr == nil || berr.Error() != refErr.Error() {
-				t.Fatalf("DecodeRun terminal = %v, reference %v", berr, refErr)
-			}
-			if br.Offset() != refOff {
-				t.Fatalf("DecodeRun terminal offset %d, reference %d", br.Offset(), refOff)
-			}
-		}
 	})
 }
 

@@ -98,8 +98,8 @@ func (k *LaneDecoder) TableEntries() int {
 
 // Lane is one stream's decode state: an independent bit cursor, an
 // output slot, and the lane's phase in the table schedule. A Lane is
-// plain value state — callers keep a [MaxLanes]Lane array alive across
-// chunks and Rearm it, so steady-state decoding allocates nothing.
+// plain value state — callers keep a [MaxLanes]Lane array alive and
+// Init it per stream, so steady-state decoding allocates nothing.
 //
 // A lane with a nil output slot and a nonzero want discards: it decodes
 // want symbols, folding them into an xor sink instead of storing them.
@@ -125,12 +125,6 @@ func (l *Lane) Init(data []byte, bit int, out []uint64) error {
 	l.out, l.n, l.want, l.ti, l.err = out, 0, len(out), 0, nil
 	return l.cur.Init(data, bit)
 }
-
-// Rearm keeps the lane's cursor position, schedule phase, and error
-// state but gives it a fresh output slot — the chunked-decode
-// continuation: one block decoded 256 symbols at a time stays one
-// uninterrupted stream.
-func (l *Lane) Rearm(out []uint64) { l.out, l.n, l.want = out, 0, len(out) }
 
 // Decoded returns how many symbols the lane has produced into its
 // current output slot.
@@ -160,13 +154,14 @@ func badLanes(n int) {
 // The loop rotates over the active lanes decoding one symbol each, so
 // consecutive iterations touch independent cursors: lane 1's root-table
 // load issues while lane 0's refill is still in flight. Finished lanes
-// are swap-removed from the rotation, degrading gracefully to the
-// single-lane (FastDecoder.DecodeRun-shaped) loop for a lone tail.
+// are swap-removed from the rotation, degrading gracefully to a
+// single-lane loop for a lone tail.
 //
-// Run is not specialized further because nothing hot reaches it: its
-// production callers are decodeBlocksSlow (corrupt images, wide tables,
-// ErrShortOutput) and the stream scheme's one-lane per-block decode;
-// intact batches decode in decodeBlocksFast.
+// Its production callers are decodeBlocksSlow (corrupt images, wide
+// tables, ErrShortOutput) and the Huffman schemes' block decoder
+// (compress's DecodeBlock, one lane over a whole block, which
+// /v1/decode runs on every block); intact batches decode in
+// decodeBlocksFast.
 //
 //tepic:hotpath
 func (k *LaneDecoder) Run(lanes []Lane) {

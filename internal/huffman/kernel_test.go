@@ -187,41 +187,6 @@ func TestLaneDecodeUnalignedStarts(t *testing.T) {
 	}
 }
 
-// TestLaneRearmChunked: decoding one stream 7 symbols at a time through
-// Rearm must equal the one-shot decode — cursor position and schedule
-// phase carry across chunks.
-func TestLaneRearmChunked(t *testing.T) {
-	rng := rand.New(rand.NewSource(93))
-	fx := buildLaneFixture(t, rng, 3, 1, 500)
-	var lanes [1]Lane
-	chunk := make([]uint64, 7)
-	if err := lanes[0].Init(fx.data[0], 0, chunk[:0]); err != nil {
-		t.Fatal(err)
-	}
-	var got []uint64
-	for len(got) < 500 {
-		n := 7
-		if len(got)+n > 500 {
-			n = 500 - len(got)
-		}
-		lanes[0].Rearm(chunk[:n])
-		fx.kern.Run(lanes[:])
-		if lanes[0].Err() != nil {
-			t.Fatalf("chunk at %d: %v", len(got), lanes[0].Err())
-		}
-		got = append(got, chunk[:n]...)
-	}
-	for i := range got {
-		if got[i] != fx.syms[0][i] {
-			t.Fatalf("chunked symbol %d = %d, want %d", i, got[i], fx.syms[0][i])
-		}
-	}
-	_, woff, _ := laneOracle(fx.kern, fx.data[0], 0, 500)
-	if lanes[0].Offset() != woff {
-		t.Fatalf("chunked terminal offset %d, oracle %d", lanes[0].Offset(), woff)
-	}
-}
-
 // TestLaneWideSchedule covers the per-lane fallback for codes wider
 // than the in-register window. A real >56-bit FastDecoder is
 // unbuildable in memory (its overflow sub-table would span 2^47
@@ -246,7 +211,7 @@ func TestLaneWideSchedule(t *testing.T) {
 
 // TestLaneRunZeroAlloc is the dynamic half of the //tepic:hotpath
 // contract on LaneDecoder.Run: zero allocations per four-lane batch in
-// steady state (lanes held by the caller, Rearm between batches). The
+// steady state (lanes held by the caller, Init between batches). The
 // companion canary below proves this harness would catch a break.
 func TestLaneRunZeroAlloc(t *testing.T) {
 	if raceEnabled {

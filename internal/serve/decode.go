@@ -8,39 +8,29 @@ import (
 
 	"repro/internal/bitio"
 	"repro/internal/compress"
-	"repro/internal/core"
 	"repro/internal/image"
 	"repro/internal/isa"
 )
 
 // DecodeSummary is the digest of one full image decode: operation
-// count, Huffman symbols consumed by the batch scan (0 for schemes
-// without a symbol stream), and the content hash over every decoded
-// operation word in image placement order. Two decode paths are
-// bit-identical exactly when their OpsHash values match.
+// count, Huffman symbols the decode consumed (0 for schemes without a
+// symbol stream), and the content hash over every decoded operation
+// word in image placement order. Two decode paths are bit-identical
+// exactly when their OpsHash values match.
 type DecodeSummary struct {
 	Ops     int
 	Symbols int64
 	OpsHash string
 }
 
-// DecodeImage decodes every block of the image through the encoder and
-// digests the result. A non-nil plan first scans the whole image's
-// symbol streams through the lane kernel's batch face — the same
-// entropy-decode shape a hardware-model fetch would take, with decode
-// tables and block geometry prebuilt in the artifact store — before the
-// operations are materialized for hashing. The plan is nil exactly for
-// schemes without a Huffman symbol stream (base, tailored), which
-// report zero symbols.
-func DecodeImage(im *image.Image, enc compress.Encoder, plan *core.DecodePlan) (DecodeSummary, error) {
+// DecodeImage decodes every block of the image once through the
+// encoder's DecodeBlock — for the Huffman schemes, their lane kernel —
+// and digests the result. Symbols is the sum of the blocks'
+// BatchSymbols counts for schemes with a Huffman symbol stream and 0
+// for the others (base, tailored).
+func DecodeImage(im *image.Image, enc compress.Encoder) (DecodeSummary, error) {
 	var sum DecodeSummary
-	if plan != nil {
-		syms, _, err := plan.DecodeSymbols(im.Data)
-		if err != nil {
-			return sum, fmt.Errorf("batch symbol scan %s/%s: %w", im.Name, im.Scheme, err)
-		}
-		sum.Symbols = syms
-	}
+	bd, hasSymbols := enc.(compress.BatchDecoder)
 	r := bitio.NewReader(im.Data)
 	h := sha256.New()
 	var buf [8]byte
@@ -59,6 +49,9 @@ func DecodeImage(im *image.Image, enc compress.Encoder, plan *core.DecodePlan) (
 			h.Write(buf[:]) //tepic:ignore-err hash.Hash.Write never fails
 		}
 		sum.Ops += len(ops)
+		if hasSymbols {
+			sum.Symbols += int64(bd.BatchSymbols(len(ops)))
+		}
 	}
 	sum.OpsHash = hex.EncodeToString(h.Sum(nil))
 	return sum, nil

@@ -343,9 +343,9 @@ func (r *DecodeRequest) validate() error {
 	return checkScheme(r.Scheme)
 }
 
-// DecodeResponse carries the decode digest: the operation count and the
-// content hash of every decoded operation word in image placement
-// order. Two decoders agree bit-for-bit exactly when their OpsHash
+// DecodeResponse carries the decode digest: the operation count, the
+// Huffman symbols the decode consumed, and the content hash of every
+// decoded operation word in image placement order. Two decoders agree bit-for-bit exactly when their OpsHash
 // values match — this is what the service round-trip tests and the
 // tepicbench -serve -check audit compare against the direct driver
 // path.
@@ -375,14 +375,7 @@ func (s *Server) handleDecode(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("encode %s/%s: %w", req.Benchmark, req.Scheme, err)
 	}
-	// The symbol scan rides the batch kernel: the plan (decode tables +
-	// block geometry) is memoized in the artifact store, so repeated
-	// decode requests for one image rebuild nothing.
-	plan, err := c.DecodePlan(req.Scheme)
-	if err != nil {
-		return nil, fmt.Errorf("decode plan %s/%s: %w", req.Benchmark, req.Scheme, err)
-	}
-	sum, err := DecodeImage(im, enc, plan)
+	sum, err := DecodeImage(im, enc)
 	if err != nil {
 		return nil, fmt.Errorf("decode %s/%s: %w", req.Benchmark, req.Scheme, err)
 	}

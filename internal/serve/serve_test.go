@@ -146,7 +146,8 @@ func TestCompileEndpoint(t *testing.T) {
 // one benchmark through /v1/encode and /v1/decode and requires the
 // daemon's decode digest to equal the ground truth derived from the
 // scheduled program — request → artifact → decode, bit-identical to
-// the direct core path.
+// the direct core path — and its symbol count to equal the decode
+// plan's.
 func TestEncodeDecodeGoldenRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	c, err := core.CompileBenchmark("compress")
@@ -181,6 +182,19 @@ func TestEncodeDecodeGoldenRoundTrip(t *testing.T) {
 		}
 		if want := groundTruthHash(t, c, im); dec.OpsHash != want {
 			t.Errorf("%s: daemon decode hash %s != ground truth %s", sc, dec.OpsHash, want)
+		}
+		// Symbols is the plan's symbol total for the Huffman schemes and
+		// 0 for the schemes without a plan (base, tailored).
+		plan, err := c.DecodePlan(sc)
+		if err != nil {
+			t.Fatalf("decode plan %s: %v", sc, err)
+		}
+		wantSyms := int64(0)
+		if plan != nil {
+			wantSyms = int64(plan.Syms)
+		}
+		if dec.Symbols != wantSyms {
+			t.Errorf("%s: decoded %d symbols, want %d", sc, dec.Symbols, wantSyms)
 		}
 	}
 }

@@ -166,7 +166,8 @@ const (
 	// CheckATTCount: the ATT must hold one entry per block.
 	CheckATTCount CheckID = "att-count"
 	// CheckATTSorted: under natural layout, original addresses must be
-	// strictly increasing (the ATB's lookup order).
+	// strictly increasing (the ATB's lookup order), except after a block
+	// with no ops, which its successor shares an address with.
 	CheckATTSorted CheckID = "att-sorted"
 	// CheckATTOverlap: translated (encoded) ranges must not overlap.
 	CheckATTOverlap CheckID = "att-overlap"

@@ -170,10 +170,14 @@ func checkATT(rep *Report, stage string, im *image.Image, sp *sched.Program, opt
 
 	orig := image.OrigAddrs(sp)
 	for i, e := range att.Entries {
-		if i > 0 && opts.Order == nil && e.Orig <= att.Entries[i-1].Orig {
-			rep.Errorf(stage, CheckATTSorted, At(i),
-				"original address %d not above predecessor's %d",
-				e.Orig, att.Entries[i-1].Orig)
+		// A block with no ops takes no original address space, so its
+		// successor shares its address.
+		if i > 0 && opts.Order == nil {
+			prev := att.Entries[i-1]
+			if e.Orig < prev.Orig || e.Orig == prev.Orig && prev.Ops != 0 {
+				rep.Errorf(stage, CheckATTSorted, At(i),
+					"original address %d not above predecessor's %d", e.Orig, prev.Orig)
+			}
 		}
 		if e.Orig != orig[i] {
 			rep.Errorf(stage, CheckATTEntry, At(i),

@@ -394,6 +394,40 @@ func TestImageCatchesBrokenFixtures(t *testing.T) {
 	}
 }
 
+// TestImageEmptyBlockClean: a block with no ops (an empty label that
+// falls through) has the same original address as its successor, and
+// its program's ATT is correct — the verifier must not flag it.
+func TestImageEmptyBlockClean(t *testing.T) {
+	sp := cleanSched()
+	b0, b1 := sp.Blocks[0], sp.Blocks[1]
+	empty := &sched.Block{
+		ID: 1, Fn: 0,
+		TakenTarget: ir.NoTarget, FallTarget: 2, Callee: ir.NoTarget,
+	}
+	b0.TakenTarget = 1
+	b1.ID = 2
+	sp.Blocks = []*sched.Block{b0, empty, b1}
+	enc, err := compress.NewFullHuffman(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := image.Build(sp, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if im.ATT, err = image.BuildATT(sp, im); err != nil {
+		t.Fatal(err)
+	}
+	if rep := Image(im, sp, enc, ImageOpts{RequireATT: true}); !rep.OK() {
+		t.Errorf("empty block flagged: %v", rep.Diags)
+	}
+	// The exception covers only a predecessor with no ops.
+	im.ATT.Entries[1].Orig = im.ATT.Entries[0].Orig
+	if rep := Image(im, sp, enc, ImageOpts{RequireATT: true}); !rep.Has(CheckATTSorted) {
+		t.Errorf("repeated address after a non-empty block not flagged: %v", rep.Diags)
+	}
+}
+
 func TestImageUntranslatableTarget(t *testing.T) {
 	sp, enc, im := buildImage(t)
 	sp.Blocks[1].TakenTarget = 99 // beyond the ATT
