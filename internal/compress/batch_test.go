@@ -192,8 +192,9 @@ func TestBatchDecodeRunTruncated(t *testing.T) {
 }
 
 // TestBatchDecodeRunZeroAlloc is the dynamic half of the
-// //tepic:hotpath contract on decodeRunLanes: zero allocations per
-// whole-image batch decode on both the discard and the collect paths.
+// //tepic:hotpath contract on the kernel's DecodeBlocks engines: zero
+// allocations per whole-image batch decode on both the discard and the
+// collect paths.
 func TestBatchDecodeRunZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")

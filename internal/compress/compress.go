@@ -100,8 +100,8 @@ type ReferenceDecoder interface {
 type ByteHuffman struct {
 	tab  *huffman.Table
 	dec  *huffman.Decoder     // reference (oracle) decoder
-	fast *huffman.FastDecoder // table-driven hit-path decoder
-	lane *huffman.LaneDecoder // batched lane kernel over fast's tables
+	fast *huffman.FastDecoder // table-driven per-symbol decoder (fast tier)
+	lane *huffman.LaneDecoder // lane kernel over fast's tables: the hit path
 }
 
 // newByteHuffman wraps a built table with both of its decoders and the
@@ -251,8 +251,8 @@ type StreamHuffman struct {
 	segs  [][2]int // cfg.Segments(), cut once at construction
 	tabs  []*huffman.Table
 	decs  []*huffman.Decoder     // reference (oracle) decoders
-	fasts []*huffman.FastDecoder // table-driven hit-path decoders
-	lane  *huffman.LaneDecoder   // batched kernel cycling the segment tables
+	fasts []*huffman.FastDecoder // table-driven per-symbol decoders (fast tier)
+	lane  *huffman.LaneDecoder   // lane kernel cycling the segment tables: the hit path
 }
 
 // NewStreamHuffman builds the stream-based scheme for one configuration.
@@ -353,8 +353,8 @@ func (e *StreamHuffman) Tables() []*huffman.Table { return e.tabs }
 type FullHuffman struct {
 	tab  *huffman.Table
 	dec  *huffman.Decoder     // reference (oracle) decoder
-	fast *huffman.FastDecoder // table-driven hit-path decoder
-	lane *huffman.LaneDecoder // batched lane kernel over fast's tables
+	fast *huffman.FastDecoder // table-driven per-symbol decoder (fast tier)
+	lane *huffman.LaneDecoder // lane kernel over fast's tables: the hit path
 }
 
 // NewFullHuffman builds the whole-op scheme from a scheduled program.

@@ -371,8 +371,8 @@ func (k *LaneDecoder) decodeBlocksSlow(data []byte, addrs, counts []int, mul, ad
 // per round, with no quota or queue checks anywhere in the hot body.
 //
 // Three inner-loop bodies, picked once per call. The two specialized
-// ones run only in discard mode (out == nil: serve's decode, the
-// throughput measurement and the decode audit), where each lane folds
+// ones run only in discard mode (out == nil: the throughput
+// measurement and the decode audit), where each lane folds
 // into its own sink, keeping the four symbol loads independent and the
 // output windows out of the loop:
 //
