@@ -508,8 +508,8 @@ func zeroEventChunks(sp *sched.Program, tr *trace.Trace) *chunkListStream {
 	}
 	for _, i := range []int{1, 3} {
 		for _, ev := range cuts[i].Events {
-			cuts[i].Ops += int64(sp.Blocks[ev.Block].NumOps())
-			cuts[i].MOPs += int64(sp.Blocks[ev.Block].NumMOPs())
+			cuts[i].Ops += int64(sp.Blocks[ev.Block()].NumOps())
+			cuts[i].MOPs += int64(sp.Blocks[ev.Block()].NumMOPs())
 		}
 	}
 	cuts[5].Ops = tr.Ops - cuts[1].Ops - cuts[3].Ops
@@ -528,9 +528,9 @@ func attributedStream(sp *sched.Program, tr *trace.Trace, chunkEvents int) trace
 	go func() {
 		for _, ev := range tr.Events {
 			var ops, mops int64
-			if ev.Block >= 0 && ev.Block < len(sp.Blocks) {
-				ops = int64(sp.Blocks[ev.Block].NumOps())
-				mops = int64(sp.Blocks[ev.Block].NumMOPs())
+			if b := ev.Block(); b >= 0 && b < len(sp.Blocks) {
+				ops = int64(sp.Blocks[b].NumOps())
+				mops = int64(sp.Blocks[b].NumMOPs())
 			}
 			if !p.Append(ev, ops, mops) {
 				break
@@ -675,7 +675,8 @@ func TestRunStreamErrors(t *testing.T) {
 	corrupt := func(at int) *trace.Trace {
 		bad := *tr
 		bad.Events = append([]trace.Event(nil), tr.Events...)
-		bad.Events[at].Block = len(sp.Blocks) + 3
+		ev := bad.Events[at]
+		bad.Events[at] = trace.MakeEvent(len(sp.Blocks)+3, ev.Taken(), ev.Next())
 		return &bad
 	}
 	// prefix is the clean replay of the first k events, as the partial
@@ -708,11 +709,18 @@ func TestRunStreamErrors(t *testing.T) {
 			// 0..10 are events 0..5631.
 			return got, prefix(t, (6001/cs)*cs), err
 		}, ErrMalformedTrace, "event 6001"},
+		{"run-malformed", func(t *testing.T) (Result, Result, error) {
+			// Event 8500 lies in Run's second default-size chunk, so the
+			// first chunk replays before the error; Run still returns
+			// Result{} and names the offset within the whole trace.
+			got, err := mkSim(t, OrgCompressed).Run(corrupt(8500))
+			return got, Result{}, err
+		}, ErrMalformedTrace, "event 8500"},
 		{"producer-error", func(t *testing.T) (Result, Result, error) {
 			st, p := trace.NewChanStream("t", 16, 2)
 			go func() {
 				for i := 0; i < 100; i++ {
-					if !p.Append(trace.Event{Block: 0, Next: 0}, 1, 1) {
+					if !p.Append(trace.MakeEvent(0, false, 0), 1, 1) {
 						p.Close(nil)
 						return
 					}

@@ -51,7 +51,7 @@ func FuzzRunStreamValidated(f *testing.F) {
 		tr := &trace.Trace{Name: "fuzz", Events: make([]trace.Event, int(n)%4000+1)}
 		for i := range tr.Events {
 			b := rng.Intn(nb)
-			tr.Events[i] = trace.Event{Block: b, Taken: rng.Intn(2) == 1, Next: rng.Intn(nb+1) - 1}
+			tr.Events[i] = trace.MakeEvent(b, rng.Intn(2) == 1, rng.Intn(nb+1)-1)
 			tr.Ops += int64(sp.Blocks[b].NumOps())
 			tr.MOPs += int64(sp.Blocks[b].NumMOPs())
 		}
@@ -60,10 +60,12 @@ func FuzzRunStreamValidated(f *testing.F) {
 		at := int(corrupt) % len(tr.Events)
 		bad := *tr
 		bad.Events = append([]trace.Event(nil), tr.Events...)
-		bad.Events[at].Block = nb + int(corrupt)%5
+		badBlock := nb + int(corrupt)%5
 		if corrupt&1 == 1 {
-			bad.Events[at].Block = -1 - int(corrupt)%5
+			badBlock = -1 - int(corrupt)%5
 		}
+		ev := bad.Events[at]
+		bad.Events[at] = trace.MakeEvent(badBlock, ev.Taken(), ev.Next())
 
 		for _, o := range orgs {
 			newSim := func() *Sim {
@@ -89,7 +91,7 @@ func FuzzRunStreamValidated(f *testing.F) {
 			name := fmt.Sprintf("event %d ", at)
 			if !errors.Is(err, ErrMalformedTrace) || !strings.Contains(err.Error(), name) {
 				t.Fatalf("%v/chunk=%d: block %d at event %d: err = %v, want one wrapping %v and naming %q",
-					o.org, cs, bad.Events[at].Block, at, err, ErrMalformedTrace, name)
+					o.org, cs, badBlock, at, err, ErrMalformedTrace, name)
 			}
 		}
 	})

@@ -277,15 +277,20 @@ func validateImage(im *image.Image, role string, sp *sched.Program) error {
 
 // Run replays a trace through the IFetch stage pipeline: predictor and
 // ATB, the optional L0 buffer, the cache array with bus-backed miss
-// repair, and the organization's Decompressor and StartupTable. The
-// trace is validated up front — an event referencing a block outside the
-// simulated program returns an error wrapping ErrMalformedTrace instead
-// of driving the pipeline out of bounds.
+// repair, and the organization's Decompressor and StartupTable. It is
+// RunStream over the trace's slice chunks, so every event is validated
+// once, just before its chunk replays: an event referencing a block
+// outside the simulated program returns Result{} and an error wrapping
+// ErrMalformedTrace that names the event's offset in the trace, instead
+// of driving the pipeline out of bounds. The chunks before the bad one
+// have already replayed by then, so a Sim that returned an error is
+// spent: build a new one before replaying another trace.
 func (s *Sim) Run(tr *trace.Trace) (Result, error) {
-	if err := tr.ValidateRefs(len(s.im.Blocks)); err != nil {
-		return Result{}, fmt.Errorf("%w: %v", ErrMalformedTrace, err)
+	res, err := s.RunStream(trace.NewSliceStream(tr, 0))
+	if err != nil {
+		return Result{}, err
 	}
-	return s.RunStream(trace.NewSliceStream(tr, 0))
+	return res, nil
 }
 
 // RunStream replays a chunked trace stream through the stage pipeline
@@ -368,20 +373,21 @@ func (s *Sim) replayWindow(c *trace.Chunk, pred int) (Result, int) {
 //
 //tepic:hotpath
 func (s *Sim) step(ev trace.Event, predicted int, res *Result) int {
-	f := &s.fetch[ev.Block]
+	blk := ev.Block()
+	f := &s.fetch[blk]
 
-	predCorrect := predicted == ev.Block || predicted == -2 ||
+	predCorrect := predicted == blk || predicted == -2 ||
 		s.cfg.PerfectPrediction
 	if !predCorrect {
 		res.Mispredicts++
 	}
 	res.BlockFetches++
-	s.atb.Touch(ev.Block)
+	s.atb.Touch(blk)
 
 	// L0 buffer: consulted first, filters main-cache accesses.
 	bufHit := false
 	if s.buf != nil {
-		bufHit = s.buf.Lookup(ev.Block)
+		bufHit = s.buf.Lookup(blk)
 		if bufHit {
 			res.BufferHits++
 		}
@@ -427,7 +433,7 @@ func (s *Sim) step(ev trace.Event, predicted int, res *Result) int {
 		}
 		if s.buf != nil {
 			// The decompressor's output is captured by the buffer.
-			s.buf.Insert(ev.Block, f.ops)
+			s.buf.Insert(blk, f.ops)
 		}
 	}
 
@@ -443,8 +449,8 @@ func (s *Sim) step(ev trace.Event, predicted int, res *Result) int {
 	}
 
 	// Train the predictor and remember the next-block prediction.
-	predicted, _ = s.atb.Predict(ev.Block)
-	s.atb.Update(ev.Block, ev.Taken, ev.Next)
+	predicted, _ = s.atb.Predict(blk)
+	s.atb.Update(blk, ev.Taken(), ev.Next())
 	return predicted
 }
 

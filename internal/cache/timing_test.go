@@ -140,7 +140,7 @@ func TestResultRatesBoundaries(t *testing.T) {
 // hardening fix: an event referencing a block outside the program used
 // to index s.im.Blocks straight into a panic; Run must instead reject
 // the trace with an error wrapping ErrMalformedTrace before replaying
-// anything.
+// the chunk that holds it.
 func TestRunRejectsMalformedTrace(t *testing.T) {
 	sp, ims := pipeline(t, "compress")
 	sim, err := NewSim(OrgBase, DefaultConfig(OrgBase), ims[OrgBase], sp)
@@ -149,11 +149,11 @@ func TestRunRejectsMalformedTrace(t *testing.T) {
 	}
 	bad := []trace.Trace{
 		{Name: "out-of-range", Events: []trace.Event{
-			{Block: len(sp.Blocks), Taken: false, Next: trace.End}}},
+			trace.MakeEvent(len(sp.Blocks), false, trace.End)}},
 		{Name: "negative", Events: []trace.Event{
-			{Block: -1, Taken: false, Next: trace.End}}},
+			trace.MakeEvent(-1, false, trace.End)}},
 		{Name: "bad-successor", Events: []trace.Event{
-			{Block: 0, Taken: true, Next: len(sp.Blocks) + 3}}},
+			trace.MakeEvent(0, true, len(sp.Blocks)+3)}},
 	}
 	for i := range bad {
 		_, err := sim.Run(&bad[i])
@@ -161,9 +161,10 @@ func TestRunRejectsMalformedTrace(t *testing.T) {
 			t.Errorf("%s: Run returned %v, want an error wrapping ErrMalformedTrace", bad[i].Name, err)
 		}
 	}
-	// The rejection happens before any event replays: a good trace on
-	// the same simulator still sees a cold cache.
-	good := &trace.Trace{Events: []trace.Event{{Block: 0, Taken: false, Next: trace.End}}}
+	// Each bad event sits in its trace's first chunk, so the rejection
+	// happens before any event replays: a good trace on the same
+	// simulator still sees a cold cache.
+	good := &trace.Trace{Events: []trace.Event{trace.MakeEvent(0, false, trace.End)}}
 	res, err := sim.Run(good)
 	if err != nil {
 		t.Fatal(err)

@@ -252,13 +252,13 @@ func TestStochasticBranchBias(t *testing.T) {
 	taken := map[int]int{}
 	total := map[int]int{}
 	for _, e := range tr.Events {
-		b := sp.Blocks[e.Block]
+		b := sp.Blocks[e.Block()]
 		if !b.HasCondBranch() {
 			continue
 		}
-		total[e.Block]++
-		if e.Taken {
-			taken[e.Block]++
+		total[e.Block()]++
+		if e.Taken() {
+			taken[e.Block()]++
 		}
 	}
 	checked := 0
@@ -287,12 +287,12 @@ func TestStochasticCallStack(t *testing.T) {
 	}
 	// Call blocks must be followed by their callee's entry.
 	for i := 0; i+1 < len(tr.Events); i++ {
-		b := sp.Blocks[tr.Events[i].Block]
+		b := sp.Blocks[tr.Events[i].Block()]
 		if b.EndsInCall() {
 			want := sp.FuncEntries[b.Callee]
-			if tr.Events[i+1].Block != want {
+			if got := tr.Events[i+1].Block(); got != want {
 				t.Fatalf("event %d: call to fn %d followed by block %d, want %d",
-					i, b.Callee, tr.Events[i+1].Block, want)
+					i, b.Callee, got, want)
 			}
 		}
 	}

@@ -74,6 +74,9 @@ func (m *Machine) RunBounded(sp *sched.Program, maxSteps int64) (*trace.Trace, b
 	if len(sp.Blocks) == 0 || len(sp.FuncEntries) == 0 {
 		return nil, false, fmt.Errorf("emu: empty program")
 	}
+	if err := trace.CheckBlocks(len(sp.Blocks)); err != nil {
+		return nil, false, fmt.Errorf("emu: %w", err)
+	}
 	if maxSteps <= 0 {
 		maxSteps = m.MaxSteps
 	}
@@ -92,7 +95,7 @@ func (m *Machine) RunBounded(sp *sched.Program, maxSteps int64) (*trace.Trace, b
 		}
 		tr.Ops += int64(b.NumOps())
 		tr.MOPs += int64(b.NumMOPs())
-		tr.Events = append(tr.Events, trace.Event{Block: cur, Taken: taken, Next: next})
+		tr.Events = append(tr.Events, trace.MakeEvent(cur, taken, next))
 		if next == trace.End {
 			return tr, true, nil
 		}

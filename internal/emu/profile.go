@@ -28,13 +28,14 @@ func (p BlockProfile) TakenProb() float64 {
 func MeasureProfile(sp *sched.Program, tr *trace.Trace) ([]BlockProfile, error) {
 	profiles := make([]BlockProfile, len(sp.Blocks))
 	for _, ev := range tr.Events {
-		if ev.Block < 0 || ev.Block >= len(profiles) {
+		b := ev.Block()
+		if b < 0 || b >= len(profiles) {
 			return nil, fmt.Errorf("emu: trace references block %d of %d",
-				ev.Block, len(profiles))
+				b, len(profiles))
 		}
-		profiles[ev.Block].Exec++
-		if ev.Taken {
-			profiles[ev.Block].Taken++
+		profiles[b].Exec++
+		if ev.Taken() {
+			profiles[b].Taken++
 		}
 	}
 	return profiles, nil

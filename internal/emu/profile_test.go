@@ -71,7 +71,7 @@ func TestApplyProfile(t *testing.T) {
 
 func TestMeasureProfileBadTrace(t *testing.T) {
 	sp := compileBench(t, "compress")
-	bad := &trace.Trace{Events: []trace.Event{{Block: 10 * len(sp.Blocks)}}}
+	bad := &trace.Trace{Events: []trace.Event{trace.MakeEvent(10*len(sp.Blocks), false, 0)}}
 	if _, err := MeasureProfile(sp, bad); err == nil {
 		t.Error("accepted out-of-range trace")
 	}

@@ -43,7 +43,7 @@ func StochasticTrace(sp *sched.Program, seed int64, maxBlocks, phases int) (*tra
 	}
 	if len(tr.Events) > 0 {
 		// The final event has no successor within the trace window.
-		tr.Events[len(tr.Events)-1].Next = trace.End
+		tr.Events[len(tr.Events)-1].SetNext(trace.End)
 	}
 	return tr, nil
 }
@@ -64,11 +64,15 @@ type walker struct {
 	cur        int
 }
 
-// newWalker validates the program and clamps phases, mirroring the
-// historical StochasticTrace preamble.
+// newWalker validates the program, rejecting one too large for packed
+// trace events, and clamps phases, mirroring the historical
+// StochasticTrace preamble.
 func newWalker(sp *sched.Program, seed int64, phases int) (*walker, error) {
 	if len(sp.Blocks) == 0 || len(sp.FuncEntries) == 0 {
 		return nil, fmt.Errorf("emu: empty program")
+	}
+	if err := trace.CheckBlocks(len(sp.Blocks)); err != nil {
+		return nil, fmt.Errorf("emu: %w", err)
 	}
 	if phases < 1 {
 		phases = 1
@@ -117,7 +121,7 @@ func (w *walker) step() (trace.Event, int64, int64) {
 		next = w.sp.FuncEntries[w.r.Intn(w.phases)]
 		w.inPhase = 0
 	}
-	ev := trace.Event{Block: w.cur, Taken: taken, Next: next}
+	ev := trace.MakeEvent(w.cur, taken, next)
 	w.cur = next
 	return ev, ops, mops
 }

@@ -30,7 +30,7 @@ func StochasticStream(sp *sched.Program, seed int64, maxBlocks, phases, chunkEve
 			if i == maxBlocks-1 {
 				// The final event has no successor within the trace
 				// window, exactly as StochasticTrace patches it.
-				ev.Next = trace.End
+				ev.SetNext(trace.End)
 			}
 			if !p.Append(ev, ops, mops) {
 				break
@@ -71,7 +71,7 @@ func StochasticStreamOps(sp *sched.Program, seed int64, maxOps int64, phases, ch
 			total += ops
 		}
 		if have {
-			pending.Next = trace.End
+			pending.SetNext(trace.End)
 			p.Append(pending, pOps, pMOPs)
 		}
 		p.Close(nil)

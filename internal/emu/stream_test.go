@@ -67,8 +67,8 @@ func TestStochasticStreamOpsBound(t *testing.T) {
 	// One block of slack at most: the walk stops at the first boundary
 	// past the target.
 	last := tr.Events[len(tr.Events)-1]
-	if last.Next != trace.End {
-		t.Fatalf("final event Next = %d, want End", last.Next)
+	if last.Next() != trace.End {
+		t.Fatalf("final event Next = %d, want End", last.Next())
 	}
 	if err := tr.Validate(len(sp.Blocks)); err != nil {
 		t.Fatal(err)

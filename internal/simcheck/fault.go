@@ -85,15 +85,15 @@ func FaultMatrix(in Input) *verify.Report {
 		}},
 		{"trace block out of range", cache.ErrMalformedTrace, func() error {
 			return replay(&trace.Trace{Name: "fault", Events: []trace.Event{
-				{Block: nb + 7, Taken: false, Next: trace.End}}})
+				trace.MakeEvent(nb+7, false, trace.End)}})
 		}},
 		{"negative trace block", cache.ErrMalformedTrace, func() error {
 			return replay(&trace.Trace{Name: "fault", Events: []trace.Event{
-				{Block: -3, Taken: false, Next: trace.End}}})
+				trace.MakeEvent(-3, false, trace.End)}})
 		}},
 		{"trace successor out of range", cache.ErrMalformedTrace, func() error {
 			return replay(&trace.Trace{Name: "fault", Events: []trace.Event{
-				{Block: 0, Taken: true, Next: nb + 5}}})
+				trace.MakeEvent(0, true, nb+5)}})
 		}},
 		{"zero cache sets", cache.ErrBadGeometry, func() error {
 			cfg := in.Cfg

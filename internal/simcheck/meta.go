@@ -187,7 +187,7 @@ func Concat(a, b *trace.Trace) *trace.Trace {
 	events = append(events, a.Events...)
 	events = append(events, b.Events...)
 	if len(a.Events) > 0 && len(b.Events) > 0 {
-		events[len(a.Events)-1].Next = b.Events[0].Block
+		events[len(a.Events)-1].SetNext(b.Events[0].Block())
 	}
 	return &trace.Trace{
 		Name:   a.Name + "+" + b.Name,

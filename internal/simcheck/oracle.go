@@ -133,8 +133,9 @@ func newOracleState(org cache.Org, cfg cache.Config, im, rom *image.Image, sp *s
 // into res.
 func (o *oracleState) step(ev trace.Event, res *cache.Result) {
 	lineBytes := o.cfg.LineBytes
-	blk := o.im.Blocks[ev.Block]
-	predOK := o.predicted == ev.Block || o.predicted == -2 || o.cfg.PerfectPrediction
+	id := ev.Block()
+	blk := o.im.Blocks[id]
+	predOK := o.predicted == id || o.predicted == -2 || o.cfg.PerfectPrediction
 	if !predOK {
 		res.Mispredicts++
 	}
@@ -142,7 +143,7 @@ func (o *oracleState) step(ev trace.Event, res *cache.Result) {
 
 	bufHit := false
 	if o.spec.HasL0 {
-		bufHit = o.l0.lookup(ev.Block)
+		bufHit = o.l0.lookup(id)
 		if bufHit {
 			res.BufferHits++
 		}
@@ -152,7 +153,7 @@ func (o *oracleState) step(ev trace.Event, res *cache.Result) {
 	first, span := blockSpan(blk, lineBytes)
 	var romBlk image.Block
 	if o.spec.NeedsROM {
-		romBlk = o.rom.Blocks[ev.Block]
+		romBlk = o.rom.Blocks[id]
 	}
 	if !bufHit {
 		res.CacheLookups++
@@ -178,7 +179,7 @@ func (o *oracleState) step(ev trace.Event, res *cache.Result) {
 			}
 		}
 		if o.spec.HasL0 {
-			o.l0.insert(ev.Block, blk.Ops)
+			o.l0.insert(id, blk.Ops)
 		}
 	}
 
@@ -187,12 +188,12 @@ func (o *oracleState) step(ev trace.Event, res *cache.Result) {
 		n = o.spec.Decode.MissLines(blk, romBlk, lineBytes)
 	}
 	res.Cycles += startupCycles(o.spec.Timing, predOK, cacheHit, bufHit, n)
-	if mops := o.sp.Blocks[ev.Block].NumMOPs(); mops > 1 {
+	if mops := o.sp.Blocks[id].NumMOPs(); mops > 1 {
 		res.Cycles += int64(mops - 1) // stream remaining MOPs, 1/cycle
 	}
 
-	o.predicted = o.pred.predict(ev.Block)
-	o.pred.train(ev.Block, ev.Taken, ev.Next)
+	o.predicted = o.pred.predict(id)
+	o.pred.train(id, ev.Taken(), ev.Next())
 }
 
 // blockSpan returns the first memory line a block's placement touches

@@ -185,15 +185,15 @@ func TestInstrumentsDetectViolations(t *testing.T) {
 // passes reference validation, and the op totals add.
 func TestConcatSeam(t *testing.T) {
 	a := &trace.Trace{Name: "a", Ops: 10, MOPs: 4, Events: []trace.Event{
-		{Block: 0, Taken: true, Next: 1},
-		{Block: 1, Taken: false, Next: trace.End},
+		trace.MakeEvent(0, true, 1),
+		trace.MakeEvent(1, false, trace.End),
 	}}
 	d := simcheck.Concat(a, a)
 	if d.Len() != 4 || d.Ops != 20 || d.MOPs != 8 {
 		t.Fatalf("Concat totals wrong: %d events, %d ops, %d MOPs", d.Len(), d.Ops, d.MOPs)
 	}
-	if d.Events[1].Next != 0 {
-		t.Errorf("seam successor = %d, want the second copy's entry block 0", d.Events[1].Next)
+	if d.Events[1].Next() != 0 {
+		t.Errorf("seam successor = %d, want the second copy's entry block 0", d.Events[1].Next())
 	}
 	if err := d.ValidateRefs(2); err != nil {
 		t.Errorf("concatenated trace fails reference validation: %v", err)

@@ -181,12 +181,13 @@ func (p *Plan) Evaluate(sp *sched.Program, tr *trace.Trace) Stats {
 
 	prevBlock := -1
 	for _, ev := range tr.Events {
+		b := ev.Block()
 		s.FetchStartsBB++
 		continues := false
 		if prevBlock >= 0 &&
-			p.unitOf[prevBlock] == p.unitOf[ev.Block] &&
-			p.posOf[ev.Block] == p.posOf[prevBlock]+1 &&
-			sp.Blocks[prevBlock].FallTarget == ev.Block {
+			p.unitOf[prevBlock] == p.unitOf[b] &&
+			p.posOf[b] == p.posOf[prevBlock]+1 &&
+			sp.Blocks[prevBlock].FallTarget == b {
 			continues = true
 		}
 		if !continues {
@@ -200,7 +201,7 @@ func (p *Plan) Evaluate(sp *sched.Program, tr *trace.Trace) Stats {
 				}
 			}
 		}
-		prevBlock = ev.Block
+		prevBlock = b
 	}
 	return s
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -29,11 +30,8 @@ func FuzzTraceValidate(f *testing.F) {
 			if raw[i+1] == 255 {
 				next = End
 			}
-			tr.Events = append(tr.Events, Event{
-				Block: int(raw[i]) - 2, // negatives reachable
-				Taken: raw[i+2]&1 == 1,
-				Next:  next,
-			})
+			// Blocks -2 and -1 make negatives reachable.
+			tr.Events = append(tr.Events, MakeEvent(int(raw[i])-2, raw[i+2]&1 == 1, next))
 		}
 
 		refsErr := tr.ValidateRefs(numBlocks)
@@ -43,13 +41,13 @@ func FuzzTraceValidate(f *testing.F) {
 		}
 		if refsErr == nil {
 			for i, e := range tr.Events {
-				if e.Block < 0 || e.Block >= numBlocks {
+				if b := e.Block(); b < 0 || b >= numBlocks {
 					t.Fatalf("ValidateRefs accepted event %d with block %d of %d",
-						i, e.Block, numBlocks)
+						i, b, numBlocks)
 				}
-				if e.Next != End && (e.Next < 0 || e.Next >= numBlocks) {
+				if n := e.Next(); n != End && (n < 0 || n >= numBlocks) {
 					t.Fatalf("ValidateRefs accepted event %d with successor %d of %d",
-						i, e.Next, numBlocks)
+						i, n, numBlocks)
 				}
 			}
 		}
@@ -80,11 +78,7 @@ func FuzzStreamChunks(f *testing.F) {
 			if raw[i+1] == 255 {
 				next = End
 			}
-			tr.Events = append(tr.Events, Event{
-				Block: int(raw[i]) - 2,
-				Taken: raw[i+2]&1 == 1,
-				Next:  next,
-			})
+			tr.Events = append(tr.Events, MakeEvent(int(raw[i])-2, raw[i+2]&1 == 1, next))
 		}
 		tr.Ops = int64(len(tr.Events)) * 5
 		tr.MOPs = int64(len(tr.Events)) * 2
@@ -134,6 +128,45 @@ func FuzzStreamChunks(f *testing.F) {
 		chainStream := ValidateStream(NewSliceStream(tr, chunkEvents), numBlocks)
 		if (chainSlice == nil) != (chainStream == nil) {
 			t.Fatalf("chain disagree: slice %v, stream %v", chainSlice, chainStream)
+		}
+	})
+}
+
+// FuzzEventRoundTrip checks the packed Event against its inputs: the
+// branch outcome always round-trips, and so does every block and
+// successor a validated trace can hold (End and [0, MaxBlocks)). A
+// reference outside the packed range saturates, and it must stay out of
+// range, so ValidateChunk at MaxBlocks accepts the event exactly when
+// its inputs were valid.
+func FuzzEventRoundTrip(f *testing.F) {
+	for _, ref := range []int{End, 0, MaxBlocks - 1} {
+		f.Add(ref, false, End)
+		f.Add(0, true, ref)
+		f.Add(ref, true, MaxBlocks-1)
+	}
+	f.Add(MaxBlocks, false, math.MaxInt)
+	f.Add(math.MinInt, true, minRef-1)
+	f.Fuzz(func(t *testing.T, block int, taken bool, next int) {
+		e := MakeEvent(block, taken, next)
+		var set Event
+		set.SetNext(next)
+		if e.Taken() != taken {
+			t.Fatalf("MakeEvent(%d, %v, %d).Taken() = %v", block, taken, next, e.Taken())
+		}
+		inRange := func(ref int) bool { return ref >= minRef && ref <= MaxBlocks }
+		if inRange(block) && e.Block() != block {
+			t.Fatalf("MakeEvent(%d, %v, %d).Block() = %d", block, taken, next, e.Block())
+		}
+		if inRange(next) && (e.Next() != next || set.Next() != next) {
+			t.Fatalf("MakeEvent(%d, %v, %d).Next() = %d, SetNext gives %d",
+				block, taken, next, e.Next(), set.Next())
+		}
+		valid := block >= 0 && block < MaxBlocks &&
+			(next == End || next >= 0 && next < MaxBlocks)
+		err := ValidateChunk(&Chunk{Events: []Event{e}}, MaxBlocks)
+		if (err == nil) != valid {
+			t.Fatalf("MakeEvent(%d, %v, %d) packs to block %d, next %d: ValidateChunk = %v",
+				block, taken, next, e.Block(), e.Next(), err)
 		}
 	})
 }

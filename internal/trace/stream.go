@@ -21,7 +21,7 @@ import (
 // DefaultChunkEvents is the chunk capacity streams use when the caller
 // passes a non-positive size: large enough to amortize per-chunk
 // overhead, small enough that a handful of in-flight chunks stay in
-// cache (8192 events x 24 B = 192 KB per chunk).
+// cache (8192 events x 8 B = 64 KB per chunk).
 const DefaultChunkEvents = 8192
 
 // DefaultStreamDepth is the producer/consumer channel depth used when
@@ -293,16 +293,21 @@ func Collect(s Stream) (*Trace, error) {
 // ValidateChunk checks that every event of one chunk references blocks
 // inside [0, numBlocks) — the per-chunk precondition Sim.RunStream
 // enforces before replaying a chunk. Offsets in errors are
-// absolute event indices (Chunk.First-relative), never chunk-local.
+// absolute event indices (Chunk.First-relative), never chunk-local. A
+// program too large for packed events (CheckBlocks) is rejected before
+// any event is read.
 func ValidateChunk(c *Chunk, numBlocks int) error {
+	if err := CheckBlocks(numBlocks); err != nil {
+		return err
+	}
 	for i, e := range c.Events {
-		if e.Block < 0 || e.Block >= numBlocks {
+		if b := e.Block(); b < 0 || b >= numBlocks {
 			return fmt.Errorf("%w: event %d references block %d of %d",
-				ErrMalformedTrace, c.First+int64(i), e.Block, numBlocks)
+				ErrMalformedTrace, c.First+int64(i), b, numBlocks)
 		}
-		if e.Next != End && (e.Next < 0 || e.Next >= numBlocks) {
+		if n := e.Next(); n != End && (n < 0 || n >= numBlocks) {
 			return fmt.Errorf("%w: event %d has bad successor %d",
-				ErrMalformedTrace, c.First+int64(i), e.Next)
+				ErrMalformedTrace, c.First+int64(i), n)
 		}
 	}
 	return nil
@@ -347,9 +352,9 @@ func ValidateStream(s Stream, numBlocks int) error {
 		if verr == nil {
 			for i, e := range c.Events {
 				idx := c.First + int64(i)
-				if havePrev && prev.Next != e.Block {
+				if havePrev && prev.Next() != e.Block() {
 					verr = fmt.Errorf("%w: event %d Next=%d but event %d executes %d",
-						ErrMalformedTrace, prevIdx, prev.Next, idx, e.Block)
+						ErrMalformedTrace, prevIdx, prev.Next(), idx, e.Block())
 					break
 				}
 				prev, prevIdx, havePrev = e, idx, true
@@ -378,7 +383,7 @@ func BlockCountsStream(s Stream, numBlocks int) ([]int64, error) {
 		verr := ValidateChunk(c, numBlocks)
 		if verr == nil {
 			for _, e := range c.Events {
-				counts[e.Block]++
+				counts[e.Block()]++
 			}
 		}
 		s.Recycle(c)

@@ -22,17 +22,16 @@ func randomTrace(r *rand.Rand, n, numBlocks int) *Trace {
 		if i == n-1 {
 			next = End
 		}
-		tr.Events = append(tr.Events, Event{
-			Block: cur,
-			Taken: r.Intn(2) == 1,
-			Next:  next,
-		})
+		tr.Events = append(tr.Events, MakeEvent(cur, r.Intn(2) == 1, next))
 		cur = next
 	}
 	tr.Ops = int64(n) * 7
 	tr.MOPs = int64(n) * 3
 	return tr
 }
+
+// withBlock returns e with its executed block replaced by b.
+func withBlock(e Event, b int) Event { return MakeEvent(b, e.Taken(), e.Next()) }
 
 // chunkSizes returns the chunk-size edge cases for a trace of length n:
 // 1, 2, 3, n-1, n, n+1, plus the default.
@@ -141,7 +140,7 @@ func TestChanStreamProducerError(t *testing.T) {
 	boom := errors.New("boom")
 	s, p := NewChanStream("t", 2, 1)
 	go func() {
-		p.Append(Event{Block: 0, Next: End}, 1, 1)
+		p.Append(MakeEvent(0, false, End), 1, 1)
 		p.Close(boom)
 	}()
 	c, err := s.Next()
@@ -165,7 +164,7 @@ func TestChanStreamConsumerClose(t *testing.T) {
 	go func() {
 		ok := true
 		for i := 0; i < 1000 && ok; i++ {
-			ok = p.Append(Event{Block: 0, Next: End}, 1, 1)
+			ok = p.Append(MakeEvent(0, false, End), 1, 1)
 		}
 		p.Close(nil)
 		stopped <- ok
@@ -197,10 +196,10 @@ func TestValidateStreamMatchesSlice(t *testing.T) {
 		tr   *Trace
 	}{
 		{"valid", base},
-		{"bad-block", corrupt(func(tr *Trace) { tr.Events[20].Block = 99 })},
-		{"neg-block", corrupt(func(tr *Trace) { tr.Events[0].Block = -1 })},
-		{"bad-next", corrupt(func(tr *Trace) { tr.Events[33].Next = -7 })},
-		{"broken-chain", corrupt(func(tr *Trace) { tr.Events[10].Next = (tr.Events[11].Block + 1) % 6 })},
+		{"bad-block", corrupt(func(tr *Trace) { tr.Events[20] = withBlock(tr.Events[20], 99) })},
+		{"neg-block", corrupt(func(tr *Trace) { tr.Events[0] = withBlock(tr.Events[0], -1) })},
+		{"bad-next", corrupt(func(tr *Trace) { tr.Events[33].SetNext(-7) })},
+		{"broken-chain", corrupt(func(tr *Trace) { tr.Events[10].SetNext((tr.Events[11].Block() + 1) % 6) })},
 	}
 	for _, tc := range cases {
 		wantRefs := tc.tr.ValidateRefs(6)
@@ -232,7 +231,7 @@ func TestValidateStreamMatchesSlice(t *testing.T) {
 // chunk-local one.
 func TestCorruptChunkErrorOffsets(t *testing.T) {
 	tr := randomTrace(rand.New(rand.NewSource(23)), 40, 5)
-	tr.Events[27].Block = 77 // lands mid-stream for every small chunk size
+	tr.Events[27] = withBlock(tr.Events[27], 77) // lands mid-stream for every small chunk size
 	for _, cs := range []int{1, 3, 10, 13} {
 		for _, check := range []struct {
 			name string
@@ -258,13 +257,13 @@ func TestCorruptChunkErrorOffsets(t *testing.T) {
 // seam and checks the error names the absolute indices on both sides.
 func TestCorruptSeamChainError(t *testing.T) {
 	tr := randomTrace(rand.New(rand.NewSource(29)), 20, 4)
-	tr.Events[9].Next = (tr.Events[10].Block + 1) % 4
+	tr.Events[9].SetNext((tr.Events[10].Block() + 1) % 4)
 	err := ValidateStream(NewSliceStream(tr, 10), 4) // seam between events 9 and 10
 	if !errors.Is(err, ErrMalformedTrace) {
 		t.Fatalf("err = %v, want ErrMalformedTrace", err)
 	}
 	want := fmt.Sprintf("event 9 Next=%d but event 10 executes %d",
-		tr.Events[9].Next, tr.Events[10].Block)
+		tr.Events[9].Next(), tr.Events[10].Block())
 	if !strings.Contains(err.Error(), want) {
 		t.Fatalf("err %q missing %q", err, want)
 	}
@@ -274,12 +273,12 @@ func TestCorruptSeamChainError(t *testing.T) {
 // carry the typed sentinel too.
 func TestTraceValidateWrapsSentinel(t *testing.T) {
 	tr := sample()
-	tr.Events[1].Block = 9
+	tr.Events[1] = withBlock(tr.Events[1], 9)
 	if err := tr.ValidateRefs(3); !errors.Is(err, ErrMalformedTrace) {
 		t.Errorf("ValidateRefs err = %v, want ErrMalformedTrace", err)
 	}
 	tr = sample()
-	tr.Events[0].Next = 2
+	tr.Events[0].SetNext(2)
 	if err := tr.Validate(3); !errors.Is(err, ErrMalformedTrace) {
 		t.Errorf("Validate err = %v, want ErrMalformedTrace", err)
 	}
@@ -325,7 +324,7 @@ func runChanStream(n, chunkEvents, depth int, seen map[*Chunk]bool) {
 	s, p := NewChanStream("t", chunkEvents, depth)
 	go func() {
 		for i := 0; i < n*chunkEvents; i++ {
-			p.Append(Event{Block: 0, Next: 0}, 1, 1)
+			p.Append(MakeEvent(0, false, 0), 1, 1)
 		}
 		p.Close(nil)
 	}()

@@ -1,15 +1,19 @@
 package trace
 
-import "testing"
+import (
+	"errors"
+	"testing"
+	"unsafe"
+)
 
 func sample() *Trace {
 	return &Trace{
 		Name: "t",
 		Events: []Event{
-			{Block: 0, Taken: false, Next: 1},
-			{Block: 1, Taken: true, Next: 0},
-			{Block: 0, Taken: false, Next: 2},
-			{Block: 2, Taken: true, Next: End},
+			MakeEvent(0, false, 1),
+			MakeEvent(1, true, 0),
+			MakeEvent(0, false, 2),
+			MakeEvent(2, true, End),
 		},
 		Ops: 40, MOPs: 16,
 	}
@@ -27,7 +31,7 @@ func TestValidateOK(t *testing.T) {
 
 func TestValidateBadBlock(t *testing.T) {
 	tr := sample()
-	tr.Events[1].Block = 9
+	tr.Events[1] = withBlock(tr.Events[1], 9)
 	if err := tr.Validate(3); err == nil {
 		t.Error("accepted out-of-range block")
 	}
@@ -35,7 +39,7 @@ func TestValidateBadBlock(t *testing.T) {
 
 func TestValidateBrokenChain(t *testing.T) {
 	tr := sample()
-	tr.Events[0].Next = 2 // but event 1 executes block 1
+	tr.Events[0].SetNext(2) // but event 1 executes block 1
 	if err := tr.Validate(3); err == nil {
 		t.Error("accepted inconsistent successor chain")
 	}
@@ -43,7 +47,7 @@ func TestValidateBrokenChain(t *testing.T) {
 
 func TestValidateBadSuccessor(t *testing.T) {
 	tr := sample()
-	tr.Events[3].Next = 77
+	tr.Events[3].SetNext(77)
 	if err := tr.Validate(3); err == nil {
 		t.Error("accepted out-of-range successor")
 	}
@@ -61,5 +65,42 @@ func TestFootprint(t *testing.T) {
 	tr := sample()
 	if fp := tr.Footprint(3); fp != 3 {
 		t.Errorf("footprint = %d, want 3", fp)
+	}
+}
+
+// TestEventSize pins the packed layout: a materialized trace costs
+// 8 bytes per event.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 8 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want 8", got)
+	}
+}
+
+// TestTooManyBlocks checks that the validators accept a program of
+// exactly MaxBlocks blocks and reject one block more with
+// ErrTooManyBlocks, which also matches ErrMalformedTrace.
+func TestTooManyBlocks(t *testing.T) {
+	tr := sample()
+	for _, tc := range []struct {
+		numBlocks int
+		want      error
+	}{
+		{MaxBlocks, nil},
+		{MaxBlocks + 1, ErrTooManyBlocks},
+	} {
+		for name, err := range map[string]error{
+			"CheckBlocks":   CheckBlocks(tc.numBlocks),
+			"ValidateChunk": ValidateChunk(&Chunk{Events: tr.Events}, tc.numBlocks),
+			"ValidateRefs":  tr.ValidateRefs(tc.numBlocks),
+			"Validate":      tr.Validate(tc.numBlocks),
+		} {
+			if tc.want == nil && err != nil {
+				t.Errorf("%s(%d) = %v, want nil", name, tc.numBlocks, err)
+			}
+			if tc.want != nil && (!errors.Is(err, tc.want) || !errors.Is(err, ErrMalformedTrace)) {
+				t.Errorf("%s(%d) = %v, want an error wrapping %v and %v",
+					name, tc.numBlocks, err, tc.want, ErrMalformedTrace)
+			}
+		}
 	}
 }
