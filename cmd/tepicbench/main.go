@@ -23,7 +23,7 @@
 //	tepicbench -sweep speculation   # treegion-style hoisting study
 //	tepicbench -sweep dict          # §7 beyond-Huffman dictionary scheme
 //	tepicbench -stream -ops 100000000 -json BENCH_stream.json
-//	tepicbench -stream -streammin 10 -streammaxmb 256   # gated streaming run
+//	tepicbench -stream -streammin 10 -streammaxmb 32    # gated streaming run
 package main
 
 import (

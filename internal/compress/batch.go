@@ -8,11 +8,6 @@ import (
 	"repro/internal/isa"
 )
 
-// ErrShortBatchOutput reports a DecodeRun output buffer smaller than
-// the batch's total symbol count (see BatchDecoder.BatchSymbols). It is
-// the kernel's huffman.ErrShortOutput, re-exported at this layer.
-var ErrShortBatchOutput = huffman.ErrShortOutput
-
 // BatchDecoder is the allocation-free batch decode face of a Huffman
 // scheme: many blocks decoded in one call through the lane-parallel
 // kernel, up to huffman.MaxLanes blocks interleaved at a time. Blocks
@@ -22,18 +17,17 @@ var ErrShortBatchOutput = huffman.ErrShortOutput
 //
 // DecodeRun decodes the blocks described by parallel slices addrs
 // (byte address of each block's first codeword in data) and counts
-// (operations per block). When out is non-nil the decoded symbols land
-// in out, blocks in order, BatchSymbols(counts[i]) symbols each; a nil
-// out discards symbols through stack scratch, the throughput-
-// measurement shape. It returns the symbols decoded and the total code
-// bits consumed (both summed through the first failing block, whose
-// terminal error — bit-identical to the reference decoder's — is
-// returned). Steady-state calls allocate nothing on either path.
+// (operations per block), BatchSymbols(counts[i]) symbols each, and
+// discards the symbols: the throughput-measurement shape. It returns
+// the symbols decoded and the total code bits consumed (both summed
+// through the first failing block, whose terminal error — bit-identical
+// to the reference decoder's — is returned). Steady-state calls
+// allocate nothing.
 type BatchDecoder interface {
 	// BatchSymbols returns the Huffman symbol count of an n-op block.
 	BatchSymbols(n int) int
 	// DecodeRun batch-decodes blocks; see the interface comment.
-	DecodeRun(data []byte, addrs, counts []int, out []uint64) (syms, bits int64, err error)
+	DecodeRun(data []byte, addrs, counts []int) (syms, bits int64, err error)
 	// Kernel exposes the scheme's prebuilt lane decoder — the memoized
 	// decode-table artifact (its TableEntries is the footprint the
 	// decoder-complexity model charges).
@@ -45,16 +39,15 @@ type BatchDecoder interface {
 // scheme's affine symbol-count map need = (n*mul + add) / div as
 // constants (see DecodeBlocks for why it is not a closure):
 //
-//	full:   (n*1 + 0) / 1          one symbol per op
-//	stream: (n*nsegs + 0) / 1      one symbol per segment per op
+//	stream: (n*nsegs + 0) / 1      one symbol per segment per op (full: nsegs = 1)
 //	byte:   (n*isa.OpBits + 7) / 8 one symbol per packed byte
 
 // BatchSymbols implements BatchDecoder: one symbol per packed byte.
 func (e *ByteHuffman) BatchSymbols(n int) int { return (n*isa.OpBits + 7) / 8 }
 
 // DecodeRun implements BatchDecoder.
-func (e *ByteHuffman) DecodeRun(data []byte, addrs, counts []int, out []uint64) (int64, int64, error) {
-	return e.lane.DecodeBlocks(data, addrs, counts, isa.OpBits, 7, 8, out)
+func (e *ByteHuffman) DecodeRun(data []byte, addrs, counts []int) (int64, int64, error) {
+	return e.lane.DecodeBlocks(data, addrs, counts, isa.OpBits, 7, 8)
 }
 
 // Kernel implements BatchDecoder.
@@ -67,23 +60,12 @@ func (e *StreamHuffman) BatchSymbols(n int) int { return n * len(e.tabs) }
 // per-segment tables within each lane (segment codewords interleave in
 // one bit stream per block), while the lanes themselves run over
 // independent blocks — the axis that actually parallelizes.
-func (e *StreamHuffman) DecodeRun(data []byte, addrs, counts []int, out []uint64) (int64, int64, error) {
-	return e.lane.DecodeBlocks(data, addrs, counts, len(e.tabs), 0, 1, out)
+func (e *StreamHuffman) DecodeRun(data []byte, addrs, counts []int) (int64, int64, error) {
+	return e.lane.DecodeBlocks(data, addrs, counts, len(e.tabs), 0, 1)
 }
 
 // Kernel implements BatchDecoder.
 func (e *StreamHuffman) Kernel() *huffman.LaneDecoder { return e.lane }
-
-// BatchSymbols implements BatchDecoder: one symbol per op.
-func (e *FullHuffman) BatchSymbols(n int) int { return n }
-
-// DecodeRun implements BatchDecoder.
-func (e *FullHuffman) DecodeRun(data []byte, addrs, counts []int, out []uint64) (int64, int64, error) {
-	return e.lane.DecodeBlocks(data, addrs, counts, 1, 0, 1, out)
-}
-
-// Kernel implements BatchDecoder.
-func (e *FullHuffman) Kernel() *huffman.LaneDecoder { return e.lane }
 
 // blockAssembler is a Huffman scheme's half of decodeBlock: its lane
 // kernel and symbol count (BatchDecoder), and how its symbols become
@@ -178,18 +160,6 @@ func (e *StreamHuffman) assemble(ops []isa.Op, syms []uint64) ([]isa.Op, error) 
 		word = word<<uint(seg[1]-seg[0]) | syms[si]
 	}
 	op, err := isa.Decode(word)
-	if err != nil {
-		return ops, err
-	}
-	return append(ops, op), nil
-}
-
-// unitSyms implements blockAssembler: one symbol per operation.
-func (e *FullHuffman) unitSyms(int) int { return 1 }
-
-// assemble implements blockAssembler.
-func (e *FullHuffman) assemble(ops []isa.Op, syms []uint64) ([]isa.Op, error) {
-	op, err := isa.Decode(syms[0])
 	if err != nil {
 		return ops, err
 	}

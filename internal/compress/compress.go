@@ -1,7 +1,8 @@
 // Package compress implements the paper's operation-size reduction
 // schemes: the three Huffman alphabet compositions of §2.2 (byte-based,
-// stream-based with configurable field boundaries, and whole-op "Full")
-// plus the uncompressed baseline, all behind a common Encoder interface.
+// stream-based with configurable field boundaries, and whole-op "Full",
+// the stream alphabet with a single uncut stream) plus the uncompressed
+// baseline, all behind a common Encoder interface.
 // The tailored ISA (the paper's other family) lives in package tailor and
 // implements the same interface.
 //
@@ -245,7 +246,13 @@ var StreamConfigs = []StreamConfig{
 // Figure3Config is the stream split the paper's Figure 3 illustrates.
 var Figure3Config = StreamConfigs[2]
 
-// StreamHuffman is the stream-based alphabet of §2.2/Figure 3.
+// FullConfig is the whole-op alphabet of §2.2 as a stream
+// configuration: no cuts, so each distinct 40-bit operation is one
+// symbol of a single stream. Greatest compression, largest decoder.
+var FullConfig = StreamConfig{Name: "full"}
+
+// StreamHuffman is the stream-based alphabet of §2.2/Figure 3; under
+// FullConfig it is the whole-op alphabet.
 type StreamHuffman struct {
 	cfg   StreamConfig
 	segs  [][2]int // cfg.Segments(), cut once at construction
@@ -285,6 +292,12 @@ func NewStreamHuffman(p *sched.Program, cfg StreamConfig) (*StreamHuffman, error
 	}
 	e.lane = huffman.NewLaneDecoder(e.fasts...)
 	return e, nil
+}
+
+// NewFullHuffman builds the whole-op scheme from a scheduled program:
+// the stream scheme under FullConfig.
+func NewFullHuffman(p *sched.Program) (*StreamHuffman, error) {
+	return NewStreamHuffman(p, FullConfig)
 }
 
 // Name implements Encoder.
@@ -347,79 +360,6 @@ func (e *StreamHuffman) ReferenceDecodeBlock(r *bitio.Reader, n int) ([]isa.Op, 
 
 // Tables implements Encoder.
 func (e *StreamHuffman) Tables() []*huffman.Table { return e.tabs }
-
-// FullHuffman is the whole-op alphabet of §2.2: each distinct 40-bit
-// operation is one symbol. Greatest compression, largest decoder.
-type FullHuffman struct {
-	tab  *huffman.Table
-	dec  *huffman.Decoder     // reference (oracle) decoder
-	fast *huffman.FastDecoder // table-driven per-symbol decoder (fast tier)
-	lane *huffman.LaneDecoder // lane kernel over fast's tables: the hit path
-}
-
-// NewFullHuffman builds the whole-op scheme from a scheduled program.
-func NewFullHuffman(p *sched.Program) (*FullHuffman, error) {
-	freq := map[uint64]int64{}
-	for _, b := range p.Blocks {
-		for i := range b.Ops {
-			freq[b.Ops[i].Encode()]++
-		}
-	}
-	tab, err := buildBounded(freq, CodeLenLimit)
-	if err != nil {
-		return nil, fmt.Errorf("compress: full scheme: %w", err)
-	}
-	fast := tab.NewFastDecoder()
-	return &FullHuffman{tab: tab, dec: tab.NewDecoder(), fast: fast, lane: huffman.NewLaneDecoder(fast)}, nil
-}
-
-// Name implements Encoder.
-func (*FullHuffman) Name() string { return "full" }
-
-// BlockBits implements Encoder.
-func (e *FullHuffman) BlockBits(ops []isa.Op) int {
-	bits := 0
-	for i := range ops {
-		bits += e.tab.EncodedBits(ops[i].Encode())
-	}
-	return bits
-}
-
-// EncodeBlock implements Encoder.
-func (e *FullHuffman) EncodeBlock(w *bitio.Writer, ops []isa.Op) error {
-	for i := range ops {
-		if err := e.tab.Encode(w, ops[i].Encode()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DecodeBlock implements Encoder through decodeBlock.
-func (e *FullHuffman) DecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error) {
-	return decodeBlock(e, r, n)
-}
-
-// ReferenceDecodeBlock implements ReferenceDecoder on the bit-by-bit
-// oracle decoder.
-func (e *FullHuffman) ReferenceDecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error) {
-	ops := make([]isa.Op, 0, n)
-	for i := 0; i < n; i++ {
-		w, err := e.dec.Decode(r)
-		if err != nil {
-			return nil, err
-		}
-		op, err := isa.Decode(w)
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, op)
-	}
-	return ops, nil
-}
-
-// Tables implements Encoder.
-func (e *FullHuffman) Tables() []*huffman.Table { return []*huffman.Table{e.tab} }
 
 // buildBounded builds an optimal table, falling back to the length-limited
 // construction only when the optimal code exceeds the hardware bound —

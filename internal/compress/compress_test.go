@@ -70,8 +70,7 @@ func TestByteHuffmanRoundTrip(t *testing.T) {
 
 func TestStreamHuffmanRoundTripAllConfigs(t *testing.T) {
 	sp := compile(t, "compress")
-	for _, cfg := range StreamConfigs {
-		cfg := cfg
+	for _, cfg := range append([]StreamConfig{FullConfig}, StreamConfigs...) {
 		t.Run(cfg.Name, func(t *testing.T) {
 			enc, err := NewStreamHuffman(sp, cfg)
 			if err != nil {
@@ -171,15 +170,22 @@ func TestStreamConfigValidate(t *testing.T) {
 }
 
 func TestStreamSegments(t *testing.T) {
-	cfg := StreamConfig{Name: "x", Cuts: []int{9, 19, 34}}
-	segs := cfg.Segments()
-	want := [][2]int{{0, 9}, {9, 19}, {19, 34}, {34, 40}}
-	if len(segs) != len(want) {
-		t.Fatalf("got %d segments, want %d", len(segs), len(want))
-	}
-	for i := range want {
-		if segs[i] != want[i] {
-			t.Errorf("segment %d = %v, want %v", i, segs[i], want[i])
+	for _, tc := range []struct {
+		cfg  StreamConfig
+		want [][2]int
+	}{
+		{StreamConfig{Name: "x", Cuts: []int{9, 19, 34}}, [][2]int{{0, 9}, {9, 19}, {19, 34}, {34, 40}}},
+		// The whole-op alphabet: one uncut 40-bit stream.
+		{FullConfig, [][2]int{{0, 40}}},
+	} {
+		segs := tc.cfg.Segments()
+		if len(segs) != len(tc.want) {
+			t.Fatalf("%s: got %d segments, want %d", tc.cfg.Name, len(segs), len(tc.want))
+		}
+		for i := range tc.want {
+			if segs[i] != tc.want[i] {
+				t.Errorf("%s: segment %d = %v, want %v", tc.cfg.Name, i, segs[i], tc.want[i])
+			}
 		}
 	}
 }

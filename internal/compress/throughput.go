@@ -37,9 +37,9 @@ type SymbolDecoder interface {
 
 // fastSymbols is the fast tier of every Huffman scheme: nsyms symbols
 // decoded one at a time through FastDecoder.Decode, cycling the
-// per-symbol table schedule sched (one table for byte and full, the
-// segment tables for the stream schemes). It returns the symbols
-// decoded before any error.
+// per-symbol table schedule sched (one table for byte, the segment
+// tables for the stream schemes, of which full has one). It returns the
+// symbols decoded before any error.
 func fastSymbols(r *bitio.Reader, nsyms int, sched ...*huffman.FastDecoder) (int, error) {
 	t := 0
 	for i := 0; i < nsyms; i++ {
@@ -85,14 +85,4 @@ func (e *StreamHuffman) DecodeBlockSymbols(r *bitio.Reader, n int) (int, error) 
 // ReferenceDecodeBlockSymbols implements SymbolDecoder.
 func (e *StreamHuffman) ReferenceDecodeBlockSymbols(r *bitio.Reader, n int) (int, error) {
 	return referenceSymbols(r, e.BatchSymbols(n), e.decs...)
-}
-
-// DecodeBlockSymbols implements SymbolDecoder.
-func (e *FullHuffman) DecodeBlockSymbols(r *bitio.Reader, n int) (int, error) {
-	return fastSymbols(r, e.BatchSymbols(n), e.fast)
-}
-
-// ReferenceDecodeBlockSymbols implements SymbolDecoder.
-func (e *FullHuffman) ReferenceDecodeBlockSymbols(r *bitio.Reader, n int) (int, error) {
-	return referenceSymbols(r, e.BatchSymbols(n), e.dec)
 }

@@ -4,48 +4,18 @@ import (
 	"testing"
 
 	"repro/internal/bitio"
-	"repro/internal/compress"
-	"repro/internal/core"
 )
-
-// tierFixture builds the fast/batch measurement shape for one scheme on
-// a real benchmark image: the per-block address and operation-count
-// queues that both decode tiers consume.
-func tierFixture(b *testing.B, scheme string) (compress.BatchDecoder, compress.SymbolDecoder, []byte, []int, []int) {
-	b.Helper()
-	c, err := core.CompileBenchmark("compress")
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc, err := c.Encoder(scheme)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bd := enc.(compress.BatchDecoder)
-	sd := enc.(compress.SymbolDecoder)
-	im, err := c.Image(scheme)
-	if err != nil {
-		b.Fatal(err)
-	}
-	addrs := make([]int, len(im.Blocks))
-	counts := make([]int, len(im.Blocks))
-	for i := range im.Blocks {
-		addrs[i] = im.Blocks[i].Addr
-		counts[i] = im.Blocks[i].Ops
-	}
-	return bd, sd, im.Data, addrs, counts
-}
 
 // BenchmarkDecodeTiers is the microbenchmark behind the lane-gain
 // ratchet: for every batch-capable scheme it decodes a whole benchmark
 // image block by block through the fast per-symbol face (SeekBit +
 // DecodeBlockSymbols, the pre-kernel decode path) and through the
-// lane-kernel batch face (DecodeRun in discard mode). The batch/fast
+// lane-kernel batch face (DecodeRun). The batch/fast
 // ratio here is what tepicbench reports as lane gain and what the CI
 // bench-smoke job gates with -lanemin.
 func BenchmarkDecodeTiers(b *testing.B) {
 	for _, scheme := range batchSchemes {
-		bd, sd, data, addrs, counts := tierFixture(b, scheme)
+		bd, sd, data, addrs, counts := batchFixture(b, scheme)
 		var bits int64
 		b.Run(scheme+"/fast", func(b *testing.B) {
 			r := bitio.NewReader(data)
@@ -67,7 +37,7 @@ func BenchmarkDecodeTiers(b *testing.B) {
 		b.Run(scheme+"/batch", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
-				if _, bits, err = bd.DecodeRun(data, addrs, counts, nil); err != nil {
+				if _, bits, err = bd.DecodeRun(data, addrs, counts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -39,17 +39,7 @@ func (p *DecodePlan) DecodeSymbols(data []byte) (int64, int64, error) {
 	if data == nil {
 		data = p.Data
 	}
-	return p.Batch.DecodeRun(data, p.Addrs, p.Counts, nil)
-}
-
-// DecodeSymbolsInto is DecodeSymbols collecting the decoded symbols
-// into out, blocks in placement order; out must hold at least Syms
-// entries (huffman.ErrShortOutput otherwise).
-func (p *DecodePlan) DecodeSymbolsInto(data []byte, out []uint64) (int64, int64, error) {
-	if data == nil {
-		data = p.Data
-	}
-	return p.Batch.DecodeRun(data, p.Addrs, p.Counts, out)
+	return p.Batch.DecodeRun(data, p.Addrs, p.Counts)
 }
 
 // buildDecodePlan assembles a plan from a built encoder and image.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/list"
 	"sync"
 
 	"repro/internal/stats"
@@ -9,9 +10,9 @@ import (
 // artifactStore is the driver's content-addressed artifact cache grown
 // into service shape: bounded (an optional exact entry capacity) and
 // LRU-evicting (an insert over capacity drops the least recently used
-// completed entry), with one map and one intrusive LRU list under one
-// mutex. Each entry keeps the single-flight discipline of the original
-// flat map: the first requester of a key builds while every later
+// completed entry), with one map and one container/list recency order
+// under one mutex. Each entry keeps the single-flight discipline of the
+// original flat map: the first requester of a key builds while every later
 // requester blocks on done and shares the result, so one build happens
 // per resident key no matter how many requests race for it. Failed
 // builds are cached like successes — the inputs are content-hashed, so
@@ -28,18 +29,18 @@ type artifactStore struct {
 	mu       sync.Mutex
 	capacity int // max entries; <= 0 = unbounded
 	entries  map[string]*storeEntry
-	head     *storeEntry // most recently used
-	tail     *storeEntry
+	lru      list.List // of *storeEntry, most recently used at the front
 }
 
-// storeEntry is one single-flight artifact build with its LRU links.
+// storeEntry is one single-flight artifact build with its place in the
+// recency list.
 type storeEntry struct {
-	key        string
-	done       chan struct{}
-	val        any
-	err        error
-	building   bool
-	prev, next *storeEntry
+	key      string
+	done     chan struct{}
+	val      any
+	err      error
+	building bool
+	elem     *list.Element
 }
 
 // newArtifactStore builds a store holding at most capacity entries
@@ -57,7 +58,7 @@ func newArtifactStore(capacity int, obs *stats.Registry) *artifactStore {
 func (st *artifactStore) do(key string, build func() (any, error)) (any, error) {
 	st.mu.Lock()
 	if e, ok := st.entries[key]; ok {
-		st.moveToFront(e)
+		st.lru.MoveToFront(e.elem)
 		st.mu.Unlock()
 		st.obs.Counter("artifact.hit").Add(1)
 		<-e.done
@@ -65,7 +66,7 @@ func (st *artifactStore) do(key string, build func() (any, error)) (any, error) 
 	}
 	e := &storeEntry{key: key, done: make(chan struct{}), building: true}
 	st.entries[key] = e
-	st.pushFront(e)
+	e.elem = st.lru.PushFront(e)
 	evicted := st.evictOver()
 	st.mu.Unlock()
 	st.obs.Counter("artifact.miss").Add(1)
@@ -93,43 +94,6 @@ func (st *artifactStore) len() int {
 	return len(st.entries)
 }
 
-// pushFront links a new entry at the MRU end. Caller holds st.mu.
-func (st *artifactStore) pushFront(e *storeEntry) {
-	e.prev = nil
-	e.next = st.head
-	if st.head != nil {
-		st.head.prev = e
-	}
-	st.head = e
-	if st.tail == nil {
-		st.tail = e
-	}
-}
-
-// unlink removes an entry from the LRU list. Caller holds st.mu.
-func (st *artifactStore) unlink(e *storeEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		st.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		st.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// moveToFront marks an entry most recently used. Caller holds st.mu.
-func (st *artifactStore) moveToFront(e *storeEntry) {
-	if st.head == e {
-		return
-	}
-	st.unlink(e)
-	st.pushFront(e)
-}
-
 // evictOver drops completed entries from the LRU end until the store
 // is within capacity, returning how many were evicted. In-flight builds
 // are skipped, so a burst of concurrent first requests may transiently
@@ -143,15 +107,14 @@ func (st *artifactStore) evictOver() int {
 		return 0
 	}
 	evicted := 0
-	for e := st.tail; e != nil && len(st.entries) > st.capacity; {
-		victim := e
-		e = e.prev
-		if victim.building {
-			continue
+	for el := st.lru.Back(); el != nil && len(st.entries) > st.capacity; {
+		victim := el
+		el = el.Prev()
+		if e := victim.Value.(*storeEntry); !e.building {
+			st.lru.Remove(victim)
+			delete(st.entries, e.key)
+			evicted++
 		}
-		st.unlink(victim)
-		delete(st.entries, victim.key)
-		evicted++
 	}
 	return evicted
 }

@@ -2,7 +2,6 @@ package huffman
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"repro/internal/bitio"
@@ -37,7 +36,6 @@ type LaneDecoder struct {
 	sched []*FastDecoder
 	tabs  []laneTab  // flattened schedule for the register engine
 	fused []fusedTab // pairwise-fused schedule (see fused.go); nil if unfusable
-	wide  bool       // any scheduled table's maxLen exceeds the 56-bit window
 }
 
 // laneTab is one schedule entry flattened for the register engine: the
@@ -52,9 +50,10 @@ type laneTab struct {
 }
 
 // NewLaneDecoder builds a kernel over the per-symbol table schedule.
-// At least one table is required; passing a table whose longest code
-// exceeds the in-register window (56 bits) selects a safe per-lane
-// fallback path for the whole kernel.
+// At least one table is required, and every table's longest code must
+// fit the 56-bit in-register window; the compression schemes bound
+// codes at isa.OpBits, and a FastDecoder for longer codes could not be
+// built in memory anyway.
 func NewLaneDecoder(sched ...*FastDecoder) *LaneDecoder {
 	if len(sched) == 0 {
 		panic("huffman: lane decoder needs at least one table")
@@ -68,23 +67,16 @@ func NewLaneDecoder(sched ...*FastDecoder) *LaneDecoder {
 			panic(fmt.Sprintf("huffman: lane decoder schedule entry %d is nil", i))
 		}
 		if fd.maxLen > 56 {
-			k.wide = true
+			panic(fmt.Sprintf("huffman: lane decoder schedule entry %d has %d-bit codes, over the 56-bit window", i, fd.maxLen))
 		}
 		k.tabs[i] = laneTab{root: fd.root, sub: fd.sub, syms: fd.syms, rootBits: fd.rootBits}
 	}
-	if !k.wide {
-		k.fused = fuseSchedule(k.sched)
-	}
+	k.fused = fuseSchedule(k.sched)
 	return k
 }
 
 // Tables returns the number of tables in the per-symbol schedule.
 func (k *LaneDecoder) Tables() int { return len(k.sched) }
-
-// Wide reports whether any scheduled table's longest code exceeds the
-// kernel's 56-bit in-register window, forcing every run onto the
-// per-lane sequential fallback.
-func (k *LaneDecoder) Wide() bool { return k.wide }
 
 // TableEntries returns the total lookup-table footprint of the schedule
 // in 4-byte entries — the artifact the decode-plan cache memoizes.
@@ -157,20 +149,15 @@ func badLanes(n int) {
 // are swap-removed from the rotation, degrading gracefully to a
 // single-lane loop for a lone tail.
 //
-// Its production callers are decodeBlocksSlow (corrupt images, wide
-// tables, ErrShortOutput) and the Huffman schemes' block decoder
-// (compress's DecodeBlock, one lane over a whole block, which
-// /v1/decode runs on every block); intact batches decode in
-// decodeBlocksFast.
+// Its production callers are decodeBlocksSlow (corrupt images) and the
+// Huffman schemes' block decoder (compress's DecodeBlock, one lane over
+// a whole block, which /v1/decode runs on every block); intact batches
+// decode in decodeBlocksFast.
 //
 //tepic:hotpath
 func (k *LaneDecoder) Run(lanes []Lane) {
 	if len(lanes) > MaxLanes {
 		badLanes(len(lanes))
-	}
-	if k.wide {
-		k.runWide(lanes)
-		return
 	}
 	var act [MaxLanes]int8
 	na := 0
@@ -228,7 +215,8 @@ func (k *LaneDecoder) Run(lanes []Lane) {
 // bits the reference decoder's terminals would: everything that remains
 // when the stream ends mid-codeword, exactly maxLen bits when they
 // match no codeword. Reached only after a Refill, so a non-truncated
-// failure always has maxLen bits buffered (maxLen <= 56 on this path).
+// failure always has maxLen bits buffered (NewLaneDecoder bounds maxLen
+// at 56).
 func laneFail(c *bitio.Cursor, fd *FastDecoder) error {
 	start := c.Offset()
 	if rem := c.Remaining(); rem < fd.maxLen {
@@ -239,10 +227,6 @@ func laneFail(c *bitio.Cursor, fd *FastDecoder) error {
 	c.Skip(fd.maxLen)
 	return errInvalid(code, start)
 }
-
-// ErrShortOutput reports a DecodeBlocks output buffer smaller than the
-// batch's total symbol count.
-var ErrShortOutput = errors.New("huffman: batch output buffer too small")
 
 // DecodeBlocks is the allocation-free batch engine over the kernel. It
 // decodes the blocks described by parallel slices addrs (byte address
@@ -258,13 +242,12 @@ var ErrShortOutput = errors.New("huffman: batch output buffer too small")
 //	per-segment:      (n*nsegs + 0) / 1  one symbol per segment per op
 //	per-byte:         (n*opbits + 7) / 8 one symbol per packed byte
 //
-// When out is non-nil the decoded symbols land in out, blocks in order;
-// a nil out runs the lanes in discard mode (full decode work, symbols
-// folded into the lane sink), the throughput-measurement shape. It
+// The lanes run in discard mode: full decode work, symbols folded into
+// a sink instead of stored, the throughput-measurement shape. It
 // returns the symbols decoded and the total code bits consumed, both
 // summed in block order through the first failing block (whose partial
 // symbols count), then that block's terminal error. Steady-state calls
-// allocate nothing on either path.
+// allocate nothing.
 //
 // Two engines sit behind this face. The happy path is
 // decodeBlocksFast: four register-resident cursors over a dynamic
@@ -278,30 +261,17 @@ var ErrShortOutput = errors.New("huffman: batch output buffer too small")
 // pass, intact ones never do.
 //
 //tepic:hotpath
-func (k *LaneDecoder) DecodeBlocks(data []byte, addrs, counts []int, mul, add, div int, out []uint64) (int64, int64, error) {
-	if !k.wide && len(addrs) > 0 {
-		fit := true
-		if out != nil {
-			total := 0
-			for i := range counts {
-				total += (counts[i]*mul + add) / div
-			}
-			fit = total <= len(out)
-		}
-		if fit {
-			if syms, bits, _, ok := k.decodeBlocksFast(data, addrs, counts, mul, add, div, out); ok {
-				return syms, bits, nil
-			}
-		}
+func (k *LaneDecoder) DecodeBlocks(data []byte, addrs, counts []int, mul, add, div int) (int64, int64, error) {
+	if syms, bits, _, ok := k.decodeBlocksFast(data, addrs, counts, mul, add, div); ok {
+		return syms, bits, nil
 	}
-	return k.decodeBlocksSlow(data, addrs, counts, mul, add, div, out)
+	return k.decodeBlocksSlow(data, addrs, counts, mul, add, div)
 }
 
 // decodeBlocksSlow is the grouped lane engine behind DecodeBlocks: up
 // to MaxLanes blocks armed per group, Run to completion, totals and the
 // first terminal collected in block order. It is the path with the
-// exact documented error semantics — the fast engine defers to it — and
-// the only one taken for wide tables or a short output buffer.
+// exact documented error semantics, and the fast engine defers to it.
 //
 // The lane state is a function-local array wired by direct field
 // assignment — the reason this engine lives in this package: routing
@@ -314,27 +284,16 @@ func (k *LaneDecoder) DecodeBlocks(data []byte, addrs, counts []int, mul, add, d
 // discard mode is a kernel mode and not a decode into stack scratch.
 //
 //tepic:hotpath
-func (k *LaneDecoder) decodeBlocksSlow(data []byte, addrs, counts []int, mul, add, div int, out []uint64) (int64, int64, error) {
+func (k *LaneDecoder) decodeBlocksSlow(data []byte, addrs, counts []int, mul, add, div int) (int64, int64, error) {
 	var lanes [MaxLanes]Lane
 	syms, bits := int64(0), int64(0)
-	symOff := 0
 	for base := 0; base < len(addrs); base += MaxLanes {
 		nl := len(addrs) - base
 		if nl > MaxLanes {
 			nl = MaxLanes
 		}
 		for i := 0; i < nl; i++ {
-			need := (counts[base+i]*mul + add) / div
-			if out == nil {
-				lanes[i].out = nil
-			} else {
-				if symOff+need > len(out) {
-					return syms, bits, ErrShortOutput
-				}
-				lanes[i].out = out[symOff : symOff+need]
-				symOff += need
-			}
-			lanes[i].want = need
+			lanes[i].want = (counts[base+i]*mul + add) / div
 			lanes[i].n = 0
 			lanes[i].ti = 0
 			lanes[i].err = nil
@@ -370,11 +329,8 @@ func (k *LaneDecoder) decodeBlocksSlow(data []byte, addrs, counts []int, mul, ad
 // symbol counts in unconditional rounds — one symbol per active lane
 // per round, with no quota or queue checks anywhere in the hot body.
 //
-// Three inner-loop bodies, picked once per call. The two specialized
-// ones run only in discard mode (out == nil: the throughput
-// measurement and the decode audit), where each lane folds
-// into its own sink, keeping the four symbol loads independent and the
-// output windows out of the loop:
+// Three inner-loop bodies, picked once per call. Each lane folds its
+// symbols into its own sink, keeping the four symbol loads independent:
 //
 //   - Single-table schedules (the whole-op and per-byte schemes) hoist
 //     the table's root, overflow and symbol arrays into locals; a
@@ -387,28 +343,23 @@ func (k *LaneDecoder) decodeBlocksSlow(data []byte, addrs, counts []int, mul, ad
 //     start at 0 each epoch and advance in lockstep. The loop iterates
 //     whole ops, hoisting each fused phase's table once for all four
 //     lanes, and one lookup emits two symbols.
-//   - Everything else — collect mode, unfusable or non-op-aligned
-//     schedules — goes through the flattened tabs descriptors with a
-//     per-lane phase, one indexed load per symbol and a per-symbol
-//     output-mode branch. Further specializations (an unfused lockstep
-//     body, collect-mode copies of the two above) measured at or under
-//     1.1x over this body or ran on no workload, so none is kept.
-//
-// Output offsets are assigned at queue order, so out's layout is
-// identical to the grouped engine's regardless of which lane decodes
-// which block.
+//   - Everything else — unfusable or non-op-aligned schedules — goes
+//     through the flattened tabs descriptors with a per-lane phase, one
+//     indexed load per symbol. A further specialization (an unfused
+//     lockstep body) measured at or under 1.1x over this body, so none
+//     is kept.
 //
 // Near the end of data the refill degrades byte-at-a-time (refillTail's
 // idiom), after which a codeword longer than the remaining bits — or
 // any unresolvable codeword, or an out-of-range block address — aborts
 // the whole pass with ok == false and no totals: the caller re-decodes
 // through the grouped engine for exact terminal semantics. The returned
-// sink is the xor fold of discard-mode symbols; flowing it out of the
+// sink is the xor fold of the decoded symbols; flowing it out of the
 // (never inlined) function keeps their table loads live — it is
 // otherwise meaningless and callers discard it.
 //
 //tepic:hotpath
-func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, add, div int, out []uint64) (syms, bits int64, sink uint64, ok bool) {
+func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, add, div int) (syms, bits int64, sink uint64, ok bool) {
 	tabs := k.tabs
 	fused := k.fused
 	nt := len(tabs)
@@ -416,11 +367,15 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 	// (see the body notes above).
 	opAligned := nt > 1 && mul == nt && add == 0 && div == 1
 	next := 0 // next queue index
-	symOff := 0
 	var sk0, sk1, sk2, sk3 uint64
 
-	// Per-lane state. The initial act/m == w == 0 state reads as "block
-	// complete", so the first epoch boundary arms the lanes off the queue.
+	// Per-lane state. The initial m == w == 0 state of an active lane
+	// reads as "block complete", so the first epoch boundary arms the
+	// lanes off the queue. The state already overflows the register
+	// file, so the four active flags share one word, and the fused body
+	// reslices symsB to symsA's length so one bounds check covers both
+	// loads. Without those two savings the allocator's spills cost the
+	// fused body about 15% on a 2-core x86-64 host.
 	var b0, b1, b2, b3 uint64 // accumulators, next bits at the top
 	var n0, n1, n2, n3 int    // valid accumulator bits
 	var y0, y1, y2, y3 int    // next byte position
@@ -428,13 +383,12 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 	var m0, m1, m2, m3 int    // symbols decoded in current block
 	var w0, w1, w2, w3 int    // symbols wanted in current block
 	var t0, t1, t2, t3 int    // schedule phase (generic variant only)
-	var o0, o1, o2, o3 []uint64
-	act0, act1, act2, act3 := true, true, true, true
+	act := uint(0xf)          // bit i set while lane i has blocks to decode
 
 	for {
 		// Epoch boundary: account and re-arm completed lanes (the loop
 		// form swallows zero-symbol blocks), deactivate on a dry queue.
-		for act0 && m0 == w0 {
+		for act&1 != 0 && m0 == w0 {
 			syms += int64(m0)
 			bits += int64(8*y0 - n0 - a0)
 			if next < len(addrs) {
@@ -444,17 +398,13 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 				}
 				y0 = addrs[next]
 				a0 = y0 * 8
-				if out != nil {
-					o0 = out[symOff : symOff+w0]
-					symOff += w0
-				}
 				b0, n0, m0, t0 = 0, 0, 0, 0
 				next++
 			} else {
-				act0 = false
+				act &^= 1
 			}
 		}
-		for act1 && m1 == w1 {
+		for act&2 != 0 && m1 == w1 {
 			syms += int64(m1)
 			bits += int64(8*y1 - n1 - a1)
 			if next < len(addrs) {
@@ -464,17 +414,13 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 				}
 				y1 = addrs[next]
 				a1 = y1 * 8
-				if out != nil {
-					o1 = out[symOff : symOff+w1]
-					symOff += w1
-				}
 				b1, n1, m1, t1 = 0, 0, 0, 0
 				next++
 			} else {
-				act1 = false
+				act &^= 2
 			}
 		}
-		for act2 && m2 == w2 {
+		for act&4 != 0 && m2 == w2 {
 			syms += int64(m2)
 			bits += int64(8*y2 - n2 - a2)
 			if next < len(addrs) {
@@ -484,17 +430,13 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 				}
 				y2 = addrs[next]
 				a2 = y2 * 8
-				if out != nil {
-					o2 = out[symOff : symOff+w2]
-					symOff += w2
-				}
 				b2, n2, m2, t2 = 0, 0, 0, 0
 				next++
 			} else {
-				act2 = false
+				act &^= 4
 			}
 		}
-		for act3 && m3 == w3 {
+		for act&8 != 0 && m3 == w3 {
 			syms += int64(m3)
 			bits += int64(8*y3 - n3 - a3)
 			if next < len(addrs) {
@@ -504,14 +446,10 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 				}
 				y3 = addrs[next]
 				a3 = y3 * 8
-				if out != nil {
-					o3 = out[symOff : symOff+w3]
-					symOff += w3
-				}
 				b3, n3, m3, t3 = 0, 0, 0, 0
 				next++
 			} else {
-				act3 = false
+				act &^= 8
 			}
 		}
 
@@ -519,35 +457,27 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 		// lanes. Boundary processing guarantees every active lane has at
 		// least one symbol left.
 		rounds := -1
-		if act0 && (rounds < 0 || w0-m0 < rounds) {
+		if act&1 != 0 && (rounds < 0 || w0-m0 < rounds) {
 			rounds = w0 - m0
 		}
-		if act1 && (rounds < 0 || w1-m1 < rounds) {
+		if act&2 != 0 && (rounds < 0 || w1-m1 < rounds) {
 			rounds = w1 - m1
 		}
-		if act2 && (rounds < 0 || w2-m2 < rounds) {
+		if act&4 != 0 && (rounds < 0 || w2-m2 < rounds) {
 			rounds = w2 - m2
 		}
-		if act3 && (rounds < 0 || w3-m3 < rounds) {
+		if act&8 != 0 && (rounds < 0 || w3-m3 < rounds) {
 			rounds = w3 - m3
 		}
 		if rounds < 0 {
 			break
 		}
-		// Collect mode: each lane's epoch window, so the inner loops
-		// index by round. In discard mode the o slices stay nil while
-		// m advances, so they must not be resliced.
-		var oo0, oo1, oo2, oo3 []uint64
-		if out != nil {
-			oo0, oo1, oo2, oo3 = o0[m0:], o1[m1:], o2[m2:], o3[m3:]
-		}
-
-		if nt == 1 && out == nil {
+		if nt == 1 {
 			root, subt, symt := tabs[0].root, tabs[0].sub, tabs[0].syms
 			rb := tabs[0].rootBits
 			rootMask := uint64(len(root) - 1)
 			for r := 0; r < rounds; r++ {
-				if act0 {
+				if act&1 != 0 {
 					if n0 < 56 {
 						if y0+8 <= len(data) {
 							b0 |= binary.BigEndian.Uint64(data[y0:]) >> uint(n0)
@@ -575,7 +505,7 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 					n0 -= cl
 					sk0 ^= symt[e>>6]
 				}
-				if act1 {
+				if act&2 != 0 {
 					if n1 < 56 {
 						if y1+8 <= len(data) {
 							b1 |= binary.BigEndian.Uint64(data[y1:]) >> uint(n1)
@@ -603,7 +533,7 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 					n1 -= cl
 					sk1 ^= symt[e>>6]
 				}
-				if act2 {
+				if act&4 != 0 {
 					if n2 < 56 {
 						if y2+8 <= len(data) {
 							b2 |= binary.BigEndian.Uint64(data[y2:]) >> uint(n2)
@@ -631,7 +561,7 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 					n2 -= cl
 					sk2 ^= symt[e>>6]
 				}
-				if act3 {
+				if act&8 != 0 {
 					if n3 < 56 {
 						if y3+8 <= len(data) {
 							b3 |= binary.BigEndian.Uint64(data[y3:]) >> uint(n3)
@@ -660,15 +590,16 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 					sk3 ^= symt[e>>6]
 				}
 			}
-		} else if opAligned && fused != nil && out == nil {
+		} else if opAligned && fused != nil {
 			nf := len(fused)
 			for r := 0; r < rounds; {
 				for t := 0; t < nf; t++ {
 					root, subt := fused[t].root, fused[t].sub
-					symA, symB := fused[t].symsA, fused[t].symsB
+					symA := fused[t].symsA
+					symB := fused[t].symsB[:len(symA)]
 					rb := fused[t].rootBits
 					rootMask := uint64(len(root) - 1)
-					if act0 {
+					if act&1 != 0 {
 						if n0 < 56 {
 							if y0+8 <= len(data) {
 								b0 |= binary.BigEndian.Uint64(data[y0:]) >> uint(n0)
@@ -697,7 +628,7 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 						pi := e >> 6
 						sk0 ^= symA[pi] ^ symB[pi]
 					}
-					if act1 {
+					if act&2 != 0 {
 						if n1 < 56 {
 							if y1+8 <= len(data) {
 								b1 |= binary.BigEndian.Uint64(data[y1:]) >> uint(n1)
@@ -726,7 +657,7 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 						pi := e >> 6
 						sk1 ^= symA[pi] ^ symB[pi]
 					}
-					if act2 {
+					if act&4 != 0 {
 						if n2 < 56 {
 							if y2+8 <= len(data) {
 								b2 |= binary.BigEndian.Uint64(data[y2:]) >> uint(n2)
@@ -755,7 +686,7 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 						pi := e >> 6
 						sk2 ^= symA[pi] ^ symB[pi]
 					}
-					if act3 {
+					if act&8 != 0 {
 						if n3 < 56 {
 							if y3+8 <= len(data) {
 								b3 |= binary.BigEndian.Uint64(data[y3:]) >> uint(n3)
@@ -789,7 +720,7 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 			}
 		} else {
 			for r := 0; r < rounds; r++ {
-				if act0 {
+				if act&1 != 0 {
 					if n0 < 56 {
 						if y0+8 <= len(data) {
 							b0 |= binary.BigEndian.Uint64(data[y0:]) >> uint(n0)
@@ -817,17 +748,12 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 					}
 					b0 <<= uint(cl)
 					n0 -= cl
-					sym := tabs[t0].syms[e>>6]
-					if oo0 != nil {
-						oo0[r] = sym
-					} else {
-						sk0 ^= sym
-					}
+					sk0 ^= tabs[t0].syms[e>>6]
 					if t0++; t0 == nt {
 						t0 = 0
 					}
 				}
-				if act1 {
+				if act&2 != 0 {
 					if n1 < 56 {
 						if y1+8 <= len(data) {
 							b1 |= binary.BigEndian.Uint64(data[y1:]) >> uint(n1)
@@ -855,17 +781,12 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 					}
 					b1 <<= uint(cl)
 					n1 -= cl
-					sym := tabs[t1].syms[e>>6]
-					if oo1 != nil {
-						oo1[r] = sym
-					} else {
-						sk1 ^= sym
-					}
+					sk1 ^= tabs[t1].syms[e>>6]
 					if t1++; t1 == nt {
 						t1 = 0
 					}
 				}
-				if act2 {
+				if act&4 != 0 {
 					if n2 < 56 {
 						if y2+8 <= len(data) {
 							b2 |= binary.BigEndian.Uint64(data[y2:]) >> uint(n2)
@@ -893,17 +814,12 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 					}
 					b2 <<= uint(cl)
 					n2 -= cl
-					sym := tabs[t2].syms[e>>6]
-					if oo2 != nil {
-						oo2[r] = sym
-					} else {
-						sk2 ^= sym
-					}
+					sk2 ^= tabs[t2].syms[e>>6]
 					if t2++; t2 == nt {
 						t2 = 0
 					}
 				}
-				if act3 {
+				if act&8 != 0 {
 					if n3 < 56 {
 						if y3+8 <= len(data) {
 							b3 |= binary.BigEndian.Uint64(data[y3:]) >> uint(n3)
@@ -931,77 +847,25 @@ func (k *LaneDecoder) decodeBlocksFast(data []byte, addrs, counts []int, mul, ad
 					}
 					b3 <<= uint(cl)
 					n3 -= cl
-					sym := tabs[t3].syms[e>>6]
-					if oo3 != nil {
-						oo3[r] = sym
-					} else {
-						sk3 ^= sym
-					}
+					sk3 ^= tabs[t3].syms[e>>6]
 					if t3++; t3 == nt {
 						t3 = 0
 					}
 				}
 			}
 		}
-		if act0 {
+		if act&1 != 0 {
 			m0 += rounds
 		}
-		if act1 {
+		if act&2 != 0 {
 			m1 += rounds
 		}
-		if act2 {
+		if act&4 != 0 {
 			m2 += rounds
 		}
-		if act3 {
+		if act&8 != 0 {
 			m3 += rounds
 		}
 	}
 	return syms, bits, sk0 ^ sk1 ^ sk2 ^ sk3, true
-}
-
-// runWide is Run for schedules whose longest code exceeds the 56-bit
-// cursor window (reachable only near MaxCodeLen; the compression
-// schemes bound codes at isa.OpBits). Each lane decodes sequentially
-// through a per-symbol reader sharing the decoder terminals, then the
-// cursor is resynced to the reader's offset.
-func (k *LaneDecoder) runWide(lanes []Lane) {
-	for i := range lanes {
-		l := &lanes[i]
-		if l.Done() {
-			continue
-		}
-		// A stack Reader value (MakeReader, not NewReader) keeps this
-		// path from leaking the lane array to the heap: Run's callers
-		// hold lanes in stack arrays and rely on Run never escaping them.
-		r := bitio.MakeReader(l.cur.Source())
-		if err := r.SeekBit(l.cur.Offset()); err != nil {
-			l.err = err
-			continue
-		}
-		for l.n < l.want {
-			sym, err := k.sched[l.ti].Decode(&r)
-			if err != nil {
-				l.err = err
-				break
-			}
-			if l.out != nil {
-				l.out[l.n] = sym
-			} else {
-				l.sink ^= sym
-			}
-			l.n++
-			l.ti++
-			if l.ti == len(k.sched) {
-				l.ti = 0
-			}
-		}
-		// Resync the cursor so Offset stays truthful after terminals.
-		// SeekBit, not Init: re-passing Source() through Init would leak
-		// the callers' stack lane arrays to the heap (see Cursor.SeekBit).
-		if err := l.cur.SeekBit(r.Offset()); err != nil {
-			if l.err == nil {
-				l.err = err
-			}
-		}
-	}
 }

@@ -187,28 +187,6 @@ func TestLaneDecodeUnalignedStarts(t *testing.T) {
 	}
 }
 
-// TestLaneWideSchedule covers the per-lane fallback for codes wider
-// than the in-register window. A real >56-bit FastDecoder is
-// unbuildable in memory (its overflow sub-table would span 2^47
-// entries), so the wide-selection logic is pinned on a stub and the
-// runWide path itself is exercised by forcing the flag over a normal
-// schedule — it must still agree with the oracle at every truncation
-// point.
-func TestLaneWideSchedule(t *testing.T) {
-	if k := NewLaneDecoder(&FastDecoder{maxLen: 57}); !k.wide {
-		t.Fatal("57-bit schedule did not select the wide fallback")
-	}
-	rng := rand.New(rand.NewSource(96))
-	fx := buildLaneFixture(t, rng, 2, 2, 64)
-	k := &LaneDecoder{sched: fx.kern.sched, wide: true}
-	requireLaneAgreement(t, k, fx.data, 64)
-	requireLaneAgreement(t, k, fx.data, 65)
-	data := fx.data[0]
-	for cut := 0; cut <= len(data) && cut < 24; cut++ {
-		requireLaneAgreement(t, k, [][]byte{data[:cut], data[:cut]}, 64)
-	}
-}
-
 // TestLaneRunZeroAlloc is the dynamic half of the //tepic:hotpath
 // contract on LaneDecoder.Run: zero allocations per four-lane batch in
 // steady state (lanes held by the caller, Init between batches). The
@@ -288,6 +266,9 @@ func TestLaneDecoderValidation(t *testing.T) {
 	}
 	expectPanic("empty schedule", func() { NewLaneDecoder() })
 	expectPanic("nil table", func() { NewLaneDecoder(nil) })
+	// A real 57-bit FastDecoder is unbuildable in memory (its overflow
+	// sub-table would span 2^47 entries), so a stub carries the length.
+	expectPanic("57-bit codes", func() { NewLaneDecoder(&FastDecoder{maxLen: 57}) })
 	tab, err := Build(map[uint64]int64{1: 1, 2: 2, 3: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -334,10 +315,9 @@ func encodeLaneBlocks(t *testing.T, rng *rand.Rand, fx *laneFixture, nblocks, mu
 
 // TestDecodeBlocksDiscardCollect covers each schedule shape, and with
 // them each of decodeBlocksFast's three bodies. DecodeBlocks must report
-// the same totals with out == nil as with out != nil, the collected
-// symbols must be the encoded ones, and the discard pass's sink must be
-// the xor of those symbols — the symbol-level check on the discard-only
-// specialized bodies, whose symbols are otherwise never observed.
+// the encoded totals, and the fast engine's sink must be the xor of the
+// encoded symbols — the symbol-level check on the batch engine, whose
+// symbols are otherwise never observed.
 func TestDecodeBlocksDiscardCollect(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -367,40 +347,23 @@ func TestDecodeBlocksDiscardCollect(t *testing.T) {
 			wantSyms := int64(len(want))
 			k := fx.kern
 
-			out := make([]uint64, len(want))
-			syms, bits, err := k.DecodeBlocks(data, addrs, counts, tc.mul, tc.add, tc.div, out)
+			syms, bits, err := k.DecodeBlocks(data, addrs, counts, tc.mul, tc.add, tc.div)
 			if err != nil || syms != wantSyms || bits != wantBits {
-				t.Fatalf("collect = (%d, %d, %v), want (%d, %d, nil)", syms, bits, err, wantSyms, wantBits)
+				t.Fatalf("DecodeBlocks = (%d, %d, %v), want (%d, %d, nil)", syms, bits, err, wantSyms, wantBits)
 			}
-			for i := range want {
-				if out[i] != want[i] {
-					t.Fatalf("collected symbol %d = %d, want %d", i, out[i], want[i])
-				}
-			}
-			syms, bits, err = k.DecodeBlocks(data, addrs, counts, tc.mul, tc.add, tc.div, nil)
-			if err != nil || syms != wantSyms || bits != wantBits {
-				t.Fatalf("discard = (%d, %d, %v), want (%d, %d, nil)", syms, bits, err, wantSyms, wantBits)
-			}
-
-			// The fast engine directly: it must take both modes without
-			// falling back, and discard must fold exactly the symbols
-			// collect stores.
-			syms, bits, sink, ok := k.decodeBlocksFast(data, addrs, counts, tc.mul, tc.add, tc.div, nil)
+			// The fast engine directly: it must decode the intact image
+			// without falling back, folding exactly the encoded symbols.
+			syms, bits, sink, ok := k.decodeBlocksFast(data, addrs, counts, tc.mul, tc.add, tc.div)
 			if !ok || syms != wantSyms || bits != wantBits {
-				t.Fatalf("fast discard = (%d, %d, ok %v), want (%d, %d, ok)", syms, bits, ok, wantSyms, wantBits)
+				t.Fatalf("fast = (%d, %d, ok %v), want (%d, %d, ok)", syms, bits, ok, wantSyms, wantBits)
 			}
 			if sink != xor {
-				t.Fatalf("fast discard sink %#x, want xor of symbols %#x", sink, xor)
+				t.Fatalf("fast sink %#x, want xor of symbols %#x", sink, xor)
 			}
-			clear(out)
-			syms, bits, _, ok = k.decodeBlocksFast(data, addrs, counts, tc.mul, tc.add, tc.div, out)
-			if !ok || syms != wantSyms || bits != wantBits {
-				t.Fatalf("fast collect = (%d, %d, ok %v), want (%d, %d, ok)", syms, bits, ok, wantSyms, wantBits)
-			}
-			for i := range want {
-				if out[i] != want[i] {
-					t.Fatalf("fast collected symbol %d = %d, want %d", i, out[i], want[i])
-				}
+			// The grouped engine over the same blocks: same totals.
+			syms, bits, err = k.decodeBlocksSlow(data, addrs, counts, tc.mul, tc.add, tc.div)
+			if err != nil || syms != wantSyms || bits != wantBits {
+				t.Fatalf("slow = (%d, %d, %v), want (%d, %d, nil)", syms, bits, err, wantSyms, wantBits)
 			}
 		})
 	}

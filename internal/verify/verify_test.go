@@ -317,7 +317,7 @@ func TestEncodingRealTables(t *testing.T) {
 // ---- seeded-broken images and ATTs ---------------------------------------
 
 // buildImage encodes cleanSched under full-op Huffman and attaches an ATT.
-func buildImage(t *testing.T) (*sched.Program, *compress.FullHuffman, *image.Image) {
+func buildImage(t *testing.T) (*sched.Program, *compress.StreamHuffman, *image.Image) {
 	t.Helper()
 	sp := cleanSched()
 	enc, err := compress.NewFullHuffman(sp)
