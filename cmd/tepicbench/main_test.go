@@ -178,7 +178,7 @@ func TestRunStreamMode(t *testing.T) {
 	for _, want := range []string{
 		"stream benchmark compress/Compressed",
 		"997-event chunks == default chunks: every counter identical",
-		"Mops/s",
+		"Mops/s (process CPU",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stream output missing %q:\n%s", want, out)
@@ -196,7 +196,7 @@ func TestRunStreamMode(t *testing.T) {
 		t.Errorf("report header wrong: %+v", rep)
 	}
 	requireHost(t, rep.hostInfo)
-	if rep.Ops < 2000000 || rep.Events <= 0 || rep.Cycles <= 0 || rep.MopsPerSec <= 0 {
+	if rep.Ops < 2000000 || rep.Events <= 0 || rep.Cycles <= 0 || rep.MopsPerSec <= 0 || rep.CPUMS <= 0 {
 		t.Errorf("report missing run data: %+v", rep)
 	}
 	if !rep.SeqIdentical {

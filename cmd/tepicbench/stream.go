@@ -2,11 +2,13 @@ package main
 
 // The -stream mode: benchmark the streaming trace pipeline end to end.
 // A fixed-seed trace flows out of the stochastic walker in bounded
-// chunks — produced on the walker's own goroutine, never materialized —
-// straight into Sim.RunStream, and the run fails unless a second replay
-// of the same seed at another chunk size is bit-identical to it.
-// -streammin gates the throughput (Mops/s) and -streammaxmb the HeapSys
-// growth; -json writes BENCH_stream.json with the host it ran on.
+// chunks — each filled when Sim.RunStream asks for it, on the same
+// goroutine, never materialized — and the run fails unless a second
+// replay of the same seed at another chunk size is bit-identical to it.
+// The report gives the process CPU time of the timed replay next to its
+// wall-clock throughput. -streammin gates the throughput (Mops/s) and
+// -streammaxmb the HeapSys growth; -json writes BENCH_stream.json with
+// the host it ran on.
 
 import (
 	"encoding/json"
@@ -14,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"syscall"
 	"time"
 
 	ccc "repro"
@@ -47,6 +50,10 @@ type streamReport struct {
 	Cycles     int64   `json:"cycles"`
 	WallMS     float64 `json:"wall_ms"`
 	MopsPerSec float64 `json:"mops_per_sec"`
+	// CPUMS is the process CPU time, user and system over all threads,
+	// of the timed replay. Unlike wall time it counts work done on other
+	// cores and leaves out time the host took away.
+	CPUMS float64 `json:"cpu_ms"`
 	// HeapSysMB / HeapGrowthMB bound the streamed run's peak footprint:
 	// HeapSys is monotonic within the process, so its growth over the
 	// replays is an upper bound on what the pipeline held live.
@@ -86,12 +93,21 @@ func runStreamBench(sr streamRun, w *cliio.Writer) error {
 	}
 
 	before := ccc.MemSnapshot()
+	cpu0, err := processCPU()
+	if err != nil {
+		return err
+	}
 	start := time.Now()
 	res, err := replay(0)
 	if err != nil {
 		return err
 	}
 	wall := time.Since(start)
+	cpu1, err := processCPU()
+	if err != nil {
+		return err
+	}
+	cpuMS := float64(cpu1-cpu0) / float64(time.Millisecond)
 
 	// Differential gate, always on: the same seed replayed at another
 	// chunk size must agree in every counter.
@@ -137,7 +153,8 @@ func runStreamBench(sr streamRun, w *cliio.Writer) error {
 	growthMB := (int64(after.HeapSys) - int64(before.HeapSys)) >> 20
 	w.Printf("stream benchmark %s/%s: %d ops (%d events) in %.2fs (GOMAXPROCS %d)\n",
 		sr.bench, p.Name, res.Ops, res.BlockFetches, wall.Seconds(), runtime.GOMAXPROCS(0))
-	w.Printf("  throughput %.1f Mops/s, cycles %d, IPC %.4f\n", mops, res.Cycles, res.IPC())
+	w.Printf("  throughput %.1f Mops/s (process CPU %.0f ms), cycles %d, IPC %.4f\n",
+		mops, cpuMS, res.Cycles, res.IPC())
 	w.Printf("  heap sys %d MB (grew %d MB during the streamed replays)\n",
 		int64(after.HeapSys)>>20, growthMB)
 	if seqIdentical {
@@ -157,6 +174,7 @@ func runStreamBench(sr streamRun, w *cliio.Writer) error {
 			Cycles:        res.Cycles,
 			WallMS:        float64(wall) / float64(time.Millisecond),
 			MopsPerSec:    mops,
+			CPUMS:         cpuMS,
 			HeapSysMB:     int64(after.HeapSys) >> 20,
 			HeapGrowthMB:  growthMB,
 			SeqIdentical:  seqIdentical,
@@ -194,4 +212,14 @@ func runStreamBench(sr streamRun, w *cliio.Writer) error {
 			w.Err())
 	}
 	return w.Err()
+}
+
+// processCPU returns the CPU time the process has used so far, user and
+// system, across all its threads.
+func processCPU() (time.Duration, error) {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0, fmt.Errorf("getrusage: %w", err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()), nil
 }

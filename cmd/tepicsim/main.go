@@ -22,8 +22,8 @@
 //	tepicsim -bench go -org base -stream -check
 //
 // With -stream the trace is never materialized: events flow out of the
-// stochastic walker in bounded chunks, produced on their own goroutine,
-// straight into Sim.RunStream, so the horizon (-ops) can exceed what
+// stochastic walker in bounded chunks, each filled when Sim.RunStream
+// asks for it, so the horizon (-ops) can exceed what
 // would fit in memory. -check in stream mode replays the same seed at a
 // second chunk size and through the analytical oracle and requires all
 // three bit-identical.

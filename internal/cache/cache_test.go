@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -517,28 +518,26 @@ func zeroEventChunks(sp *sched.Program, tr *trace.Trace) *chunkListStream {
 	return &chunkListStream{name: tr.Name, chunks: cuts}
 }
 
-// attributedStream feeds a materialized trace through a producer stream
+// attributedStream pulls a materialized trace through a PullStream
 // with per-event Ops/MOPs attribution — the way the emulator's walkers
 // attribute work — so every chunk carries its own totals and partial
 // results on error paths have meaningful operation counts (SliceStream
 // rides the totals on the final chunk only). Events referencing blocks
 // outside the program attribute nothing.
 func attributedStream(sp *sched.Program, tr *trace.Trace, chunkEvents int) trace.Stream {
-	s, p := trace.NewChanStream(tr.Name, chunkEvents, 0)
-	go func() {
-		for _, ev := range tr.Events {
-			var ops, mops int64
+	events := tr.Events
+	return trace.NewPullStream(tr.Name, chunkEvents, func(c *trace.Chunk) error {
+		for len(events) > 0 && len(c.Events) < cap(c.Events) {
+			ev := events[0]
+			events = events[1:]
 			if b := ev.Block(); b >= 0 && b < len(sp.Blocks) {
-				ops = int64(sp.Blocks[b].NumOps())
-				mops = int64(sp.Blocks[b].NumMOPs())
+				c.Ops += int64(sp.Blocks[b].NumOps())
+				c.MOPs += int64(sp.Blocks[b].NumMOPs())
 			}
-			if !p.Append(ev, ops, mops) {
-				break
-			}
+			c.Events = append(c.Events, ev)
 		}
-		p.Close(nil)
-	}()
-	return s
+		return nil
+	})
 }
 
 // TestRunStreamMatchesRun checks the incremental stream replay is
@@ -617,6 +616,50 @@ func TestRunStreamMatchesRun(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestStreamStartsNoGoroutine pins that trace production runs on the
+// consumer's goroutine: creating a walker stream, draining part of it,
+// closing it, and a full RunStream drain leave the goroutine count
+// where it was.
+func TestStreamStartsNoGoroutine(t *testing.T) {
+	sp, ims := pipeline(t, "compress")
+	prof := workload.MustProfile("compress")
+	base := runtime.NumGoroutine()
+	check := func(stage string) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n != base {
+			t.Fatalf("%s: %d goroutines, want %d", stage, n, base)
+		}
+	}
+	st, err := emu.StochasticStreamOps(sp, prof.Seed, 1_000_000, prof.Phases, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("created")
+	for i := 0; i < 3; i++ {
+		c, err := st.Next()
+		if err != nil || c == nil {
+			t.Fatalf("Next = (%v, %v)", c, err)
+		}
+		st.Recycle(c)
+	}
+	check("partly drained")
+	st.Close()
+	check("closed")
+
+	st, err = emu.StochasticStreamOps(sp, prof.Seed, 200_000, prof.Phases, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := NewSim(OrgCompressed, DefaultConfig(OrgCompressed), ims[OrgCompressed], sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RunStream(st); err != nil {
+		t.Fatal(err)
+	}
+	check("RunStream drained")
 }
 
 // TestRunShardedBusDeltasAuthoritative asserts the bus invariant on its
@@ -717,18 +760,33 @@ func TestRunStreamErrors(t *testing.T) {
 			return got, Result{}, err
 		}, ErrMalformedTrace, "event 8500"},
 		{"producer-error", func(t *testing.T) (Result, Result, error) {
-			st, p := trace.NewChanStream("t", 16, 2)
-			go func() {
-				for i := 0; i < 100; i++ {
-					if !p.Append(trace.MakeEvent(0, false, 0), 1, 1) {
-						p.Close(nil)
-						return
-					}
+			// The fill fails after 100 events: chunks of 16 and a final
+			// partial chunk of 4, all replayed before the error arrives.
+			ev := trace.MakeEvent(0, false, 0)
+			filled := 0
+			st := trace.NewPullStream("t", 16, func(c *trace.Chunk) error {
+				for filled < 100 && len(c.Events) < cap(c.Events) {
+					c.Events = append(c.Events, ev)
+					c.Ops++
+					c.MOPs++
+					filled++
 				}
-				p.Close(perr)
-			}()
+				if filled == 100 {
+					return perr
+				}
+				return nil
+			})
 			got, err := mkSim(t, OrgBase).RunStream(st)
-			return got, got, err
+			clean := &trace.Trace{Name: "t", Ops: 100, MOPs: 100}
+			for i := 0; i < 100; i++ {
+				clean.Events = append(clean.Events, ev)
+			}
+			want, werr := mkSim(t, OrgBase).Run(clean)
+			if werr != nil {
+				t.Fatal(werr)
+			}
+			want.ATBHitRate = 0
+			return got, want, err
 		}, perr, "producer boom"},
 	}
 	for _, r := range rows {

@@ -308,9 +308,10 @@ func (s *Sim) Run(tr *trace.Trace) (Result, error) {
 // derived on success. A producer's terminal error is returned as is,
 // with the counters of every chunk delivered before it.
 //
-// Trace production overlaps the replay whenever the stream has its own
-// producer goroutine (trace.ChanStream, and the emulator's walkers built
-// on it); RunStream itself is the simulator's one replay path.
+// A walker stream (emu.StochasticStream[Ops]) fills each chunk inside
+// Next, so trace production and replay alternate on the caller's
+// goroutine and the stream holds one chunk. RunStream is the
+// simulator's one replay path.
 func (s *Sim) RunStream(st trace.Stream) (Result, error) {
 	res := Result{
 		Benchmark: st.Name(),

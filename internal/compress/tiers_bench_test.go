@@ -6,13 +6,16 @@ import (
 	"repro/internal/bitio"
 )
 
-// BenchmarkDecodeTiers is the microbenchmark behind the lane-gain
-// ratchet: for every batch-capable scheme it decodes a whole benchmark
-// image block by block through the fast per-symbol face (SeekBit +
-// DecodeBlockSymbols, the pre-kernel decode path) and through the
-// lane-kernel batch face (DecodeRun). The batch/fast
-// ratio here is what tepicbench reports as lane gain and what the CI
-// bench-smoke job gates with -lanemin.
+// BenchmarkDecodeTiers times, for every batch-capable scheme, a whole
+// benchmark image decoded block by block through the fast per-symbol
+// face (SeekBit + DecodeBlockSymbols, the pre-kernel decode path) and
+// through the lane-kernel batch face (DecodeRun), each tier warm and
+// alone. It is not the lane-gain ratchet: tepicbench's lane gain, which
+// CI gates with -lanemin, is measured by core.MeasureDecodeThroughput,
+// which interleaves the fast, reference and batch passes in every round
+// and times the batch through DecodePlan.DecodeSymbols. The two shapes
+// can disagree on a kernel change, so check one with
+// MeasureDecodeThroughput too.
 func BenchmarkDecodeTiers(b *testing.B) {
 	for _, scheme := range batchSchemes {
 		bd, sd, data, addrs, counts := batchFixture(b, scheme)

@@ -259,13 +259,12 @@ func (c *Compiled) Trace(maxBlocks int) (*trace.Trace, error) {
 	})
 }
 
-// StreamTrace produces the benchmark's dynamic trace as a bounded
-// producer/consumer chunk stream — the same seeded walk as Trace, but
-// never materialized, so the horizon is limited only by the consumer's
-// patience. One-shot and uncached (a stream is consumed, not an
-// artifact); maxBlocks <= 0 selects the profile's default length,
-// chunkEvents <= 0 the stream default. The consumer must drain or
-// Close the stream.
+// StreamTrace produces the benchmark's dynamic trace as a chunk stream
+// whose Next runs the walk for one chunk on the consumer's goroutine —
+// the same seeded walk as Trace, but never materialized, so the horizon
+// is limited only by the consumer's patience. One-shot and uncached (a
+// stream is consumed, not an artifact); maxBlocks <= 0 selects the
+// profile's default length, chunkEvents <= 0 the stream default.
 func (c *Compiled) StreamTrace(maxBlocks, chunkEvents int) (trace.Stream, error) {
 	if c.Profile == nil {
 		return nil, fmt.Errorf("core: %s has no profile; use emu.Machine to run it", c.Name)

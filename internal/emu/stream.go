@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"math"
 	"runtime"
 
 	"repro/internal/sched"
@@ -8,37 +9,15 @@ import (
 )
 
 // StochasticStream is the streaming face of StochasticTrace: the same
-// seeded CFG walk, but events flow to the consumer through a bounded
-// producer/consumer chunk stream instead of materializing a []Event —
-// the walker's working set is a handful of recycled chunks, independent
-// of maxBlocks. The event sequence is bit-identical to
+// seeded CFG walk, but the events arrive in chunks that the stream's
+// Next fills on the consumer's goroutine instead of one materialized
+// []Event — the walker's working set is the chunks the consumer holds,
+// independent of maxBlocks. The event sequence is bit-identical to
 // StochasticTrace(sp, seed, maxBlocks, phases): same PRNG consumption
 // order, same final-event trace.End patch. chunkEvents <= 0 selects
-// trace.DefaultChunkEvents. The consumer must drain the stream or
-// Close it to release the producer goroutine.
-//
-//tepic:pool
+// trace.DefaultChunkEvents.
 func StochasticStream(sp *sched.Program, seed int64, maxBlocks, phases, chunkEvents int) (trace.Stream, error) {
-	w, err := newWalker(sp, seed, phases)
-	if err != nil {
-		return nil, err
-	}
-	s, p := trace.NewChanStream(sp.Name, chunkEvents, 0)
-	go func() {
-		for i := 0; i < maxBlocks; i++ {
-			ev, ops, mops := w.step()
-			if i == maxBlocks-1 {
-				// The final event has no successor within the trace
-				// window, exactly as StochasticTrace patches it.
-				ev.SetNext(trace.End)
-			}
-			if !p.Append(ev, ops, mops) {
-				break
-			}
-		}
-		p.Close(nil)
-	}()
-	return s, nil
+	return walkStream(sp, seed, int64(maxBlocks), math.MaxInt64, phases, chunkEvents)
 }
 
 // StochasticStreamOps is StochasticStream bounded by dynamic operation
@@ -46,37 +25,48 @@ func StochasticStream(sp *sched.Program, seed int64, maxBlocks, phases, chunkEve
 // boundary where at least maxOps operations have executed. This is the
 // long-horizon generator — "simulate 100M ops" — where the block count
 // is not known up front. The final event's Next is trace.End.
-//
-//tepic:pool
 func StochasticStreamOps(sp *sched.Program, seed int64, maxOps int64, phases, chunkEvents int) (trace.Stream, error) {
+	return walkStream(sp, seed, math.MaxInt64, maxOps, phases, chunkEvents)
+}
+
+// walkStream is the body of both stochastic streams: the walk stops
+// once it has stepped maxBlocks blocks or executed at least maxOps
+// operations.
+func walkStream(sp *sched.Program, seed, maxBlocks, maxOps int64, phases, chunkEvents int) (trace.Stream, error) {
 	w, err := newWalker(sp, seed, phases)
 	if err != nil {
 		return nil, err
 	}
-	s, p := trace.NewChanStream(sp.Name, chunkEvents, 0)
-	go func() {
-		// One event of lookahead so the terminal event can be patched to
-		// trace.End before it is handed to the consumer.
-		var pending trace.Event
-		var pOps, pMOPs int64
-		have := false
-		var total int64
-		for total < maxOps {
-			ev, ops, mops := w.step()
-			if have && !p.Append(pending, pOps, pMOPs) {
-				p.Close(nil)
-				return
+	// The walk runs one event ahead of the chunk, so the final event can
+	// be patched to trace.End — it has no successor within the trace
+	// window — before it is delivered.
+	var pending trace.Event
+	var pOps, pMOPs, blocks, ops int64
+	have := false
+	step := func() {
+		pending, pOps, pMOPs = w.step()
+		have = true
+		blocks++
+		ops += pOps
+	}
+	if blocks < maxBlocks && ops < maxOps {
+		step()
+	}
+	return trace.NewPullStream(sp.Name, chunkEvents, func(c *trace.Chunk) error {
+		for have && len(c.Events) < cap(c.Events) {
+			ev, evOps, evMOPs := pending, pOps, pMOPs
+			if blocks < maxBlocks && ops < maxOps {
+				step()
+			} else {
+				have = false
+				ev.SetNext(trace.End)
 			}
-			pending, pOps, pMOPs, have = ev, ops, mops, true
-			total += ops
+			c.Events = append(c.Events, ev)
+			c.Ops += evOps
+			c.MOPs += evMOPs
 		}
-		if have {
-			pending.SetNext(trace.End)
-			p.Append(pending, pOps, pMOPs)
-		}
-		p.Close(nil)
-	}()
-	return s, nil
+		return nil
+	}), nil
 }
 
 // MemUsage is a point-in-time heap snapshot, used by the streaming

@@ -20,7 +20,7 @@ func TestStochasticStreamMatchesSlice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cs := range []int{1, 7, 997, 5000, 5001} {
+		for _, cs := range []int{1, 7, 997, 5000, 5001, 0} {
 			s, err := StochasticStream(sp, 7, 5000, phases, cs)
 			if err != nil {
 				t.Fatal(err)
@@ -46,49 +46,47 @@ func TestStochasticStreamMatchesSlice(t *testing.T) {
 // TestStochasticStreamOpsBound checks the ops-bounded generator stops
 // at the first block boundary at or past the requested operation
 // count, terminates the final event with trace.End, and produces a
-// chain-consistent trace — deterministically for a fixed seed.
+// chain-consistent trace — deterministically for a fixed seed, at
+// every chunk size.
 func TestStochasticStreamOpsBound(t *testing.T) {
 	sp := compileBench(t, "compress")
 	const maxOps = 50000
-	s, err := StochasticStreamOps(sp, 11, maxOps, 2, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.Collect(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Ops < maxOps {
-		t.Fatalf("stream stopped at %d ops, want >= %d", tr.Ops, maxOps)
-	}
-	if len(tr.Events) == 0 {
-		t.Fatal("empty trace")
-	}
-	// One block of slack at most: the walk stops at the first boundary
-	// past the target.
-	last := tr.Events[len(tr.Events)-1]
-	if last.Next() != trace.End {
-		t.Fatalf("final event Next = %d, want End", last.Next())
-	}
-	if err := tr.Validate(len(sp.Blocks)); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := StochasticStreamOps(sp, 11, maxOps, 2, 8192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := trace.Collect(s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tr.Events, tr2.Events) || tr.Ops != tr2.Ops {
-		t.Fatal("ops-bounded stream is not deterministic across chunk sizes")
+	var first *trace.Trace
+	for _, cs := range []int{1, 997, 0} {
+		s, err := StochasticStreamOps(sp, 11, maxOps, 2, cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.Collect(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.Events) == 0 {
+			t.Fatalf("chunk=%d: empty trace", cs)
+		}
+		// One block of slack at most: the walk stops at the first
+		// boundary past the target.
+		lastOps := int64(sp.Blocks[tr.Events[len(tr.Events)-1].Block()].NumOps())
+		if tr.Ops < maxOps || tr.Ops-lastOps >= maxOps {
+			t.Fatalf("chunk=%d: stream stopped at %d ops, want the first block boundary at or past %d",
+				cs, tr.Ops, maxOps)
+		}
+		if last := tr.Events[len(tr.Events)-1]; last.Next() != trace.End {
+			t.Fatalf("chunk=%d: final event Next = %d, want End", cs, last.Next())
+		}
+		if err := tr.Validate(len(sp.Blocks)); err != nil {
+			t.Fatalf("chunk=%d: %v", cs, err)
+		}
+		if first == nil {
+			first = tr
+		} else if !reflect.DeepEqual(tr.Events, first.Events) || tr.Ops != first.Ops || tr.MOPs != first.MOPs {
+			t.Fatalf("chunk=%d: ops-bounded stream differs from chunk=1", cs)
+		}
 	}
 }
 
-// TestStochasticStreamAbandon checks an abandoning consumer releases
-// the producer goroutine instead of leaking it on a full channel.
+// TestStochasticStreamAbandon checks an abandoning consumer stops the
+// walk: after Close, Next reports the end of the stream.
 func TestStochasticStreamAbandon(t *testing.T) {
 	sp := compileBench(t, "compress")
 	s, err := StochasticStream(sp, 3, 1<<20, 1, 64)
@@ -100,7 +98,10 @@ func TestStochasticStreamAbandon(t *testing.T) {
 		t.Fatalf("Next = (%v, %v)", c, err)
 	}
 	s.Recycle(c)
-	s.Close() // the race detector + goroutine leak would fail the run if the producer hung
+	s.Close()
+	if c, err := s.Next(); c != nil || err != nil {
+		t.Fatalf("Next after Close = (%v, %v), want end of stream", c, err)
+	}
 }
 
 // TestStochasticStreamEmptyProgram mirrors the slice generator's

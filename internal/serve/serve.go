@@ -449,7 +449,8 @@ func (s *Server) handleLint(r *http.Request) (any, error) {
 // the benchmark profile's default, capped at MaxTraceBlocks). Stream
 // selects the long-horizon mode: the trace is produced as a bounded
 // chunk stream (never materialized) and replayed incrementally by
-// Sim.RunStream while the walker produces the next chunks, with Ops
+// Sim.RunStream, which has the walker fill each chunk as it asks for
+// it, with Ops
 // optionally bounding the walk by dynamic operation count (capped at
 // MaxTraceOps) instead of Blocks. The streamed result is bit-identical
 // to the non-streamed one for the same Blocks bound. Like every request

@@ -57,7 +57,7 @@ func FuzzTraceValidate(f *testing.F) {
 // FuzzStreamChunks is the chunker round-trip property under fuzzing:
 // any trace decoded from fuzz bytes, streamed at an arbitrary chunk
 // size (including 1 and len+1) through both SliceStream and the
-// producer/consumer ChanStream, reassembles byte-identically, and the
+// fill-driven PullStream, reassembles byte-identically, and the
 // streaming validators agree with the slice validators regardless of
 // where the chunk seams fall.
 func FuzzStreamChunks(f *testing.F) {
@@ -96,26 +96,16 @@ func FuzzStreamChunks(f *testing.F) {
 				got.Ops, got.MOPs, tr.Ops, tr.MOPs)
 		}
 
-		cs, p := NewChanStream(tr.Name, chunkEvents, 2)
-		go func() {
-			for _, ev := range tr.Events {
-				if !p.Append(ev, 5, 2) {
-					p.Close(nil)
-					return
-				}
-			}
-			p.Close(nil)
-		}()
-		got, err = Collect(cs)
+		got, err = Collect(NewPullStream(tr.Name, chunkEvents, sliceFill(tr.Events, 5, 2)))
 		if err != nil {
-			t.Fatalf("Collect(ChanStream): %v", err)
+			t.Fatalf("Collect(PullStream): %v", err)
 		}
 		if len(got.Events) != len(tr.Events) ||
 			(len(tr.Events) > 0 && !reflect.DeepEqual(got.Events, tr.Events)) {
-			t.Fatalf("ChanStream round-trip changed events (chunk=%d)", chunkEvents)
+			t.Fatalf("PullStream round-trip changed events (chunk=%d)", chunkEvents)
 		}
 		if got.Ops != tr.Ops || got.MOPs != tr.MOPs {
-			t.Fatalf("ChanStream round-trip changed totals: %d/%d want %d/%d",
+			t.Fatalf("PullStream round-trip changed totals: %d/%d want %d/%d",
 				got.Ops, got.MOPs, tr.Ops, tr.MOPs)
 		}
 

@@ -3,32 +3,25 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // This file is the streaming face of the package: a trace delivered as a
 // bounded sequence of fixed-capacity chunks instead of one in-memory
-// []Event slice. Producers (emu.StochasticStream, or any generator that
-// fills a ChanStream) hand chunks across a bounded channel; consumers
-// (Sim.RunStream, the stream validators below) replay them
-// incrementally and recycle each chunk onto the stream's bounded free
-// list, so peak memory is set by the chunk size and channel depth —
-// never by the trace length. SliceStream adapts an already materialized
-// Trace to the same interface with zero-copy subslice chunks, which is
-// how the slice APIs (Validate, BlockCounts, Footprint, Sim.Run) share
-// one incremental implementation with the long-horizon streaming paths.
+// []Event slice. PullStream produces each chunk inside Next from a fill
+// function (emu.StochasticStream's walker, or any generator); consumers
+// (Sim.RunStream, the stream validators below) replay chunks
+// incrementally and recycle each one for the next Next to refill, so
+// peak memory is set by the chunk size — never by the trace length.
+// SliceStream adapts an already materialized Trace to the same
+// interface with zero-copy subslice chunks, which is how the slice APIs
+// (Validate, BlockCounts, Footprint, Sim.Run) share one incremental
+// implementation with the long-horizon streaming paths.
 
 // DefaultChunkEvents is the chunk capacity streams use when the caller
 // passes a non-positive size: large enough to amortize per-chunk
-// overhead, small enough that a handful of in-flight chunks stay in
-// cache (8192 events x 8 B = 64 KB per chunk).
+// overhead, small enough that a chunk stays in cache (8192 events x
+// 8 B = 64 KB per chunk).
 const DefaultChunkEvents = 8192
-
-// DefaultStreamDepth is the producer/consumer channel depth used when
-// the caller passes a non-positive depth: enough slack that a bursty
-// producer and a bursty consumer overlap, while bounding in-flight
-// chunks (and with them peak memory) to depth+2 chunks.
-const DefaultStreamDepth = 4
 
 // ErrMalformedTrace marks a trace (or trace chunk) whose events
 // reference blocks or successors out of range, or whose successor chain
@@ -53,10 +46,9 @@ type Chunk struct {
 // Stream delivers a trace incrementally. Next returns chunks in trace
 // order and nil at end of stream (or the producer's terminal error);
 // the consumer must Recycle every chunk it is done with — chunks may be
-// pooled and reused for later chunks. Next is single-consumer;
-// Recycle is safe from any goroutine. Close abandons the stream early,
-// releasing the producer; it is idempotent and implied by draining the
-// stream to its end.
+// reused for later chunks. Next, Recycle and Close belong to one
+// consumer goroutine. Close abandons the stream early; it is idempotent
+// and implied by draining the stream to its end.
 type Stream interface {
 	// Name labels the trace (the benchmark name).
 	Name() string
@@ -66,7 +58,7 @@ type Stream interface {
 	// Recycle returns a chunk to the stream for reuse. The caller must
 	// not touch the chunk afterwards.
 	Recycle(*Chunk)
-	// Close abandons the stream, unblocking its producer.
+	// Close abandons the stream early.
 	Close()
 }
 
@@ -119,156 +111,78 @@ func (s *SliceStream) Recycle(*Chunk) {}
 // Close implements Stream.
 func (s *SliceStream) Close() { s.done = true }
 
-// ChanStream is the consumer half of a bounded producer/consumer trace
-// stream: a producer goroutine fills fixed-capacity chunks through the
-// paired Producer and hands them across a bounded channel. Recycled
-// chunks return to a free list of depth+2 slots — the most chunks a
-// stream ever has in flight — and are reused by the producer, so a
-// stream allocates at most depth+2 chunks no matter how many events
-// flow through it. The free list belongs to the stream alone and is
-// garbage as soon as the stream is. A per-stream pool from package sync
-// would not be: the runtime keeps every pool reachable until the next
-// collection and its victim cache until the one after, so finished
-// streams' chunks would pile up whenever the consumer stops producing
-// garbage of its own.
-type ChanStream struct {
+// PullStream produces a trace chunk by chunk on the consumer's
+// goroutine: Next takes a recycled chunk (or allocates one), sets its
+// First, and calls the stream's fill function to append the next
+// events. Nothing runs between calls to Next, so there is no goroutine
+// to stop and no channel to drain, and a stream holds no more chunks
+// than its consumer does at once: one, for a consumer that recycles
+// each chunk before it asks for the next.
+type PullStream struct {
 	name  string
-	ch    chan *Chunk
-	errc  chan error
-	stop  chan struct{}
-	free  chan *Chunk
-	chunk int // events per chunk
-
-	once sync.Once
-	done bool
-	err  error
+	fill  func(*Chunk) error
+	chunk int      // events per chunk
+	free  []*Chunk // recycled chunks
+	next  int64    // global index of the next event
+	done  bool
+	err   error
 }
 
-// Producer is the filling half of a ChanStream. Exactly one goroutine
-// may use it: Append events until the trace is complete (or Append
-// reports the consumer abandoned the stream), then Close it exactly
-// once with the terminal error, nil for a clean end of stream.
-type Producer struct {
-	s    *ChanStream
-	cur  *Chunk
-	next int64 // global index of the next appended event
-}
-
-// NewChanStream returns a bounded stream and its producer.
-// chunkEvents <= 0 selects DefaultChunkEvents; depth <= 0 selects
-// DefaultStreamDepth. Peak memory is (depth+2) chunks: depth in the
-// channel, one being filled, one being consumed.
-func NewChanStream(name string, chunkEvents, depth int) (*ChanStream, *Producer) {
+// NewPullStream returns a stream whose chunks fill produces.
+// chunkEvents <= 0 selects DefaultChunkEvents. fill receives an empty
+// chunk with room for chunkEvents events and First already set; it
+// appends the next events of the trace, adding their operation counts
+// to Ops and MOPs, until the chunk is full or the trace ends. A chunk
+// fill leaves short ends the stream. So does an error, which Next
+// returns after delivering the events fill appended before it.
+func NewPullStream(name string, chunkEvents int, fill func(*Chunk) error) *PullStream {
 	if chunkEvents <= 0 {
 		chunkEvents = DefaultChunkEvents
 	}
-	if depth <= 0 {
-		depth = DefaultStreamDepth
-	}
-	s := &ChanStream{
-		name:  name,
-		ch:    make(chan *Chunk, depth),
-		errc:  make(chan error, 1),
-		stop:  make(chan struct{}, 1),
-		free:  make(chan *Chunk, depth+2),
-		chunk: chunkEvents,
-	}
-	return s, &Producer{s: s}
+	return &PullStream{name: name, fill: fill, chunk: chunkEvents}
 }
 
 // Name implements Stream.
-func (s *ChanStream) Name() string { return s.name }
+func (s *PullStream) Name() string { return s.name }
 
-// Next implements Stream.
-func (s *ChanStream) Next() (*Chunk, error) {
+// Next implements Stream. An empty chunk is never delivered.
+func (s *PullStream) Next() (*Chunk, error) {
 	if s.done {
 		return nil, s.err
 	}
-	c, ok := <-s.ch
-	if !ok {
-		s.done = true
-		s.err = <-s.errc
+	var c *Chunk
+	if n := len(s.free); n > 0 {
+		c, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		c = &Chunk{Events: make([]Event, 0, s.chunk)}
+	}
+	c.First = s.next
+	err := s.fill(c)
+	s.next += int64(len(c.Events))
+	if err != nil || len(c.Events) < s.chunk {
+		s.done, s.err = true, err
+	}
+	if len(c.Events) == 0 {
+		s.Recycle(c)
 		return nil, s.err
 	}
 	return c, nil
 }
 
-// Recycle implements Stream: the chunk is reset and returned to the
-// free list for the producer to refill. A chunk arriving at a full
-// free list is dropped for the collector.
-func (s *ChanStream) Recycle(c *Chunk) {
-	if c == nil {
-		return
+// Recycle implements Stream: the chunk is reset and kept for a later
+// Next to refill.
+func (s *PullStream) Recycle(c *Chunk) {
+	if c == nil || cap(c.Events) < s.chunk {
+		return // not one of this stream's chunks
 	}
 	c.Events = c.Events[:0]
 	c.Ops, c.MOPs, c.First = 0, 0, 0
-	select {
-	case s.free <- c:
-	default:
-	}
+	s.free = append(s.free, c)
 }
 
-// get takes a recycled chunk from the free list, or allocates a fresh
-// one when none is waiting.
-func (s *ChanStream) get() *Chunk {
-	select {
-	case c := <-s.free:
-		return c
-	default:
-		return &Chunk{Events: make([]Event, 0, s.chunk)}
-	}
-}
-
-// Close implements Stream: it signals the producer to stop. Safe to
-// call at any time, from the consumer side only.
-func (s *ChanStream) Close() {
-	s.once.Do(func() { close(s.stop) })
-}
-
-// Append adds one event (with its dynamic operation counts) to the
-// stream, flushing a chunk to the consumer whenever one fills. It
-// reports false when the consumer closed the stream — the producer
-// should stop generating and Close.
-func (p *Producer) Append(ev Event, ops, mops int64) bool {
-	if p.cur == nil {
-		p.cur = p.s.get()
-		p.cur.First = p.next
-	}
-	p.cur.Events = append(p.cur.Events, ev)
-	p.cur.Ops += ops
-	p.cur.MOPs += mops
-	p.next++
-	if len(p.cur.Events) < p.s.chunk {
-		return true
-	}
-	return p.flush()
-}
-
-// flush hands the current chunk to the consumer, honouring an early
-// consumer Close.
-func (p *Producer) flush() bool {
-	if p.cur == nil || len(p.cur.Events) == 0 {
-		return true
-	}
-	select {
-	case p.s.ch <- p.cur:
-		p.cur = nil
-		return true
-	case <-p.s.stop:
-		p.s.Recycle(p.cur)
-		p.cur = nil
-		return false
-	}
-}
-
-// Close flushes any partial chunk and terminates the stream with err
-// (nil for a clean end). It must be called exactly once, after which
-// the Producer must not be used.
-func (p *Producer) Close(err error) {
-	p.flush()
-	p.s.errc <- err
-	close(p.s.ch)
-}
+// Close implements Stream: later calls to Next report the end of the
+// stream without calling fill again.
+func (s *PullStream) Close() { s.done = true }
 
 // Collect drains a stream into a materialized Trace — the reassembly
 // half of the chunker round-trip, used by tests and by callers that

@@ -100,52 +100,68 @@ func TestSliceStreamChunkOffsets(t *testing.T) {
 	}
 }
 
-// TestChanStreamRoundTrip pushes a trace through the bounded
-// producer/consumer channel stream and checks byte-identical
-// reassembly, with per-chunk Ops/MOPs attribution summing to the
-// totals.
-func TestChanStreamRoundTrip(t *testing.T) {
+// sliceFill returns a PullStream fill function that appends events in
+// order, attributing ops and mops operations to each.
+func sliceFill(events []Event, ops, mops int64) func(*Chunk) error {
+	return func(c *Chunk) error {
+		n := min(cap(c.Events)-len(c.Events), len(events))
+		c.Events = append(c.Events, events[:n]...)
+		c.Ops += int64(n) * ops
+		c.MOPs += int64(n) * mops
+		events = events[n:]
+		return nil
+	}
+}
+
+// TestPullStreamRoundTrip pulls a trace through a PullStream and checks
+// byte-identical reassembly, with per-chunk Ops/MOPs attribution
+// summing to the totals and First naming each chunk's absolute offset.
+func TestPullStreamRoundTrip(t *testing.T) {
 	tr := randomTrace(rand.New(rand.NewSource(5)), 777, 9)
-	for _, cs := range []int{1, 2, 13, 777, 778} {
-		for _, depth := range []int{1, 2, 4} {
-			s, p := NewChanStream(tr.Name, cs, depth)
-			go func() {
-				for _, ev := range tr.Events {
-					if !p.Append(ev, 7, 3) {
-						p.Close(nil)
-						return
-					}
-				}
-				p.Close(nil)
-			}()
-			got, err := Collect(s)
+	for _, cs := range []int{1, 2, 13, 777, 778, 0} {
+		s := NewPullStream(tr.Name, cs, sliceFill(tr.Events, 7, 3))
+		got := &Trace{Name: s.Name()}
+		for {
+			c, err := s.Next()
 			if err != nil {
-				t.Fatalf("chunk=%d depth=%d: %v", cs, depth, err)
+				t.Fatalf("chunk=%d: %v", cs, err)
 			}
-			if !reflect.DeepEqual(got.Events, tr.Events) {
-				t.Fatalf("chunk=%d depth=%d: events differ", cs, depth)
+			if c == nil {
+				break
 			}
-			if got.Ops != tr.Ops || got.MOPs != tr.MOPs {
-				t.Fatalf("chunk=%d depth=%d: ops %d/%d want %d/%d",
-					cs, depth, got.Ops, got.MOPs, tr.Ops, tr.MOPs)
+			if c.First != int64(len(got.Events)) {
+				t.Fatalf("chunk=%d: First=%d want %d", cs, c.First, len(got.Events))
 			}
+			got.Events = append(got.Events, c.Events...)
+			got.Ops += c.Ops
+			got.MOPs += c.MOPs
+			s.Recycle(c)
+		}
+		if !reflect.DeepEqual(got.Events, tr.Events) {
+			t.Fatalf("chunk=%d: events differ", cs)
+		}
+		if got.Name != tr.Name || got.Ops != tr.Ops || got.MOPs != tr.MOPs {
+			t.Fatalf("chunk=%d: header %q %d/%d want %q %d/%d",
+				cs, got.Name, got.Ops, got.MOPs, tr.Name, tr.Ops, tr.MOPs)
 		}
 	}
 }
 
-// TestChanStreamProducerError checks that a producer's terminal error
-// surfaces from Next after the queued chunks drain, and keeps
-// surfacing on repeated calls.
-func TestChanStreamProducerError(t *testing.T) {
+// TestPullStreamFillError checks that a fill error surfaces from Next
+// only after the events filled before it have been delivered, and keeps
+// surfacing on repeated calls without calling fill again.
+func TestPullStreamFillError(t *testing.T) {
 	boom := errors.New("boom")
-	s, p := NewChanStream("t", 2, 1)
-	go func() {
-		p.Append(MakeEvent(0, false, End), 1, 1)
-		p.Close(boom)
-	}()
+	calls := 0
+	s := NewPullStream("t", 2, func(c *Chunk) error {
+		calls++
+		c.Events = append(c.Events, MakeEvent(0, false, End))
+		c.Ops, c.MOPs = 1, 1
+		return boom
+	})
 	c, err := s.Next()
 	if err != nil || c == nil || len(c.Events) != 1 {
-		t.Fatalf("first Next = (%v, %v), want the flushed chunk", c, err)
+		t.Fatalf("first Next = (%v, %v), want the partial chunk", c, err)
 	}
 	s.Recycle(c)
 	for i := 0; i < 2; i++ {
@@ -153,30 +169,32 @@ func TestChanStreamProducerError(t *testing.T) {
 			t.Fatalf("Next #%d err = %v, want boom", i, err)
 		}
 	}
+	if calls != 1 {
+		t.Fatalf("fill ran %d times, want 1", calls)
+	}
 }
 
-// TestChanStreamConsumerClose checks that an abandoning consumer
-// unblocks a producer stuck on a full channel, and that Append then
-// reports false.
-func TestChanStreamConsumerClose(t *testing.T) {
-	s, p := NewChanStream("t", 1, 1)
-	stopped := make(chan bool, 1)
-	go func() {
-		ok := true
-		for i := 0; i < 1000 && ok; i++ {
-			ok = p.Append(MakeEvent(0, false, End), 1, 1)
-		}
-		p.Close(nil)
-		stopped <- ok
-	}()
+// TestPullStreamConsumerClose checks that an abandoning consumer stops
+// the stream: after Close, Next reports the end without calling fill.
+func TestPullStreamConsumerClose(t *testing.T) {
+	calls := 0
+	s := NewPullStream("t", 1, func(c *Chunk) error {
+		calls++
+		c.Events = append(c.Events, MakeEvent(0, false, 0))
+		return nil
+	})
 	c, err := s.Next()
 	if err != nil || c == nil {
 		t.Fatalf("Next = (%v, %v)", c, err)
 	}
 	s.Recycle(c)
 	s.Close()
-	if ok := <-stopped; ok {
-		t.Fatal("producer never observed the consumer Close")
+	s.Close() // idempotent
+	if c, err := s.Next(); c != nil || err != nil {
+		t.Fatalf("Next after Close = (%v, %v), want end of stream", c, err)
+	}
+	if calls != 1 {
+		t.Fatalf("fill ran %d times, want 1", calls)
 	}
 }
 
@@ -317,17 +335,20 @@ func TestSliceStreamEmptyTrace(t *testing.T) {
 	}
 }
 
-// runChanStream streams n chunks of chunkEvents events through a
-// ChanStream of the given depth, the consumer recycling every chunk,
-// and returns how many distinct chunks the consumer saw.
-func runChanStream(n, chunkEvents, depth int, seen map[*Chunk]bool) {
-	s, p := NewChanStream("t", chunkEvents, depth)
-	go func() {
-		for i := 0; i < n*chunkEvents; i++ {
-			p.Append(MakeEvent(0, false, 0), 1, 1)
+// runPullStream pulls n full chunks of chunkEvents events through a
+// PullStream, the consumer recycling every chunk before the next Next,
+// and records the distinct chunks the consumer saw.
+func runPullStream(n, chunkEvents int, seen map[*Chunk]bool) {
+	left := n * chunkEvents
+	s := NewPullStream("t", chunkEvents, func(c *Chunk) error {
+		for left > 0 && len(c.Events) < cap(c.Events) {
+			c.Events = append(c.Events, MakeEvent(0, false, 0))
+			c.Ops++
+			c.MOPs++
+			left--
 		}
-		p.Close(nil)
-	}()
+		return nil
+	})
 	for {
 		c, err := s.Next()
 		if c == nil || err != nil {
@@ -340,27 +361,25 @@ func runChanStream(n, chunkEvents, depth int, seen map[*Chunk]bool) {
 	}
 }
 
-// TestChanStreamChunkBound pins the free list's bound: a stream never
-// holds more than depth+2 chunks, so the allocations of one whole
-// stream lifecycle — set-up, producer goroutine, chunks — do not grow
-// with the number of chunks that flow through it.
-func TestChanStreamChunkBound(t *testing.T) {
-	const chunkEvents, depth = 64, 2
+// TestPullStreamChunkBound pins the stream's memory to what its
+// consumer holds: a consumer that recycles each chunk before the next
+// Next touches exactly one chunk buffer, so the allocations of one
+// whole stream lifecycle do not grow with the number of chunks that
+// flow through it.
+func TestPullStreamChunkBound(t *testing.T) {
+	const chunkEvents = 64
 	seen := map[*Chunk]bool{}
-	runChanStream(1000, chunkEvents, depth, seen)
-	if len(seen) > depth+2 {
-		t.Errorf("1000-chunk stream used %d distinct chunks, want at most %d", len(seen), depth+2)
+	runPullStream(1000, chunkEvents, seen)
+	if len(seen) != 1 {
+		t.Errorf("1000-chunk stream used %d distinct chunks, want 1", len(seen))
 	}
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	short := testing.AllocsPerRun(20, func() { runChanStream(10, chunkEvents, depth, nil) })
-	long := testing.AllocsPerRun(20, func() { runChanStream(1000, chunkEvents, depth, nil) })
-	// A blocked channel operation may allocate a runtime wait record
-	// once in a while; a per-chunk cost would add about a thousand.
-	if long > short+2 {
+	short := testing.AllocsPerRun(20, func() { runPullStream(10, chunkEvents, nil) })
+	long := testing.AllocsPerRun(20, func() { runPullStream(1000, chunkEvents, nil) })
+	if long != short {
 		t.Errorf("1000-chunk stream: %.1f allocations, 10-chunk stream: %.1f; chunk allocations grow with length",
 			long, short)
 	}
-	t.Logf("allocations per stream lifecycle: %.1f at 10 chunks, %.1f at 1000", short, long)
 }
