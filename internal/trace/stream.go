@@ -172,8 +172,8 @@ func (s *PullStream) Next() (*Chunk, error) {
 // Recycle implements Stream: the chunk is reset and kept for a later
 // Next to refill.
 func (s *PullStream) Recycle(c *Chunk) {
-	if c == nil || cap(c.Events) < s.chunk {
-		return // not one of this stream's chunks
+	if c == nil {
+		return
 	}
 	c.Events = c.Events[:0]
 	c.Ops, c.MOPs, c.First = 0, 0, 0
