@@ -42,23 +42,21 @@ func walkStream(sp *sched.Program, seed, maxBlocks, maxOps int64, phases, chunkE
 	// window — before it is delivered.
 	var pending trace.Event
 	var pOps, pMOPs, blocks, ops int64
-	have := false
-	step := func() {
-		pending, pOps, pMOPs = w.step()
-		have = true
-		blocks++
-		ops += pOps
+	have := false // pending holds an event not yet delivered
+	advance := func() {
+		have = blocks < maxBlocks && ops < maxOps
+		if have {
+			pending, pOps, pMOPs = w.step()
+			blocks++
+			ops += pOps
+		}
 	}
-	if blocks < maxBlocks && ops < maxOps {
-		step()
-	}
+	advance()
 	return trace.NewPullStream(sp.Name, chunkEvents, func(c *trace.Chunk) error {
 		for have && len(c.Events) < cap(c.Events) {
 			ev, evOps, evMOPs := pending, pOps, pMOPs
-			if blocks < maxBlocks && ops < maxOps {
-				step()
-			} else {
-				have = false
+			advance()
+			if !have {
 				ev.SetNext(trace.End)
 			}
 			c.Events = append(c.Events, ev)
