@@ -22,10 +22,11 @@
 //	full, _ := c.Image("full")
 //	fmt.Printf("full scheme: %.1f%% of original size\n", 100*full.Ratio(base))
 //
-//	tr, _ := c.Trace(100000)
-//	sim, _ := ccc.NewSim(ccc.OrgCompressed, ccc.DefaultConfig(ccc.OrgCompressed), full, c.Prog)
-//	res, _ := sim.Run(tr)
-//	fmt.Printf("delivered IPC: %.3f\n", res.IPC())
+//	baseSim, _ := ccc.NewSim(ccc.OrgBase, ccc.DefaultConfig(ccc.OrgBase), base, c.Prog)
+//	fullSim, _ := ccc.NewSim(ccc.OrgCompressed, ccc.DefaultConfig(ccc.OrgCompressed), full, c.Prog)
+//	st, _ := c.StreamTrace(100000, 0)
+//	res, _ := ccc.RunStream(st, baseSim, fullSim) // one walk, both simulators
+//	fmt.Printf("delivered IPC: base %.3f, full %.3f\n", res[0].IPC(), res[1].IPC())
 package ccc
 
 import (
@@ -165,6 +166,10 @@ func DefaultConfig(org Org) Config { return cache.DefaultConfig(org) }
 // NewSim builds an IFetch simulator; the image must be encoded under the
 // scheme matching the organization.
 var NewSim = cache.NewSim
+
+// RunStream replays one trace stream through several simulators at
+// once, validating and walking each chunk once; see cache.RunStream.
+var RunStream = cache.RunStream
 
 // NewMachine returns a fresh TEPIC interpreter.
 func NewMachine() *Machine { return emu.NewMachine() }

@@ -21,12 +21,13 @@
 //	tepicsim -bench compress -org compressed -stream -ops 100000000
 //	tepicsim -bench go -org base -stream -check
 //
-// With -stream the trace is never materialized: events flow out of the
-// stochastic walker in bounded chunks, each filled when Sim.RunStream
-// asks for it, so the horizon (-ops) can exceed what
-// would fit in memory. -check in stream mode replays the same seed at a
-// second chunk size and through the analytical oracle and requires all
-// three bit-identical.
+// Every replay streams: events flow out of the stochastic walker in
+// bounded chunks, each filled when Sim.RunStream asks for it, and only
+// -check without -stream materializes a trace, for the oracle. -stream
+// is the long-horizon mode: it accepts an -ops horizon that can exceed
+// what would fit in memory, reports the replay's throughput, and its
+// -check replays the same seed at a second chunk size and through the
+// oracle's streaming face and requires all three bit-identical.
 package main
 
 import (
@@ -67,7 +68,7 @@ func run(args []string, out io.Writer) error {
 	sweep := fs.Bool("sweep", false, "run the registry-driven geometry x predictor sweep")
 	jsonOut := fs.Bool("json", false, "with -sweep: emit the report as JSON")
 	par := fs.Int("par", 0, "with -sweep: worker-pool width (0 = GOMAXPROCS)")
-	stream := fs.Bool("stream", false, "stream the trace through the simulator in bounded chunks instead of materializing it")
+	stream := fs.Bool("stream", false, "long-horizon mode: allow -ops, report replay throughput, and -check without materializing the trace")
 	opsBound := fs.Int64("ops", 0, "with -stream: dynamic-operation horizon (0 = use -blocks)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -109,25 +110,39 @@ func run(args []string, out io.Writer) error {
 	}
 	cfg.PerfectPrediction = *perfect
 
+	mkStream := func(chunkEvents int) (ccc.Stream, error) {
+		if *opsBound > 0 {
+			return c.StreamTraceOps(*opsBound, chunkEvents)
+		}
+		return c.StreamTrace(*blocks, chunkEvents)
+	}
+	replay := func(chunkEvents int) (ccc.Result, error) {
+		sim, err := c.SimFor(p, cfg)
+		if err != nil {
+			return ccc.Result{}, err
+		}
+		st, err := mkStream(chunkEvents)
+		if err != nil {
+			return ccc.Result{}, err
+		}
+		return sim.RunStream(st)
+	}
 	if *stream {
-		return runStream(w, c, p, cfg, *blocks, *opsBound, *check, *bench)
+		return runStream(w, c, p, cfg, mkStream, replay, *check, *bench)
 	}
 
-	tr, err := c.Trace(*blocks)
-	if err != nil {
-		return err
-	}
-	sim, err := c.SimFor(p, cfg)
-	if err != nil {
-		return err
-	}
-	r, err := sim.Run(tr)
+	r, err := replay(0)
 	if err != nil {
 		return err
 	}
 
-	printMetrics(w, *bench, p, cfg, int64(tr.Len()), r)
+	printMetrics(w, *bench, p, cfg, r)
 	if *check {
+		// The oracle's checks need the whole trace at once.
+		tr, err := c.Trace(*blocks)
+		if err != nil {
+			return err
+		}
 		rep, err := c.CheckSim(p, cfg, tr)
 		if err != nil {
 			return err
@@ -145,16 +160,15 @@ func run(args []string, out io.Writer) error {
 }
 
 // printMetrics reports one simulation point in the tool's standard
-// layout; traceBlocks is the dynamic event count however it was
-// obtained (materialized length or streamed BlockFetches).
-func printMetrics(w *cliio.Writer, bench string, p ccc.Pairing, cfg ccc.Config, traceBlocks int64, r ccc.Result) {
+// layout.
+func printMetrics(w *cliio.Writer, bench string, p ccc.Pairing, cfg ccc.Config, r ccc.Result) {
 	w.Printf("benchmark   %s (%s scheme, %s organization)\n", bench, p.CacheScheme, p.Org)
 	if p.ROMScheme != "" {
 		w.Printf("ROM         %s scheme, decompressed on the miss path\n", p.ROMScheme)
 	}
 	w.Printf("cache       %d sets x %d ways x %dB = %dKB\n",
 		cfg.Sets, cfg.Assoc, cfg.LineBytes, cfg.Sets*cfg.Assoc*cfg.LineBytes/1024)
-	w.Printf("trace       %d blocks, %d ops, %d MOPs\n", traceBlocks, r.Ops, r.MOPs)
+	w.Printf("trace       %d blocks, %d ops, %d MOPs\n", r.BlockFetches, r.Ops, r.MOPs)
 	w.Printf("cycles      %d\n", r.Cycles)
 	w.Printf("IPC         %.4f (ideal %.4f)\n", r.IPC(), float64(r.Ops)/float64(r.MOPs))
 	w.Printf("miss rate   %.2f%% of block fetches (%d lines fetched)\n",
@@ -174,31 +188,14 @@ func printMetrics(w *cliio.Writer, bench string, p ccc.Pairing, cfg ccc.Config, 
 // a prime, so its seams fall away from the default chunking's.
 const checkChunkEvents = 997
 
-// runStream is the -stream path: events flow out of the stochastic
-// walker in bounded chunks into Sim.RunStream, so the horizon never
-// materializes. With check it replays the identical seed at a second
-// chunk size and through the analytical oracle and requires every
-// counter bit-identical across all three.
+// runStream is the -stream path: it reports the replay's throughput
+// and heap, and with check it replays the identical seed at a second
+// chunk size and through the analytical oracle's streaming face and
+// requires every counter bit-identical across all three, so the horizon
+// never materializes.
 func runStream(w *cliio.Writer, c *ccc.Compiled, p ccc.Pairing, cfg ccc.Config,
-	blocks int, ops int64, check bool, bench string) error {
-	mkStream := func(chunkEvents int) (ccc.Stream, error) {
-		if ops > 0 {
-			return c.StreamTraceOps(ops, chunkEvents)
-		}
-		return c.StreamTrace(blocks, chunkEvents)
-	}
-	replay := func(chunkEvents int) (ccc.Result, error) {
-		sim, err := c.SimFor(p, cfg)
-		if err != nil {
-			return ccc.Result{}, err
-		}
-		st, err := mkStream(chunkEvents)
-		if err != nil {
-			return ccc.Result{}, err
-		}
-		return sim.RunStream(st)
-	}
-
+	mkStream func(int) (ccc.Stream, error), replay func(int) (ccc.Result, error),
+	check bool, bench string) error {
 	before := ccc.MemSnapshot()
 	start := time.Now()
 	r, err := replay(0)
@@ -208,7 +205,7 @@ func runStream(w *cliio.Writer, c *ccc.Compiled, p ccc.Pairing, cfg ccc.Config,
 	elapsed := time.Since(start)
 	after := ccc.MemSnapshot()
 
-	printMetrics(w, bench, p, cfg, r.BlockFetches, r)
+	printMetrics(w, bench, p, cfg, r)
 	mops := float64(r.Ops) / 1e6 / elapsed.Seconds()
 	w.Printf("streamed    %.1f Mops/s, heap sys %d MB (was %d MB)\n",
 		mops, after.HeapSys>>20, before.HeapSys>>20)

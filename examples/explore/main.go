@@ -70,29 +70,28 @@ func run(out io.Writer) error {
 
 	// Performance check of the chosen candidates under the real IFetch
 	// model: a tailored ISA against the best Huffman scheme.
-	tr, err := c.Trace(0)
+	var pairings []ccc.Pairing
+	var sims []*ccc.Sim
+	for _, name := range []string{"Base", "Compressed", "Tailored"} {
+		p, _ := ccc.PairingByName(name)
+		sim, err := c.SimFor(p, ccc.DefaultConfig(p.Org))
+		if err != nil {
+			return err
+		}
+		pairings, sims = append(pairings, p), append(sims, sim)
+	}
+	// One walk of the profile's default-length trace feeds all three.
+	st, err := c.StreamTrace(0, 0)
 	if err != nil {
 		return err
 	}
-	w.Printf("\ntrace: %d blocks\n", tr.Len())
-	for org, scheme := range map[ccc.Org]string{
-		ccc.OrgBase:       "base",
-		ccc.OrgCompressed: "full",
-		ccc.OrgTailored:   "tailored",
-	} {
-		im, err := c.Image(scheme)
-		if err != nil {
-			return err
-		}
-		sim, err := ccc.NewSim(org, ccc.DefaultConfig(org), im, c.Prog)
-		if err != nil {
-			return err
-		}
-		r, err := sim.Run(tr)
-		if err != nil {
-			return err
-		}
-		w.Printf("  %-10s -> IPC %.3f, bus bit flips %d\n", org, r.IPC(), r.BitFlips)
+	results, err := ccc.RunStream(st, sims...)
+	if err != nil {
+		return err
+	}
+	w.Printf("\ntrace: %d blocks\n", results[0].BlockFetches)
+	for i, r := range results {
+		w.Printf("  %-10s -> IPC %.3f, bus bit flips %d\n", pairings[i].Org, r.IPC(), r.BitFlips)
 	}
 	w.Println("\nPick full compression if ROM dominates cost; pick the tailored")
 	w.Println("ISA if decoder area and misprediction latency dominate (§7).")

@@ -48,31 +48,30 @@ func run(out io.Writer) error {
 	// paper's Figure 13 axis). The cache holds what the scheme produces:
 	// original ops for Base, Huffman bits for Compressed, tailored ops
 	// for Tailored.
-	tr, err := c.Trace(200000)
+	var pairings []ccc.Pairing
+	var sims []*ccc.Sim
+	for _, name := range []string{"Base", "Compressed", "Tailored"} {
+		p, _ := ccc.PairingByName(name)
+		sim, err := c.SimFor(p, ccc.DefaultConfig(p.Org))
+		if err != nil {
+			return err
+		}
+		pairings, sims = append(pairings, p), append(sims, sim)
+	}
+	// One walk of the trace feeds all three simulators.
+	st, err := c.StreamTrace(200000, 0)
 	if err != nil {
 		return err
 	}
-	w.Printf("\ntrace: %d blocks, %d ops\n\n", tr.Len(), tr.Ops)
+	results, err := ccc.RunStream(st, sims...)
+	if err != nil {
+		return err
+	}
+	w.Printf("\ntrace: %d blocks, %d ops\n\n", results[0].BlockFetches, results[0].Ops)
 	w.Println("organization  scheme    IPC    miss   mispredict")
-	for org, scheme := range map[ccc.Org]string{
-		ccc.OrgBase:       "base",
-		ccc.OrgCompressed: "full",
-		ccc.OrgTailored:   "tailored",
-	} {
-		im, err := c.Image(scheme)
-		if err != nil {
-			return err
-		}
-		sim, err := ccc.NewSim(org, ccc.DefaultConfig(org), im, c.Prog)
-		if err != nil {
-			return err
-		}
-		r, err := sim.Run(tr)
-		if err != nil {
-			return err
-		}
+	for i, r := range results {
 		w.Printf("%-12s  %-8s  %.3f  %4.1f%%  %4.1f%%\n",
-			org, scheme, r.IPC(), 100*r.MissRate(), 100*r.MispredictRate())
+			pairings[i].Org, pairings[i].CacheScheme, r.IPC(), 100*r.MissRate(), 100*r.MispredictRate())
 	}
 	w.Println("\nNote how the ROM shrinks to a third under the full scheme while")
 	w.Println("delivered IPC stays within a few percent of the uncompressed baseline.")

@@ -58,3 +58,41 @@ func TestStepZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestRunStreamFanOutZeroAlloc pins the fan-out's per-chunk cost at
+// zero allocations: three warm Sims replaying one recycling PullStream
+// allocate as much over 100 chunks as over 10 — the stream, its one
+// chunk buffer and RunStream's result slices, none of them per chunk.
+func TestRunStreamFanOutZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const chunkEvents = 1024
+	sp, ims := pipeline(t, "compress")
+	prof := workload.MustProfile("compress")
+	tr, err := emu.StochasticTrace(sp, prof.Seed, 100*chunkEvents, prof.Phases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sims []*Sim
+	for _, org := range []Org{OrgBase, OrgCompressed, OrgTailored} {
+		sim, err := NewSim(org, DefaultConfig(org), ims[org], sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sims = append(sims, sim)
+	}
+	run := func(chunks int) {
+		pre := &trace.Trace{Name: tr.Name, Events: tr.Events[:chunks*chunkEvents]}
+		if _, err := RunStream(attributedStream(sp, pre, chunkEvents), sims...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(100) // warm every stage of every Sim
+	short := testing.AllocsPerRun(5, func() { run(10) })
+	long := testing.AllocsPerRun(5, func() { run(100) })
+	if long != short {
+		t.Errorf("3-Sim fan-out: %.1f allocations over 100 chunks, %.1f over 10; replay allocates per chunk",
+			long, short)
+	}
+}

@@ -239,14 +239,14 @@ func TestSimBasicInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal := RunIdeal(tr)
+	ideal := float64(tr.Ops) / float64(tr.MOPs) // one cycle per MOP
 	for _, org := range []Org{OrgBase, OrgTailored, OrgCompressed} {
 		res := runOrg(t, org, sp, ims[org], tr)
 		if res.Cycles < res.MOPs {
 			t.Errorf("%v: cycles %d below MOP floor %d", org, res.Cycles, res.MOPs)
 		}
-		if res.IPC() <= 0 || res.IPC() > ideal.IPC() {
-			t.Errorf("%v: IPC %.3f outside (0, ideal=%.3f]", org, res.IPC(), ideal.IPC())
+		if res.IPC() <= 0 || res.IPC() > ideal {
+			t.Errorf("%v: IPC %.3f outside (0, ideal=%.3f]", org, res.IPC(), ideal)
 		}
 		if res.BlockFetches != int64(tr.Len()) {
 			t.Errorf("%v: %d fetches for %d events", org, res.BlockFetches, tr.Len())
@@ -391,29 +391,33 @@ func TestDefaultConfigGeometry(t *testing.T) {
 	}
 }
 
+// TestRunIdeal pins Figure 13's Ideal bar: one cycle per MOP, so 100
+// ops in 40 MOPs is an ideal IPC of 2.5.
 func TestRunIdeal(t *testing.T) {
-	tr := &trace.Trace{Name: "x", Ops: 100, MOPs: 40}
-	res := RunIdeal(tr)
-	if res.Cycles != 40 || res.IPC() != 2.5 {
-		t.Errorf("ideal: cycles %d IPC %.2f", res.Cycles, res.IPC())
+	res := Result{Benchmark: "x", Ops: 100, MOPs: 40}
+	if got := res.IdealIPC(); got != 2.5 {
+		t.Errorf("ideal IPC of 100 ops in 40 MOPs = %v, want 2.5", got)
 	}
 }
 
-// TestRunIdealEmptyTrace pins the zero-length edge: an empty trace's
-// ideal result must report zero (not NaN) everywhere.
+// TestRunIdealEmptyTrace pins the zero-length edge: the replay of an
+// empty trace has no MOPs, and its ideal IPC and every rate must report
+// zero (not NaN).
 func TestRunIdealEmptyTrace(t *testing.T) {
-	res := RunIdeal(&trace.Trace{Name: "empty"})
-	if res.Cycles != 0 || res.Ops != 0 {
-		t.Errorf("empty ideal: %+v", res)
+	sp, ims := pipeline(t, "compress")
+	res := runOrg(t, OrgBase, sp, ims[OrgBase], &trace.Trace{Name: "empty"})
+	if res.Cycles != 0 || res.Ops != 0 || res.MOPs != 0 {
+		t.Errorf("empty replay: %+v", res)
 	}
 	for name, v := range map[string]float64{
-		"IPC": res.IPC(), "MissRate": res.MissRate(), "MispredictRate": res.MispredictRate(),
+		"IdealIPC": res.IdealIPC(), "IPC": res.IPC(),
+		"MissRate": res.MissRate(), "MispredictRate": res.MispredictRate(),
 	} {
 		if v != 0 {
-			t.Errorf("empty ideal %s = %v, want 0", name, v)
+			t.Errorf("empty replay %s = %v, want 0", name, v)
 		}
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Errorf("empty ideal %s = %v; division by zero leaked", name, v)
+			t.Errorf("empty replay %s = %v; division by zero leaked", name, v)
 		}
 	}
 }
@@ -694,10 +698,11 @@ func TestRunShardedBusDeltasAuthoritative(t *testing.T) {
 
 // TestRunStreamErrors pins RunStream's error paths: the typed sentinel
 // with the absolute event offset for a corrupt mid-stream chunk, the
-// partial counters returned with it, and a producer's terminal error.
-// Partial counters must equal a clean replay of exactly the events that
-// were replayed. (A validated chunk cannot fail mid-replay;
-// FuzzRunStreamValidated checks that property.)
+// partial counters returned with it, a producer's terminal error, and
+// the rejection of Sims that disagree on the block count. Partial
+// counters must equal a clean replay of exactly the events that were
+// replayed, for every Sim of a fan-out. (A validated chunk cannot fail
+// mid-replay; FuzzRunStreamValidated checks that property.)
 func TestRunStreamErrors(t *testing.T) {
 	sp, ims := pipeline(t, "compress")
 	prof := workload.MustProfile("compress")
@@ -722,72 +727,103 @@ func TestRunStreamErrors(t *testing.T) {
 		bad.Events[at] = trace.MakeEvent(len(sp.Blocks)+3, ev.Taken(), ev.Next())
 		return &bad
 	}
-	// prefix is the clean replay of the first k events, as the partial
-	// result of an error after them must read (ATBHitRate is only
-	// derived on success).
-	prefix := func(t *testing.T, k int) Result {
+	// prefix is the clean replay of the first k events through org, as
+	// the partial result of an error after them must read (ATBHitRate is
+	// only derived on success).
+	prefix := func(t *testing.T, org Org, k int) Result {
 		pre := &trace.Trace{Name: tr.Name, Events: tr.Events[:k]}
-		want, err := mkSim(t, OrgCompressed).RunStream(attributedStream(sp, pre, cs))
+		want, err := mkSim(t, org).RunStream(attributedStream(sp, pre, cs))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want.ATBHitRate = 0
 		return want
 	}
+	// failingStream fills 100 identical events, in chunks of 16 and a
+	// final partial chunk of 4, all delivered before the fill fails.
+	ev := trace.MakeEvent(0, false, 0)
+	failingStream := func() trace.Stream {
+		filled := 0
+		return trace.NewPullStream("t", 16, func(c *trace.Chunk) error {
+			for filled < 100 && len(c.Events) < cap(c.Events) {
+				c.Events = append(c.Events, ev)
+				c.Ops++
+				c.MOPs++
+				filled++
+			}
+			if filled == 100 {
+				return perr
+			}
+			return nil
+		})
+	}
+	// clean is the replay of failingStream's 100 events through org.
+	clean := func(t *testing.T, org Org) Result {
+		tr := &trace.Trace{Name: "t", Ops: 100, MOPs: 100}
+		for i := 0; i < 100; i++ {
+			tr.Events = append(tr.Events, ev)
+		}
+		want, err := mkSim(t, org).Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.ATBHitRate = 0
+		return want
+	}
+	one := func(got Result, err error) ([]Result, error) { return []Result{got}, err }
 
 	rows := []struct {
 		name string
-		run  func(t *testing.T) (got, want Result, err error)
+		run  func(t *testing.T) (got, want []Result, err error)
 		// The error must wrap sentinel and name errText.
 		sentinel error
 		errText  string
 	}{
-		{"malformed-chunk", func(t *testing.T) (Result, Result, error) {
-			got, err := mkSim(t, OrgBase).RunStream(trace.NewSliceStream(corrupt(3333), cs))
+		{"malformed-chunk", func(t *testing.T) ([]Result, []Result, error) {
+			got, err := one(mkSim(t, OrgBase).RunStream(trace.NewSliceStream(corrupt(3333), cs)))
 			return got, got, err
 		}, ErrMalformedTrace, "event 3333"},
-		{"malformed-chunk-partial-counters", func(t *testing.T) (Result, Result, error) {
-			got, err := mkSim(t, OrgCompressed).RunStream(attributedStream(sp, corrupt(6001), cs))
+		{"malformed-chunk-partial-counters", func(t *testing.T) ([]Result, []Result, error) {
+			got, err := one(mkSim(t, OrgCompressed).RunStream(attributedStream(sp, corrupt(6001), cs)))
 			// Events 0..6001 live in chunk 11, so the committed chunks
 			// 0..10 are events 0..5631.
-			return got, prefix(t, (6001/cs)*cs), err
+			return got, []Result{prefix(t, OrgCompressed, (6001/cs)*cs)}, err
 		}, ErrMalformedTrace, "event 6001"},
-		{"run-malformed", func(t *testing.T) (Result, Result, error) {
+		{"fan-out-malformed-chunk", func(t *testing.T) ([]Result, []Result, error) {
+			got, err := RunStream(attributedStream(sp, corrupt(6001), cs),
+				mkSim(t, OrgBase), mkSim(t, OrgCompressed))
+			k := (6001 / cs) * cs
+			return got, []Result{prefix(t, OrgBase, k), prefix(t, OrgCompressed, k)}, err
+		}, ErrMalformedTrace, "event 6001"},
+		{"run-malformed", func(t *testing.T) ([]Result, []Result, error) {
 			// Event 8500 lies in Run's second default-size chunk, so the
 			// first chunk replays before the error; Run still returns
 			// Result{} and names the offset within the whole trace.
-			got, err := mkSim(t, OrgCompressed).Run(corrupt(8500))
-			return got, Result{}, err
+			got, err := one(mkSim(t, OrgCompressed).Run(corrupt(8500)))
+			return got, []Result{{}}, err
 		}, ErrMalformedTrace, "event 8500"},
-		{"producer-error", func(t *testing.T) (Result, Result, error) {
-			// The fill fails after 100 events: chunks of 16 and a final
-			// partial chunk of 4, all replayed before the error arrives.
-			ev := trace.MakeEvent(0, false, 0)
-			filled := 0
-			st := trace.NewPullStream("t", 16, func(c *trace.Chunk) error {
-				for filled < 100 && len(c.Events) < cap(c.Events) {
-					c.Events = append(c.Events, ev)
-					c.Ops++
-					c.MOPs++
-					filled++
-				}
-				if filled == 100 {
-					return perr
-				}
-				return nil
-			})
-			got, err := mkSim(t, OrgBase).RunStream(st)
-			clean := &trace.Trace{Name: "t", Ops: 100, MOPs: 100}
-			for i := 0; i < 100; i++ {
-				clean.Events = append(clean.Events, ev)
-			}
-			want, werr := mkSim(t, OrgBase).Run(clean)
-			if werr != nil {
-				t.Fatal(werr)
-			}
-			want.ATBHitRate = 0
-			return got, want, err
+		{"producer-error", func(t *testing.T) ([]Result, []Result, error) {
+			got, err := one(mkSim(t, OrgBase).RunStream(failingStream()))
+			return got, []Result{clean(t, OrgBase)}, err
 		}, perr, "producer boom"},
+		{"fan-out-producer-error", func(t *testing.T) ([]Result, []Result, error) {
+			got, err := RunStream(failingStream(), mkSim(t, OrgBase), mkSim(t, OrgCompressed))
+			return got, []Result{clean(t, OrgBase), clean(t, OrgCompressed)}, err
+		}, perr, "producer boom"},
+		{"fan-out-block-count-mismatch", func(t *testing.T) ([]Result, []Result, error) {
+			otherSp, otherIms := pipeline(t, "li")
+			other, err := NewSim(OrgBase, DefaultConfig(OrgBase), otherIms[OrgBase], otherSp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := &probeStream{Stream: trace.NewSliceStream(tr, cs)}
+			got, err := RunStream(st, mkSim(t, OrgBase), other)
+			if st.nexts != 0 || !st.closed {
+				t.Errorf("rejected fan-out called Next %d times, closed=%v; want 0 calls and closed",
+					st.nexts, st.closed)
+			}
+			return got, nil, err
+		}, ErrBadConfig, "simulator 1 replays"},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -795,12 +831,35 @@ func TestRunStreamErrors(t *testing.T) {
 			if !errors.Is(err, r.sentinel) || !strings.Contains(err.Error(), r.errText) {
 				t.Fatalf("err = %v, want one wrapping %q and naming %q", err, r.sentinel, r.errText)
 			}
-			if got != want {
-				t.Errorf("partial counters %+v, want the clean replay of the replayed events %+v", got, want)
+			if len(got) != len(want) {
+				t.Fatalf("%d results, want %d", len(got), len(want))
 			}
-			if want.Ops > 0 && got.BusBeats == 0 {
-				t.Errorf("partial result %+v dropped the replayed prefix's bus traffic", got)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("sim %d: partial counters %+v, want the clean replay of the replayed events %+v",
+						i, got[i], want[i])
+				}
+				if want[i].Ops > 0 && got[i].BusBeats == 0 {
+					t.Errorf("sim %d: partial result %+v dropped the replayed prefix's bus traffic", i, got[i])
+				}
 			}
 		})
 	}
+}
+
+// probeStream counts a stream's Next calls and records its Close.
+type probeStream struct {
+	trace.Stream
+	nexts  int
+	closed bool
+}
+
+func (s *probeStream) Next() (*trace.Chunk, error) {
+	s.nexts++
+	return s.Stream.Next()
+}
+
+func (s *probeStream) Close() {
+	s.closed = true
+	s.Stream.Close()
 }

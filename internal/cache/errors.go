@@ -3,7 +3,7 @@ package cache
 import "errors"
 
 // The typed failure classes of the simulator's input validation. Every
-// rejection NewOrgSim or Sim.Run produces wraps exactly one of these, so
+// rejection NewOrgSim or a replay produces wraps exactly one of these, so
 // callers (and the fault-injection suite in internal/simcheck) can
 // classify failures with errors.Is instead of string matching.
 var (
@@ -18,8 +18,9 @@ var (
 	// sets, associativity or line size).
 	ErrBadGeometry = errors.New("cache: bad geometry")
 	// ErrBadConfig marks a simulator misconfiguration: an unknown
-	// organization or predictor, or a ROM image supplied (or omitted)
-	// against the organization's spec.
+	// organization or predictor, a ROM image supplied (or omitted)
+	// against the organization's spec, or RunStream asked to replay one
+	// trace through Sims of different block counts (or through none).
 	ErrBadConfig = errors.New("cache: bad configuration")
 	// ErrNotExtractable marks an encoding the banked cache cannot serve:
 	// a MOP that spans more than two lines (or decodes to nothing), so a

@@ -6,12 +6,12 @@
 // assumptions of Table 1, and report the paper's metrics: operations
 // delivered per cycle (Figure 13) and memory-bus bit flips (Figure 14).
 //
-// The simulator is one fixed stage pipeline: Sim.RunStream drives the
-// ATB, the optional L0 buffer, the banked line cache and the memory bus
-// directly, and each organization — including the related-work CodePack
-// model (§6) — is a declarative row of the OrgSpec table (org.go) naming
-// its optional stages, Decompressor volume rule (stages.go) and Table 1
-// timing.
+// The simulator is one fixed stage pipeline: RunStream drives the ATB,
+// the optional L0 buffer, the banked line cache and the memory bus of
+// every Sim it replays a trace through, and each organization —
+// including the related-work CodePack model (§6) — is a declarative row
+// of the OrgSpec table (org.go) naming its optional stages, Decompressor
+// volume rule (stages.go) and Table 1 timing.
 package cache
 
 import (
@@ -94,6 +94,16 @@ func (r Result) IPC() float64 {
 		return 0
 	}
 	return float64(r.Ops) / float64(r.Cycles)
+}
+
+// IdealIPC is Figure 13's Ideal bar for the replayed events: a perfect
+// cache and predictor deliver one MOP per cycle, so the IPC is limited
+// only by schedule density — ops over MOPs, 0 when there are no MOPs.
+func (r Result) IdealIPC() float64 {
+	if r.MOPs == 0 {
+		return 0
+	}
+	return float64(r.Ops) / float64(r.MOPs)
 }
 
 // Merge accumulates another result's counters into r — how RunStream
@@ -293,33 +303,48 @@ func (s *Sim) Run(tr *trace.Trace) (Result, error) {
 	return res, nil
 }
 
-// RunStream replays a chunked trace stream through the stage pipeline
-// incrementally: each chunk is validated (wrapping ErrMalformedTrace on
-// a bad reference, with the absolute event offset), replayed, and
-// recycled before the next is taken, so peak memory is the stream's
-// chunk working set regardless of trace length. Operation totals
-// accumulate from the chunks' Ops/MOPs attribution. The result is
-// bit-identical to Run over the materialized trace.
-//
-// A chunk that passes validation replays without error, so on an error
-// the returned Result carries exactly what was replayed: the merged
-// counters (including bus traffic) of every chunk before the failing
-// one. ATBHitRate is only
-// derived on success. A producer's terminal error is returned as is,
-// with the counters of every chunk delivered before it.
-//
-// A walker stream (emu.StochasticStream[Ops]) fills each chunk inside
-// Next, so trace production and replay alternate on the caller's
-// goroutine and the stream holds one chunk. RunStream is the
-// simulator's one replay path.
+// RunStream replays a chunked trace stream through one Sim: the
+// one-Sim case of the package-level RunStream.
 func (s *Sim) RunStream(st trace.Stream) (Result, error) {
-	res := Result{
-		Benchmark: st.Name(),
-		Scheme:    s.im.Scheme,
-		Org:       s.org.String(),
+	res, err := RunStream(st, s)
+	return res[0], err
+}
+
+// RunStream replays one chunked trace stream through every Sim; it is
+// the simulator's one replay loop. Each chunk is validated once
+// (wrapping ErrMalformedTrace, with the absolute event offset), replayed
+// through each Sim in turn and recycled before the next is taken, so
+// peak memory is the stream's chunk working set whatever the trace
+// length or Sim count. Operation totals come from the chunks' Ops/MOPs
+// attribution. The Sims share only the chunks, so each Result is
+// bit-identical to that Sim's Run over the materialized trace. Sims of
+// different block counts (or none) are rejected with ErrBadConfig before
+// the first Next, and the stream is closed.
+//
+// A validated chunk replays without error, so on an error each Result
+// carries exactly the merged counters (bus traffic included) of the
+// chunks before the failing one; ATBHitRate is only derived on success.
+// A producer's terminal error is returned as is. A walker stream
+// (emu.StochasticStream[Ops]) fills each chunk inside Next, on the
+// caller's goroutine, and holds one chunk however many Sims replay it.
+func RunStream(st trace.Stream, sims ...*Sim) ([]Result, error) {
+	if len(sims) == 0 {
+		st.Close()
+		return nil, fmt.Errorf("%w: no simulators to replay %s through", ErrBadConfig, st.Name())
 	}
-	// The prediction for the very first block is a free cold start.
-	predicted := -2
+	numBlocks := len(sims[0].im.Blocks)
+	res := make([]Result, len(sims))
+	// The prediction for each Sim's very first block is a free cold start.
+	preds := make([]int, len(sims))
+	for i, s := range sims {
+		if n := len(s.im.Blocks); n != numBlocks {
+			st.Close()
+			return nil, fmt.Errorf("%w: simulator %d replays %d blocks, simulator 0 %d",
+				ErrBadConfig, i, n, numBlocks)
+		}
+		res[i] = Result{Benchmark: st.Name(), Scheme: s.im.Scheme, Org: s.org.String()}
+		preds[i] = -2
+	}
 	for {
 		c, err := st.Next()
 		if err != nil {
@@ -328,17 +353,21 @@ func (s *Sim) RunStream(st trace.Stream) (Result, error) {
 		if c == nil {
 			break
 		}
-		if verr := trace.ValidateChunk(c, len(s.im.Blocks)); verr != nil {
+		if verr := trace.ValidateChunk(c, numBlocks); verr != nil {
 			st.Recycle(c)
 			st.Close()
 			return res, fmt.Errorf("%w: %v", ErrMalformedTrace, verr)
 		}
-		wres, pred := s.replayWindow(c, predicted)
-		res.Merge(wres)
-		predicted = pred
+		for i, s := range sims {
+			var w Result
+			w, preds[i] = s.replayWindow(c, preds[i])
+			res[i].Merge(w)
+		}
 		st.Recycle(c)
 	}
-	res.ATBHitRate = s.atb.HitRate()
+	for i, s := range sims {
+		res[i].ATBHitRate = s.atb.HitRate()
+	}
 	return res, nil
 }
 
@@ -476,17 +505,4 @@ func (s *Sim) lineData(im *image.Image, line int64) []byte {
 	}
 	clear(s.pad[n:])
 	return s.pad
-}
-
-// RunIdeal returns the perfect-cache, perfect-predictor result: one cycle
-// per MOP (the paper's "Ideal" bar, limited only by schedule density).
-func RunIdeal(tr *trace.Trace) Result {
-	return Result{
-		Benchmark: tr.Name,
-		Scheme:    "ideal",
-		Org:       "Ideal",
-		Cycles:    tr.MOPs,
-		Ops:       tr.Ops,
-		MOPs:      tr.MOPs,
-	}
 }

@@ -321,42 +321,27 @@ type Fig13Result struct {
 // study pairings (Base holds the original encoding, Compressed the full
 // op compression scheme, Tailored the tailored ISA): 16 KB 2-way caches
 // (20 KB effective for Base), Table 1 timing, per-block ATB predictor.
-// Benchmarks simulate concurrently on the driver's pool; the result is
-// memoized in the driver under single-flight (Figure 14 reads the same
-// runs, concurrent callers share one study).
+// Each benchmark's trace is walked once and fanned out over the three
+// pairings' simulators. Benchmarks simulate concurrently on the driver's
+// pool; the result is memoized in the driver under single-flight (Figure
+// 14 reads the same runs, concurrent callers share one study).
 func (s *Suite) Figure13() (*Fig13Result, error) {
 	return memoAs(s.drv, s.resultKey("fig13"), func() (*Fig13Result, error) {
-		simTimer := s.drv.Stats().Timer("sim")
 		rows, err := forEachBenchmark(s, func(name string) (Fig13Row, error) {
 			c, err := s.Compiled(name)
 			if err != nil {
 				return Fig13Row{}, err
 			}
-			tr, err := c.Trace(s.opt.TraceBlocks)
+			pairings := scheme.StudyPairings()
+			results, err := s.replayPairings(c, pairings)
 			if err != nil {
 				return Fig13Row{}, err
 			}
-			row := Fig13Row{
-				Benchmark: name,
-				Ideal:     cache.RunIdeal(tr).IPC(),
-				Results:   map[string]cache.Result{},
+			row := Fig13Row{Benchmark: name, Results: map[string]cache.Result{}}
+			for i, p := range pairings {
+				row.Results[p.Name] = results[i]
 			}
-			for _, p := range scheme.StudyPairings() {
-				sim, err := c.SimFor(p, cache.DefaultConfig(p.Org))
-				if err != nil {
-					return Fig13Row{}, err
-				}
-				if err := simTimer.Time(func() error {
-					res, rerr := sim.Run(tr)
-					if rerr != nil {
-						return rerr
-					}
-					row.Results[p.Name] = res
-					return nil
-				}); err != nil {
-					return Fig13Row{}, err
-				}
-			}
+			row.Ideal = row.Results["Base"].IdealIPC()
 			return row, nil
 		})
 		if err != nil {

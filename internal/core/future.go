@@ -100,10 +100,6 @@ func (s *Suite) PredictorSweep(bench string) ([]PredictorRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := c.Trace(s.opt.TraceBlocks)
-	if err != nil {
-		return nil, err
-	}
 	baseIm, err := c.Image("base")
 	if err != nil {
 		return nil, err
@@ -112,7 +108,6 @@ func (s *Suite) PredictorSweep(bench string) ([]PredictorRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []PredictorRow
 	sweep := []struct {
 		label   string
 		kind    cache.PredictorKind
@@ -123,6 +118,9 @@ func (s *Suite) PredictorSweep(bench string) ([]PredictorRow, error) {
 		{"pas", cache.PredictorPAs, false},
 		{"perfect", cache.PredictorDefault, true},
 	}
+	// One Base and one Compressed simulator per predictor, all fed by
+	// one walk of the trace.
+	var sims []*cache.Sim
 	for _, pred := range sweep {
 		mk := func(org cache.Org) cache.Config {
 			cfg := cache.DefaultConfig(org)
@@ -138,20 +136,21 @@ func (s *Suite) PredictorSweep(bench string) ([]PredictorRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		bRes, err := bSim.Run(tr)
-		if err != nil {
-			return nil, err
-		}
-		cRes, err := cSim.Run(tr)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, PredictorRow{
+		sims = append(sims, bSim, cSim)
+	}
+	results, err := s.replay(c, sims...)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]PredictorRow, len(sweep))
+	for i, pred := range sweep {
+		bRes, cRes := results[2*i], results[2*i+1]
+		rows[i] = PredictorRow{
 			Predictor:      pred.label,
 			MispredictRate: bRes.MispredictRate(),
 			BaseIPC:        bRes.IPC(),
 			CompressedIPC:  cRes.IPC(),
-		})
+		}
 	}
 	return rows, nil
 }

@@ -91,9 +91,3 @@ func (c *Compiled) imageKey(scheme string) string {
 func (c *Compiled) decodePlanKey(scheme string) string {
 	return "dec/" + ArtifactCacheVersion + "/" + c.contentKey() + "/" + c.Name + "/" + schemeKey(scheme)
 }
-
-// traceKey addresses a stochastic trace artifact.
-func (c *Compiled) traceKey(seed int64, maxBlocks, phases int) string {
-	return fmt.Sprintf("trace/%s/%s/%d/%d/%d",
-		ArtifactCacheVersion, c.contentKey(), seed, maxBlocks, phases)
-}

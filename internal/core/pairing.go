@@ -30,3 +30,28 @@ func (c *Compiled) SimFor(p scheme.Pairing, cfg cache.Config) (*cache.Sim, error
 	}
 	return sim, nil
 }
+
+// replayPairings replays the suite's trace of c through every pairing
+// at its default geometry, returning the results in pairing order.
+func (s *Suite) replayPairings(c *Compiled, pairings []scheme.Pairing) ([]cache.Result, error) {
+	sims := make([]*cache.Sim, len(pairings))
+	for i, p := range pairings {
+		var err error
+		if sims[i], err = c.SimFor(p, cache.DefaultConfig(p.Org)); err != nil {
+			return nil, err
+		}
+	}
+	return s.replay(c, sims...)
+}
+
+// replay walks the suite's trace of c once, fanning every chunk out over
+// the Sims (cache.RunStream), timed as one "sim" observation.
+func (s *Suite) replay(c *Compiled, sims ...*cache.Sim) ([]cache.Result, error) {
+	st, err := c.StreamTrace(s.opt.TraceBlocks, 0)
+	if err != nil {
+		return nil, err
+	}
+	return timed(s.drv, "sim", func() ([]cache.Result, error) {
+		return cache.RunStream(st, sims...)
+	})
+}

@@ -35,10 +35,11 @@ func SchemeNames() []string { return scheme.Names() }
 var Figure5Schemes = []string{"byte", "stream", "stream_1", "full", "tailored"}
 
 // Compiled is a program pushed through the compiler substrate. Artifact
-// builders (Encoder, Image, Trace, DecodePlan) are safe for concurrent
-// use and memoize through the attached Driver's content-addressed store:
-// each artifact builds once while it stays resident, identical artifacts
-// are shared across compilations, and stage latencies are recorded.
+// builders (Encoder, Image, DecodePlan) are safe for concurrent use and
+// memoize through the attached Driver's content-addressed store: each
+// artifact builds once while it stays resident, identical artifacts are
+// shared across compilations, and stage latencies are recorded. Traces
+// are not artifacts: Trace and StreamTrace walk afresh on every call.
 // Standalone compilations carry a private driver.
 type Compiled struct {
 	Name    string
@@ -240,10 +241,13 @@ func (c *Compiled) Tailored() (*tailor.Tailored, error) {
 	return e.(*tailor.Tailored), nil
 }
 
-// Trace produces the benchmark's dynamic trace: profile-driven stochastic
-// walk using the profile's seed and phase count. maxBlocks <= 0 selects
-// the profile's default length. Safe for concurrent use; the walk is
-// content-cached and timed under "trace".
+// Trace materializes the benchmark's dynamic trace: the profile-driven
+// stochastic walk with the profile's seed and phase count, the same walk
+// StreamTrace delivers chunk by chunk. maxBlocks <= 0 selects the
+// profile's default length. Every call walks afresh and nothing is
+// cached: replays stream instead (StreamTrace into cache.RunStream), and
+// a whole trace is for consumers that need every event at once, such as
+// the simulation oracle (CheckSim) or a profile-driven layout.
 func (c *Compiled) Trace(maxBlocks int) (*trace.Trace, error) {
 	if c.Profile == nil {
 		return nil, fmt.Errorf("core: %s has no profile; use emu.Machine to run it", c.Name)
@@ -251,12 +255,7 @@ func (c *Compiled) Trace(maxBlocks int) (*trace.Trace, error) {
 	if maxBlocks <= 0 {
 		maxBlocks = c.Profile.DynBlocks
 	}
-	seed, phases := c.Profile.Seed, c.Profile.Phases
-	return memoAs(c.drv, c.traceKey(seed, maxBlocks, phases), func() (*trace.Trace, error) {
-		return timed(c.drv, "trace", func() (*trace.Trace, error) {
-			return emu.StochasticTrace(c.Prog, seed, maxBlocks, phases)
-		})
-	})
+	return emu.StochasticTrace(c.Prog, c.Profile.Seed, maxBlocks, c.Profile.Phases)
 }
 
 // StreamTrace produces the benchmark's dynamic trace as a chunk stream

@@ -72,58 +72,42 @@ func (s *Suite) RelatedWork() ([]RelatedRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr, err := c.Trace(s.opt.TraceBlocks)
-		if err != nil {
-			return nil, err
-		}
 		basePair, ok := scheme.PairingByName("Base")
 		if !ok {
 			return nil, fmt.Errorf("core: no Base pairing registered")
 		}
-		baseSim, err := c.SimFor(basePair, cache.DefaultConfig(basePair.Org))
+		pairings := scheme.Pairings()
+		results, err := s.replayPairings(c, pairings)
 		if err != nil {
 			return nil, err
 		}
-		baseRes, err := baseSim.Run(tr)
-		if err != nil {
-			return nil, err
+		var baseRes cache.Result
+		for i, p := range pairings {
+			if p.Name == basePair.Name {
+				baseRes = results[i]
+			}
 		}
-
-		add := func(approach string, romRatio float64, res *cache.Result) {
-			row := RelatedRow{Benchmark: name, Approach: approach, ROMRatio: romRatio}
-			if res != nil {
-				row.IPC = res.IPC()
-				if baseRes.BitFlips > 0 {
-					row.FlipRatio = float64(res.BitFlips) / float64(baseRes.BitFlips)
+		for i, p := range pairings {
+			row := RelatedRow{Benchmark: name, Approach: approachLabel(p), ROMRatio: 1,
+				IPC: results[i].IPC()}
+			if p.Name != basePair.Name {
+				rom, err := c.romImage(p)
+				if err != nil {
+					return nil, err
 				}
+				row.ROMRatio = float64(rom.TotalBytes()) / float64(base.CodeBytes)
+			}
+			if baseRes.BitFlips > 0 {
+				row.FlipRatio = float64(results[i].BitFlips) / float64(baseRes.BitFlips)
 			}
 			rows = append(rows, row)
-		}
-		for _, p := range scheme.Pairings() {
-			if p.Name == basePair.Name {
-				add(approachLabel(p), 1, &baseRes)
-				continue
-			}
-			rom, err := c.romImage(p)
-			if err != nil {
-				return nil, err
-			}
-			sim, err := c.SimFor(p, cache.DefaultConfig(p.Org))
-			if err != nil {
-				return nil, err
-			}
-			res, err := sim.Run(tr)
-			if err != nil {
-				return nil, err
-			}
-			add(approachLabel(p), float64(rom.TotalBytes())/float64(base.CodeBytes), &res)
 		}
 
 		// Related work: Thumb/MIPS16-style subset ISA, static size model
 		// only (no IFetch advantage: the cache holds the subset encoding
 		// but executes ~18% more ops).
 		thumb := float64(ThumbOpBits) / float64(isa.OpBits) * ThumbOpInflation
-		add("Thumb-style", thumb, nil)
+		rows = append(rows, RelatedRow{Benchmark: name, Approach: "Thumb-style", ROMRatio: thumb})
 	}
 	return rows, nil
 }

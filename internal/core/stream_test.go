@@ -17,9 +17,11 @@ const streamMatrixBlocks = 30000
 
 // TestStreamEquivalenceMatrix is the streaming acceptance matrix: for
 // every benchmark × registered pairing, Sim.RunStream over a streamed
-// trace must be bit-identical — every counter, at two chunk sizes — to
-// the sequential Sim.Run of the materialized trace with the same seed,
-// and must agree with the analytical oracle's streaming recomputation.
+// trace must be bit-identical — every counter — to the sequential
+// Sim.Run of the materialized trace with the same seed, and must agree
+// with the analytical oracle's streaming recomputation. So must each
+// result of one stream fanned out over every pairing at once
+// (cache.RunStream), at two chunk sizes.
 func TestStreamEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles every benchmark; too slow for -short")
@@ -35,14 +37,15 @@ func TestStreamEquivalenceMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range scheme.Pairings() {
+			pairings := scheme.Pairings()
+			want := make([]cache.Result, len(pairings))
+			for i, p := range pairings {
 				cfg := cache.DefaultConfig(p.Org)
 				sim, err := c.SimFor(p, cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", p.Name, err)
 				}
-				want, err := sim.Run(tr)
-				if err != nil {
+				if want[i], err = sim.Run(tr); err != nil {
 					t.Fatalf("%s: %v", p.Name, err)
 				}
 
@@ -61,9 +64,9 @@ func TestStreamEquivalenceMatrix(t *testing.T) {
 					if got, err = streamSim.RunStream(st); err != nil {
 						t.Fatalf("%s: RunStream: %v", p.Name, err)
 					}
-					if got != want {
+					if got != want[i] {
 						t.Errorf("%s: RunStream over %d-event chunks differs from sequential:\n  stream %+v\n  seq    %+v",
-							p.Name, cs, got, want)
+							p.Name, cs, got, want[i])
 					}
 				}
 
@@ -86,6 +89,31 @@ func TestStreamEquivalenceMatrix(t *testing.T) {
 				for _, m := range simcheck.Diff(got, oracle) {
 					t.Errorf("%s: oracle disagrees on %s: simulator %d, oracle %d",
 						p.Name, m.Field, m.Got, m.Want)
+				}
+			}
+
+			// One live producer stream fanned out over every pairing, at
+			// the same two chunk sizes.
+			for _, cs := range []int{1021, 61} {
+				sims := make([]*cache.Sim, len(pairings))
+				for i, p := range pairings {
+					if sims[i], err = c.SimFor(p, cache.DefaultConfig(p.Org)); err != nil {
+						t.Fatalf("%s: %v", p.Name, err)
+					}
+				}
+				st, err := c.StreamTrace(streamMatrixBlocks, cs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := cache.RunStream(st, sims...)
+				if err != nil {
+					t.Fatalf("fan-out over %d-event chunks: %v", cs, err)
+				}
+				for i, p := range pairings {
+					if got[i] != want[i] {
+						t.Errorf("%s: fan-out over %d-event chunks differs from sequential:\n  fan-out %+v\n  seq     %+v",
+							p.Name, cs, got[i], want[i])
+					}
 				}
 			}
 		})

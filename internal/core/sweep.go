@@ -88,62 +88,60 @@ func DefaultSweepPoints(p scheme.Pairing) []SweepPoint {
 
 // GeometrySweep runs every point against one benchmark on the driver's
 // worker pool, in point order. The compilation and its images build once
-// through the artifact cache; only the simulations fan out.
+// through the artifact cache. The points split into Driver.Workers()
+// contiguous groups, and each group replays one walk of the trace
+// through all its simulators, so the sweep walks the trace once per
+// worker, not once per point.
 func (s *Suite) GeometrySweep(bench string, points []SweepPoint) ([]SweepRow, error) {
 	c, err := s.Compiled(bench)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := c.Trace(s.opt.TraceBlocks)
-	if err != nil {
-		return nil, err
-	}
-	// Pre-build each pairing's images serially so the fan-out below is
-	// pure simulation (image builds inside mapN would hold worker slots
-	// while waiting on the single-flight build).
-	for _, p := range points {
-		if _, err := c.SimFor(p.Pairing, p.Config()); err != nil {
+	// Build every point's simulator serially so the fan-out below is pure
+	// simulation (image builds inside mapN would hold worker slots while
+	// waiting on the single-flight build).
+	sims := make([]*cache.Sim, len(points))
+	for i, pt := range points {
+		if sims[i], err = c.SimFor(pt.Pairing, pt.Config()); err != nil {
 			return nil, err
 		}
 	}
-	simTimer := s.drv.Stats().Timer("sim")
-	return mapN(s.drv, len(points), func(i int) (SweepRow, error) {
-		pt := points[i]
-		cfg := pt.Config()
-		sim, err := c.SimFor(pt.Pairing, cfg)
-		if err != nil {
-			return SweepRow{}, err
-		}
-		var r cache.Result
-		if err := simTimer.Time(func() error {
-			var rerr error
-			r, rerr = sim.Run(tr)
-			return rerr
-		}); err != nil {
-			return SweepRow{}, err
-		}
-		pred := string(cfg.Predictor)
-		if pred == "" {
-			pred = string(cache.PredictorBimodal)
-		}
-		row := SweepRow{
-			Benchmark:      bench,
-			Pairing:        pt.Pairing.Name,
-			Sets:           cfg.Sets,
-			Assoc:          cfg.Assoc,
-			LineBytes:      cfg.LineBytes,
-			Predictor:      pred,
-			CapacityKB:     float64(cfg.Sets*cfg.Assoc*cfg.LineBytes) / 1024,
-			IPC:            r.IPC(),
-			MissRate:       r.MissRate(),
-			MispredictRate: r.MispredictRate(),
-			Result:         r,
-		}
-		if spec, ok := pt.Pairing.Org.Spec(); ok && spec.HasL0 {
-			row.L0Ops = cfg.L0Ops
-		}
-		return row, nil
+	groups := min(s.drv.Workers(), len(points))
+	parts, err := mapN(s.drv, groups, func(g int) ([]cache.Result, error) {
+		return s.replay(c, sims[g*len(points)/groups:(g+1)*len(points)/groups]...)
 	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]SweepRow, 0, len(points))
+	for _, part := range parts {
+		for _, r := range part {
+			pt := points[len(rows)]
+			cfg := pt.Config()
+			pred := string(cfg.Predictor)
+			if pred == "" {
+				pred = string(cache.PredictorBimodal)
+			}
+			row := SweepRow{
+				Benchmark:      bench,
+				Pairing:        pt.Pairing.Name,
+				Sets:           cfg.Sets,
+				Assoc:          cfg.Assoc,
+				LineBytes:      cfg.LineBytes,
+				Predictor:      pred,
+				CapacityKB:     float64(cfg.Sets*cfg.Assoc*cfg.LineBytes) / 1024,
+				IPC:            r.IPC(),
+				MissRate:       r.MissRate(),
+				MispredictRate: r.MispredictRate(),
+				Result:         r,
+			}
+			if spec, ok := pt.Pairing.Org.Spec(); ok && spec.HasL0 {
+				row.L0Ops = cfg.L0Ops
+			}
+			rows = append(rows, row)
+		}
+	}
+	return rows, nil
 }
 
 // SweepTable renders sweep rows for terminals.

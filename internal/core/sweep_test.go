@@ -70,6 +70,37 @@ func TestGeometrySweep(t *testing.T) {
 			t.Errorf("row %d: empty predictor label", i)
 		}
 	}
+	// Splitting the points over another worker count (4 uneven groups)
+	// must not move a counter, and every point must read what its own
+	// Sim.Run over the materialized trace reads.
+	c, err := s.Compiled("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := c.Trace(5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := NewSuiteWithDriver(Options{Benchmarks: []string{"compress"}, TraceBlocks: 5000},
+		NewDriver(4)).GeometrySweep("compress", points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range points {
+		sim, err := c.SimFor(pt.Pairing, pt.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows[i].Result != want || wide[i].Result != want {
+			t.Errorf("point %d: sweep %+v / 4-worker sweep %+v, want %+v",
+				i, rows[i].Result, wide[i].Result, want)
+		}
+	}
+
 	// Bigger caches can't fetch more lines: compare the smallest and
 	// largest geometry at equal predictor and L0 capacity.
 	first, last := rows[0], rows[len(rows)-1]

@@ -446,16 +446,15 @@ func (s *Server) handleLint(r *http.Request) (any, error) {
 
 // SimulateRequest asks for one trace-driven IFetch simulation at the
 // pairing's default geometry. Blocks bounds the trace length (0 selects
-// the benchmark profile's default, capped at MaxTraceBlocks). Stream
-// selects the long-horizon mode: the trace is produced as a bounded
-// chunk stream (never materialized) and replayed incrementally by
-// Sim.RunStream, which has the walker fill each chunk as it asks for
-// it, with Ops
-// optionally bounding the walk by dynamic operation count (capped at
-// MaxTraceOps) instead of Blocks. The streamed result is bit-identical
-// to the non-streamed one for the same Blocks bound. Like every request
-// type it rejects unknown fields, so a client asking for a replay option
-// this server does not offer gets a 400 rather than a silent default.
+// the benchmark profile's default, capped at MaxTraceBlocks). Every
+// simulation streams: Sim.RunStream has the walker fill each bounded
+// chunk as it asks for it, so no trace is materialized or cached. Stream
+// selects the long-horizon mode, which allows Ops to bound the walk by
+// dynamic operation count (capped at MaxTraceOps) instead of Blocks, and
+// is echoed as the response's Streamed; for the same Blocks bound both
+// modes return the same counters. Like every request type it rejects
+// unknown fields, so a client asking for a replay option this server
+// does not offer gets a 400 rather than a silent default.
 type SimulateRequest struct {
 	Benchmark string `json:"benchmark"`
 	Pairing   string `json:"pairing"`
@@ -524,39 +523,25 @@ func (s *Server) handleSimulate(r *http.Request) (any, error) {
 		return nil, fmt.Errorf("simulate %s/%s: %w", req.Benchmark, req.Pairing, err)
 	}
 
-	var res cache.Result
-	traceBlocks := 0
-	if req.Stream {
-		// Long-horizon mode: the trace streams out of the walker in
-		// bounded chunks and replays incrementally; nothing is
-		// materialized or cached.
-		var st trace.Stream
-		if req.Ops > 0 {
-			st, err = c.StreamTraceOps(req.Ops, 0)
-		} else {
-			st, err = c.StreamTrace(req.Blocks, 0)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace %s: %w", req.Benchmark, err)
-		}
-		if res, err = sim.RunStream(st); err != nil {
-			return nil, fmt.Errorf("simulate %s/%s: %w", req.Benchmark, req.Pairing, err)
-		}
-		traceBlocks = int(res.BlockFetches)
+	// The walker fills each chunk as the replay asks for it, so no trace
+	// is materialized or cached in either mode.
+	var st trace.Stream
+	if req.Ops > 0 {
+		st, err = c.StreamTraceOps(req.Ops, 0)
 	} else {
-		tr, err := c.Trace(req.Blocks)
-		if err != nil {
-			return nil, fmt.Errorf("trace %s: %w", req.Benchmark, err)
-		}
-		if res, err = sim.Run(tr); err != nil {
-			return nil, fmt.Errorf("simulate %s/%s: %w", req.Benchmark, req.Pairing, err)
-		}
-		traceBlocks = len(tr.Events)
+		st, err = c.StreamTrace(req.Blocks, 0)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("trace %s: %w", req.Benchmark, err)
+	}
+	res, err := sim.RunStream(st)
+	if err != nil {
+		return nil, fmt.Errorf("simulate %s/%s: %w", req.Benchmark, req.Pairing, err)
 	}
 	return SimulateResponse{
 		Benchmark:    req.Benchmark,
 		Pairing:      req.Pairing,
-		TraceBlocks:  traceBlocks,
+		TraceBlocks:  int(res.BlockFetches),
 		Cycles:       res.Cycles,
 		Ops:          res.Ops,
 		MOPs:         res.MOPs,

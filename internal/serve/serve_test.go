@@ -354,6 +354,29 @@ func TestSimulateStreamEndpoint(t *testing.T) {
 	}
 }
 
+// TestSimulatePinsNoTrace posts non-stream simulations of one program
+// at several trace lengths: each length walks its own trace, and none
+// may stay resident, so the store holds what it held after the first.
+func TestSimulatePinsNoTrace(t *testing.T) {
+	p := scheme.Pairings()[0]
+	s, ts := newTestServer(t, Config{})
+	var entries int
+	for i, blocks := range []int{2000, 2001, 2002, 2003, 2004} {
+		status, body := postJSON(t, ts.URL+"/v1/simulate",
+			SimulateRequest{Benchmark: "compress", Pairing: p.Name, Blocks: blocks})
+		if status != http.StatusOK {
+			t.Fatalf("POST /v1/simulate blocks=%d = %d: %s", blocks, status, body)
+		}
+		n := s.Driver().CacheEntries()
+		if i == 0 {
+			entries = n
+		} else if n != entries {
+			t.Errorf("after blocks=%d the store holds %d entries, %d after the first request",
+				blocks, n, entries)
+		}
+	}
+}
+
 // TestRejections maps every malformed input class to its typed sentinel
 // kind and HTTP status.
 func TestRejections(t *testing.T) {
