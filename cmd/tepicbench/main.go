@@ -259,14 +259,19 @@ func run(args []string, out io.Writer) error {
 		if len(benchmarks) == 0 {
 			benchmarks = ccc.Benchmarks
 		}
+		measured := make(map[string][]*core.DecodeThroughput, len(decodeSchemes))
 		for _, name := range benchmarks {
 			c, err := s.Compiled(name)
 			if err != nil {
 				return err
 			}
 			for _, scheme := range decodeSchemes {
-				if _, err := c.MeasureDecodeThroughput(scheme, 3); err != nil {
+				dt, err := c.MeasureDecodeThroughput(scheme, 3)
+				if err != nil {
 					return err
+				}
+				if dt != nil {
+					measured[scheme] = append(measured[scheme], dt)
 				}
 			}
 		}
@@ -279,17 +284,12 @@ func run(args []string, out io.Writer) error {
 				Reference: tsnap["decode.reference."+scheme],
 				Batch:     tsnap["decode.batch."+scheme],
 			}
-			if dr.Reference.BitsPerSec > 0 {
-				dr.Speedup = dr.Fast.BitsPerSec / dr.Reference.BitsPerSec
-				dr.BatchSpeedup = dr.Batch.BitsPerSec / dr.Reference.BitsPerSec
-			}
-			if dr.Fast.BitsPerSec > 0 {
-				dr.LaneGain = dr.Batch.BitsPerSec / dr.Fast.BitsPerSec
-			}
+			dr.PoolRounds(measured[scheme]...)
 			decodeRates[scheme] = dr
-			w.Printf("decode throughput %-9s ref %6.1f Mb/s  fast %7.1f Mb/s  batch %7.1f Mb/s  speedup %.2fx  lane gain %.2fx\n",
+			w.Printf("decode throughput %-9s ref %6.1f Mb/s  fast %7.1f Mb/s  batch %7.1f Mb/s  speedup %.2fx [%.2f, %.2f]  lane gain %.2fx [%.2f, %.2f]\n",
 				scheme, dr.Reference.BitsPerSec/1e6, dr.Fast.BitsPerSec/1e6, dr.Batch.BitsPerSec/1e6,
-				dr.BatchSpeedup, dr.LaneGain)
+				dr.BatchSpeedup, dr.BatchSpeedupQuartiles[0], dr.BatchSpeedupQuartiles[1],
+				dr.LaneGain, dr.LaneGainQuartiles[0], dr.LaneGainQuartiles[1])
 		}
 	}
 

@@ -24,20 +24,61 @@ import (
 // packed bytes for the byte scheme, one symbol per stream segment per
 // op for the stream schemes. Speedup and BatchSpeedup are fast/ref and
 // batch/ref by decoded bits per second; LaneGain is batch/fast — the
-// kernel's gain over the already-table-driven baseline.
+// kernel's gain over the already-table-driven baseline. Each ratio is
+// the median of the per-round ratios (every round decodes the same bits
+// in all three tiers, so a round's ratio is its ratio of pass times),
+// and its quartiles over the rounds show the spread: one descheduled
+// pass moves one round's ratio, not the reported one.
 type DecodeThroughput struct {
 	Scheme       string                   `json:"-"`
 	Fast         stats.ThroughputSnapshot `json:"fast"`
 	Reference    stats.ThroughputSnapshot `json:"reference"`
 	Batch        stats.ThroughputSnapshot `json:"batch"`
+	Rounds       int                      `json:"rounds"`
 	Speedup      float64                  `json:"speedup"`
 	BatchSpeedup float64                  `json:"batch_speedup"`
 	LaneGain     float64                  `json:"lane_gain"`
+
+	SpeedupQuartiles      [2]float64 `json:"speedup_quartiles"`
+	BatchSpeedupQuartiles [2]float64 `json:"batch_speedup_quartiles"`
+	LaneGainQuartiles     [2]float64 `json:"lane_gain_quartiles"`
+
+	ratios []roundRatios
+}
+
+// roundRatios is one round's fast/ref, batch/ref and batch/fast rate
+// ratios.
+type roundRatios [3]float64
+
+// PoolRounds sets dt's ratios and quartiles from the rounds of every
+// measurement in parts (one per benchmark, say), pooled as one sample.
+func (dt *DecodeThroughput) PoolRounds(parts ...*DecodeThroughput) {
+	var ratios []roundRatios
+	for _, p := range parts {
+		ratios = append(ratios, p.ratios...)
+	}
+	dt.ratios = ratios
+	dt.Rounds = len(ratios)
+	col := make([]float64, len(ratios))
+	for k, out := range [3]struct {
+		median    *float64
+		quartiles *[2]float64
+	}{
+		{&dt.Speedup, &dt.SpeedupQuartiles},
+		{&dt.BatchSpeedup, &dt.BatchSpeedupQuartiles},
+		{&dt.LaneGain, &dt.LaneGainQuartiles},
+	} {
+		for i, r := range ratios {
+			col[i] = r[k]
+		}
+		q1, med, q3 := stats.Quartiles(col)
+		*out.median, *out.quartiles = med, [2]float64{q1, q3}
+	}
 }
 
 // MeasureDecodeThroughput times the scheme's Huffman symbol-stream
-// decode over the whole image, repeats times per decoder, and returns
-// the three rates plus their ratios. Schemes without a Huffman symbol
+// decode over the whole image, at least repeats (and at least 15) times
+// per decoder, and returns the three rates plus their ratios. Schemes without a Huffman symbol
 // stream (base, tailored, dict) return (nil, nil): there is no decoder
 // to compare.
 //
@@ -81,14 +122,18 @@ func (c *Compiled) MeasureDecodeThroughput(scheme string, repeats int) (*DecodeT
 	}
 
 	// One pass decodes every block of the image; rounds of passes repeat
-	// until both the requested count and a minimum wall-clock interval
-	// are met, so small images still produce stable rates. The three
-	// tiers are interleaved within each round (fast, reference, batch)
-	// rather than measured in one contiguous window per tier: slow drift
-	// in effective machine speed — frequency scaling, a noisy neighbour —
-	// then lands evenly on every tier and cancels out of the ratios the
-	// CI gates check.
-	const minMeasure = 20 * time.Millisecond
+	// until the requested count, minRounds and minWindow are all met, so
+	// small images still produce stable rates.
+	// The three tiers are interleaved within each round (fast,
+	// reference, batch) rather than measured in one contiguous window
+	// per tier: slow drift in effective machine speed — frequency
+	// scaling, a noisy neighbour — then lands evenly on every tier and
+	// cancels out of each round's ratios, and the median over rounds
+	// drops the rounds a burst of noise hit in one tier only.
+	const (
+		minRounds = 15                     // samples behind each median ratio
+		minWindow = 250 * time.Millisecond // span a noise burst must outlast
+	)
 	pass := func(decode func(r *bitio.Reader, n int) (int, error)) (syms, bits int64, err error) {
 		r := bitio.NewReader(im.Data)
 		for i := range im.Blocks {
@@ -121,16 +166,23 @@ func (c *Compiled) MeasureDecodeThroughput(scheme string, repeats int) (*DecodeT
 		}},
 	}
 	rounds := int64(0)
+	var ratios []roundRatios
 	start := time.Now()
-	for rounds < int64(repeats) || time.Since(start) < 3*minMeasure {
+	for rounds < max(int64(repeats), minRounds) || time.Since(start) < minWindow {
+		var took [3]time.Duration
 		for i := range tiers {
 			t0 := time.Now()
 			syms, bits, err := tiers[i].pass()
-			tiers[i].elapsed += time.Since(t0)
+			took[i] = time.Since(t0)
+			tiers[i].elapsed += took[i]
 			if err != nil {
 				return nil, err
 			}
 			tiers[i].passSyms, tiers[i].passBits = syms, bits
+		}
+		if tiers[0].passBits > 0 && took[0] > 0 && took[1] > 0 && took[2] > 0 {
+			f, r, b := float64(took[0]), float64(took[1]), float64(took[2])
+			ratios = append(ratios, roundRatios{r / f, r / b, f / b})
 		}
 		rounds++
 	}
@@ -164,12 +216,6 @@ func (c *Compiled) MeasureDecodeThroughput(scheme string, repeats int) (*DecodeT
 		Reference: ref.Snapshot(),
 		Batch:     batch.Snapshot(),
 	}
-	if dt.Reference.BitsPerSec > 0 {
-		dt.Speedup = dt.Fast.BitsPerSec / dt.Reference.BitsPerSec
-		dt.BatchSpeedup = dt.Batch.BitsPerSec / dt.Reference.BitsPerSec
-	}
-	if dt.Fast.BitsPerSec > 0 {
-		dt.LaneGain = dt.Batch.BitsPerSec / dt.Fast.BitsPerSec
-	}
+	dt.PoolRounds(&DecodeThroughput{ratios: ratios})
 	return dt, nil
 }

@@ -227,6 +227,24 @@ func TestMeasureDecodeThroughput(t *testing.T) {
 	if dt.Fast.Ops == 0 || dt.Fast.Bits == 0 {
 		t.Fatalf("no work measured: %+v", dt)
 	}
+	// Every ratio is a median over at least 15 rounds, inside its
+	// quartiles.
+	if dt.Rounds < 15 {
+		t.Errorf("ratios from %d rounds, want at least 15", dt.Rounds)
+	}
+	for _, r := range []struct {
+		name string
+		med  float64
+		q    [2]float64
+	}{
+		{"speedup", dt.Speedup, dt.SpeedupQuartiles},
+		{"batch_speedup", dt.BatchSpeedup, dt.BatchSpeedupQuartiles},
+		{"lane_gain", dt.LaneGain, dt.LaneGainQuartiles},
+	} {
+		if !(0 < r.q[0] && r.q[0] <= r.med && r.med <= r.q[1]) {
+			t.Errorf("%s: median %g outside its quartiles %v", r.name, r.med, r.q)
+		}
+	}
 	snap := d.Stats().Snapshot()
 	if _, ok := snap.Throughput["decode.fast.full"]; !ok {
 		t.Error("driver registry missing decode.fast.full throughput")

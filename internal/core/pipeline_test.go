@@ -23,6 +23,26 @@ func TestCompileBenchmark(t *testing.T) {
 	}
 }
 
+// compileAllocBound caps the heap allocations of one cold compile of
+// compress (generate, allocate registers, schedule). The compiler's
+// dense register tables and per-program op array put it near 3,700; the
+// map-keyed compiler they replaced made about 30,700.
+const compileAllocBound = 5000
+
+func TestCompileAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := CompileBenchmark("compress"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > compileAllocBound {
+		t.Errorf("compiling compress made %.0f allocations, bound %d", allocs, compileAllocBound)
+	}
+}
+
 func TestAllSchemesBuildAndVerify(t *testing.T) {
 	c, err := CompileBenchmark("compress")
 	if err != nil {

@@ -87,58 +87,59 @@ func DefaultSweepPoints(p scheme.Pairing) []SweepPoint {
 }
 
 // GeometrySweep runs every point against one benchmark on the driver's
-// worker pool, in point order. The compilation and its images build once
-// through the artifact cache. The points split into Driver.Workers()
-// contiguous groups, and each group replays one walk of the trace
-// through all its simulators, so the sweep walks the trace once per
-// worker, not once per point.
+// worker pool and returns the rows in point order. The compilation and
+// its images build once through the artifact cache. Point i goes to
+// group i mod Driver.Workers(), and each group replays one walk of the
+// trace through all its simulators, so the sweep walks the trace once
+// per worker, not once per point. Dealing the points round-robin evens
+// the groups' work: the default grid is ordered by set count, and the
+// small caches, which miss most, replay slowest.
 func (s *Suite) GeometrySweep(bench string, points []SweepPoint) ([]SweepRow, error) {
 	c, err := s.Compiled(bench)
 	if err != nil {
 		return nil, err
 	}
+	groups := min(s.drv.Workers(), len(points))
 	// Build every point's simulator serially so the fan-out below is pure
 	// simulation (image builds inside mapN would hold worker slots while
 	// waiting on the single-flight build).
-	sims := make([]*cache.Sim, len(points))
+	dealt := make([][]*cache.Sim, groups)
 	for i, pt := range points {
-		if sims[i], err = c.SimFor(pt.Pairing, pt.Config()); err != nil {
+		sim, err := c.SimFor(pt.Pairing, pt.Config())
+		if err != nil {
 			return nil, err
 		}
+		dealt[i%groups] = append(dealt[i%groups], sim)
 	}
-	groups := min(s.drv.Workers(), len(points))
 	parts, err := mapN(s.drv, groups, func(g int) ([]cache.Result, error) {
-		return s.replay(c, sims[g*len(points)/groups:(g+1)*len(points)/groups]...)
+		return s.replay(c, dealt[g]...)
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]SweepRow, 0, len(points))
-	for _, part := range parts {
-		for _, r := range part {
-			pt := points[len(rows)]
-			cfg := pt.Config()
-			pred := string(cfg.Predictor)
-			if pred == "" {
-				pred = string(cache.PredictorBimodal)
-			}
-			row := SweepRow{
-				Benchmark:      bench,
-				Pairing:        pt.Pairing.Name,
-				Sets:           cfg.Sets,
-				Assoc:          cfg.Assoc,
-				LineBytes:      cfg.LineBytes,
-				Predictor:      pred,
-				CapacityKB:     float64(cfg.Sets*cfg.Assoc*cfg.LineBytes) / 1024,
-				IPC:            r.IPC(),
-				MissRate:       r.MissRate(),
-				MispredictRate: r.MispredictRate(),
-				Result:         r,
-			}
-			if spec, ok := pt.Pairing.Org.Spec(); ok && spec.HasL0 {
-				row.L0Ops = cfg.L0Ops
-			}
-			rows = append(rows, row)
+	rows := make([]SweepRow, len(points))
+	for i, pt := range points {
+		r := parts[i%groups][i/groups]
+		cfg := pt.Config()
+		pred := string(cfg.Predictor)
+		if pred == "" {
+			pred = string(cache.PredictorBimodal)
+		}
+		rows[i] = SweepRow{
+			Benchmark:      bench,
+			Pairing:        pt.Pairing.Name,
+			Sets:           cfg.Sets,
+			Assoc:          cfg.Assoc,
+			LineBytes:      cfg.LineBytes,
+			Predictor:      pred,
+			CapacityKB:     float64(cfg.Sets*cfg.Assoc*cfg.LineBytes) / 1024,
+			IPC:            r.IPC(),
+			MissRate:       r.MissRate(),
+			MispredictRate: r.MispredictRate(),
+			Result:         r,
+		}
+		if spec, ok := pt.Pairing.Org.Spec(); ok && spec.HasL0 {
+			rows[i].L0Ops = cfg.L0Ops
 		}
 	}
 	return rows, nil

@@ -95,20 +95,22 @@ func (in *Instr) IsBranch() bool { return in.Type == isa.TypeBranch }
 // IsMemory reports whether the instruction accesses memory.
 func (in *Instr) IsMemory() bool { return in.Type == isa.TypeMemory }
 
-// Uses returns the registers the instruction reads, including its guard
-// predicate if it is not the always-true predicate.
-func (in *Instr) Uses() []Reg {
-	var u []Reg
+// AppendUses appends the registers the instruction reads to dst and
+// returns the extended slice: Src1, Src2, then the guard predicate if it
+// is not the always-true predicate. At most three registers are
+// appended, so a [3]Reg buffer on the caller's stack holds them without
+// allocating.
+func (in *Instr) AppendUses(dst []Reg) []Reg {
 	if in.Src1.IsValid() {
-		u = append(u, in.Src1)
+		dst = append(dst, in.Src1)
 	}
 	if in.Src2.IsValid() {
-		u = append(u, in.Src2)
+		dst = append(dst, in.Src2)
 	}
 	if in.Pred.IsValid() && in.Pred != PredTrue {
-		u = append(u, in.Pred)
+		dst = append(dst, in.Pred)
 	}
-	return u
+	return dst
 }
 
 // Def returns the register the instruction writes, or None.

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -141,17 +142,26 @@ func TestUsesAndDef(t *testing.T) {
 		Src1: Reg{ClassGPR, 1}, Src2: Reg{ClassGPR, 2},
 		Dest: Reg{ClassGPR, 3}, Pred: Reg{ClassPred, 4},
 	}
-	uses := in.Uses()
-	if len(uses) != 3 {
-		t.Fatalf("Uses() returned %d regs, want 3 (src1, src2, pred)", len(uses))
+	var buf [3]Reg
+	uses := in.AppendUses(buf[:0])
+	want := []Reg{{ClassGPR, 1}, {ClassGPR, 2}, {ClassPred, 4}}
+	if !slices.Equal(uses, want) {
+		t.Fatalf("AppendUses = %v, want %v (src1, src2, pred)", uses, want)
+	}
+	if &uses[0] != &buf[0] {
+		t.Error("AppendUses did not fill the caller's buffer")
 	}
 	if in.Def() != (Reg{ClassGPR, 3}) {
 		t.Errorf("Def() = %v", in.Def())
 	}
 	// Guard p0 does not count as a use.
 	in.Pred = PredTrue
-	if len(in.Uses()) != 2 {
-		t.Errorf("p0 guard counted as a use")
+	if got := in.AppendUses(buf[:0]); len(got) != 2 {
+		t.Errorf("p0 guard counted as a use: %v", got)
+	}
+	// It appends: what dst held before stays in front.
+	if got := in.AppendUses([]Reg{{ClassFPR, 7}}); !slices.Equal(got, []Reg{{ClassFPR, 7}, {ClassGPR, 1}, {ClassGPR, 2}}) {
+		t.Errorf("AppendUses onto a non-empty slice = %v", got)
 	}
 }
 

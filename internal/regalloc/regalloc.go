@@ -22,6 +22,7 @@ package regalloc
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/isa"
@@ -43,8 +44,9 @@ type Result struct {
 // statistics. The program is modified in place.
 func Allocate(p *ir.Program) (Result, error) {
 	var res Result
+	var a allocator
 	for _, f := range p.Funcs {
-		fr, err := allocateFunc(f)
+		fr, err := a.allocateFunc(f)
 		if err != nil {
 			return res, fmt.Errorf("regalloc: function %s: %w", f.Name, err)
 		}
@@ -59,34 +61,75 @@ func Allocate(p *ir.Program) (Result, error) {
 	return res, nil
 }
 
-type vkey struct {
-	class ir.RegClass
-	n     int
+// vregs numbers one function's virtual registers densely, class by
+// class: the i-th smallest distinct number of a class is virtual i. The
+// allocator's per-virtual tables are indexed by it, so their size is
+// bounded by the function's size whatever numbers it uses.
+type vregs struct {
+	nums [ir.ClassPred + 1][]int // sorted distinct numbers per class
 }
 
-// classFile describes one register file's allocation state.
+// number collects and sorts f's register numbers.
+func (v *vregs) number(f *ir.Func) {
+	for c := range v.nums {
+		v.nums[c] = v.nums[c][:0]
+	}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for _, r := range [...]ir.Reg{in.Src1, in.Src2, in.Pred, in.Dest} {
+				if r.IsValid() && r.Class <= ir.ClassPred {
+					v.nums[r.Class] = append(v.nums[r.Class], r.N)
+				}
+			}
+		}
+	}
+	for c := range v.nums {
+		slices.Sort(v.nums[c])
+		v.nums[c] = slices.Compact(v.nums[c])
+	}
+}
+
+// index returns r's dense number; r must occur in the numbered function.
+func (v *vregs) index(r ir.Reg) int {
+	nums := v.nums[r.Class]
+	// Generated code numbers each function's virtuals from a base with
+	// no gaps, so the number's offset from the smallest is its index.
+	if i := r.N - nums[0]; i >= 0 && i < len(nums) && nums[i] == r.N {
+		return i
+	}
+	i, _ := slices.BinarySearch(nums, r.N)
+	return i
+}
+
+// classFile describes one register file's allocation state. Virtual
+// registers are their dense numbers (see vregs); -1 is none.
 type classFile struct {
 	size    int
 	first   int   // first allocatable register (1 for predicates: p0 reserved)
 	pref    []int // assignment preference order over [first, size)
-	owner   []vkey
+	owner   []int // owner[r]: virtual holding physical r
 	inUse   []bool
-	lastUse map[vkey]int
-	mapping map[vkey]int
+	lastUse []int // lastUse[v]: linear position of v's last use, -1 before any
+	mapping []int // mapping[v]: physical register of v, -1 before its def
 	live    int
 	peak    int
-	used    map[int]bool
+	used    []bool // physical registers ever assigned
+	nused   int
 	steals  int
 }
 
-func newClassFile(size, first int, seed int64) *classFile {
-	cf := &classFile{
+// reset readies the file for a function with nvirt virtuals in the
+// class, reusing its tables.
+func (cf *classFile) reset(size, first int, seed int64, nvirt int) {
+	*cf = classFile{
 		size: size, first: first,
-		owner: make([]vkey, size), inUse: make([]bool, size),
-		lastUse: map[vkey]int{}, mapping: map[vkey]int{},
-		used: map[int]bool{},
+		pref:    cf.pref[:0],
+		owner:   fill(cf.owner, size, -1),
+		inUse:   fill(cf.inUse, size, false),
+		used:    fill(cf.used, size, false),
+		lastUse: fill(cf.lastUse, nvirt, -1),
+		mapping: fill(cf.mapping, nvirt, -1),
 	}
-	cf.pref = make([]int, 0, size-first)
 	for r := first; r < size; r++ {
 		cf.pref = append(cf.pref, r)
 	}
@@ -102,18 +145,29 @@ func newClassFile(size, first int, seed int64) *classFile {
 			cf.pref[i], cf.pref[j] = cf.pref[j], cf.pref[i]
 		}
 	}
-	return cf
+}
+
+// fill returns s resized to n elements, every one set to x.
+func fill[T any](s []T, n int, x T) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	for i := range s {
+		s[i] = x
+	}
+	return s
 }
 
 // assign gives a fresh definition a physical register, stealing the
 // furthest-ending live register when the file is full.
-func (cf *classFile) assign(v vkey) int {
+func (cf *classFile) assign(v int) int {
 	for _, r := range cf.pref {
 		if !cf.inUse[r] {
 			cf.inUse[r] = true
 			cf.owner[r] = v
 			cf.mapping[v] = r
-			cf.used[r] = true
+			if !cf.used[r] {
+				cf.used[r] = true
+				cf.nused++
+			}
 			cf.live++
 			if cf.live > cf.peak {
 				cf.peak = cf.live
@@ -121,7 +175,8 @@ func (cf *classFile) assign(v vkey) int {
 			return r
 		}
 	}
-	// Steal: evict the owner whose last use is furthest away.
+	// Steal: evict the owner whose last use is furthest away. The file
+	// is full, so every register has an owner.
 	best, bestEnd := cf.first, -1
 	for r := cf.first; r < cf.size; r++ {
 		if end := cf.lastUse[cf.owner[r]]; end > bestEnd {
@@ -136,9 +191,9 @@ func (cf *classFile) assign(v vkey) int {
 }
 
 // release frees a register at its owner's last use.
-func (cf *classFile) release(v vkey, idx int) {
-	r, ok := cf.mapping[v]
-	if !ok || cf.owner[r] != v || cf.lastUse[v] != idx {
+func (cf *classFile) release(v int, idx int) {
+	r := cf.mapping[v]
+	if r < 0 || cf.owner[r] != v || cf.lastUse[v] != idx {
 		return
 	}
 	if cf.inUse[r] {
@@ -147,42 +202,51 @@ func (cf *classFile) release(v vkey, idx int) {
 	}
 }
 
-func allocateFunc(f *ir.Func) (Result, error) {
+// allocator holds the tables allocateFunc reuses from function to
+// function. The zero value is ready to use.
+type allocator struct {
+	vregs
+	gpr, fpr, prd classFile
+}
+
+func (a *allocator) fileFor(c ir.RegClass) *classFile {
+	switch c {
+	case ir.ClassGPR:
+		return &a.gpr
+	case ir.ClassFPR:
+		return &a.fpr
+	case ir.ClassPred:
+		return &a.prd
+	}
+	return nil
+}
+
+func (a *allocator) allocateFunc(f *ir.Func) (Result, error) {
+	a.number(f)
 	seed := int64(f.ID)*2654435761 + 1
-	gpr := newClassFile(isa.NumGPR, 0, seed)
-	fpr := newClassFile(isa.NumFPR, 0, seed+1)
+	a.gpr.reset(isa.NumGPR, 0, seed, len(a.nums[ir.ClassGPR]))
+	a.fpr.reset(isa.NumFPR, 0, seed+1, len(a.nums[ir.ClassFPR]))
 	// The predicate file keeps the identity (lowest-first) order: real
 	// predicated code concentrates on a handful of predicate registers
 	// program-wide, which is what lets the paper's tailored encoding
 	// shrink the PREDICATE field to two or three bits (its Figure 4).
-	prd := newClassFile(isa.NumPred, isa.PredAlways+1, 0)
-	fileFor := func(c ir.RegClass) *classFile {
-		switch c {
-		case ir.ClassGPR:
-			return gpr
-		case ir.ClassFPR:
-			return fpr
-		case ir.ClassPred:
-			return prd
-		}
-		return nil
-	}
+	a.prd.reset(isa.NumPred, isa.PredAlways+1, 0, len(a.nums[ir.ClassPred]))
 
 	// Pass 1: last-use positions over the function's linear order.
+	var buf [3]ir.Reg
 	idx := 0
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			for _, u := range in.Uses() {
-				if cf := fileFor(u.Class); cf != nil {
-					cf.lastUse[vkey{u.Class, u.N}] = idx
+			for _, u := range in.AppendUses(buf[:0]) {
+				if cf := a.fileFor(u.Class); cf != nil {
+					cf.lastUse[a.index(u)] = idx
 				}
 			}
 			// A def with no later use dies immediately.
 			if d := in.Def(); d.IsValid() {
-				if cf := fileFor(d.Class); cf != nil {
-					k := vkey{d.Class, d.N}
-					if _, seen := cf.lastUse[k]; !seen {
-						cf.lastUse[k] = idx
+				if cf := a.fileFor(d.Class); cf != nil {
+					if v := a.index(d); cf.lastUse[v] < 0 {
+						cf.lastUse[v] = idx
 					}
 				}
 			}
@@ -196,9 +260,8 @@ func allocateFunc(f *ir.Func) (Result, error) {
 		if !r.IsValid() || (r.Class == ir.ClassPred && r.N == isa.PredAlways) {
 			return nil
 		}
-		cf := fileFor(r.Class)
-		phys, ok := cf.mapping[vkey{r.Class, r.N}]
-		if !ok {
+		phys := a.fileFor(r.Class).mapping[a.index(*r)]
+		if phys < 0 {
 			return fmt.Errorf("use of %v before definition", *r)
 		}
 		r.N = phys
@@ -206,15 +269,17 @@ func allocateFunc(f *ir.Func) (Result, error) {
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			// Collect original use keys before rewriting mutates them.
+			// Collect the uses' virtuals before rewriting mutates them.
 			type useRef struct {
-				key vkey
-				cf  *classFile
+				v  int
+				cf *classFile
 			}
-			var refs []useRef
-			for _, u := range in.Uses() {
-				if cf := fileFor(u.Class); cf != nil && !(u.Class == ir.ClassPred && u.N == isa.PredAlways) {
-					refs = append(refs, useRef{vkey{u.Class, u.N}, cf})
+			var refs [3]useRef
+			nrefs := 0
+			for _, u := range in.AppendUses(buf[:0]) {
+				if cf := a.fileFor(u.Class); cf != nil && !(u.Class == ir.ClassPred && u.N == isa.PredAlways) {
+					refs[nrefs] = useRef{a.index(u), cf}
+					nrefs++
 				}
 			}
 			if err := rewrite(&in.Src1); err != nil {
@@ -226,28 +291,27 @@ func allocateFunc(f *ir.Func) (Result, error) {
 			if err := rewrite(&in.Pred); err != nil {
 				return Result{}, err
 			}
-			for _, ref := range refs {
-				ref.cf.release(ref.key, idx)
+			for _, ref := range refs[:nrefs] {
+				ref.cf.release(ref.v, idx)
 			}
 			if d := in.Def(); d.IsValid() {
-				cf := fileFor(d.Class)
-				k := vkey{d.Class, d.N}
-				phys := cf.assign(k)
-				in.Dest.N = phys
-				cf.release(k, idx) // dead-on-arrival defs free immediately
+				cf := a.fileFor(d.Class)
+				v := a.index(d)
+				in.Dest.N = cf.assign(v)
+				cf.release(v, idx) // dead-on-arrival defs free immediately
 			}
 			idx++
 		}
 	}
 
 	var res Result
-	res.GPRUsed = len(gpr.used)
-	res.FPRUsed = len(fpr.used)
-	res.PredUsed = len(prd.used)
-	res.Steals = gpr.steals + fpr.steals + prd.steals
-	res.MaxPressure.GPR = gpr.peak
-	res.MaxPressure.FPR = fpr.peak
-	res.MaxPressure.Pred = prd.peak
+	res.GPRUsed = a.gpr.nused
+	res.FPRUsed = a.fpr.nused
+	res.PredUsed = a.prd.nused
+	res.Steals = a.gpr.steals + a.fpr.steals + a.prd.steals
+	res.MaxPressure.GPR = a.gpr.peak
+	res.MaxPressure.FPR = a.fpr.peak
+	res.MaxPressure.Pred = a.prd.peak
 	return res, nil
 }
 

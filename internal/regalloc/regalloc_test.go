@@ -1,6 +1,7 @@
 package regalloc
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/ir"
@@ -176,5 +177,79 @@ func TestPressureBounded(t *testing.T) {
 	}
 	if res.MaxPressure.Pred > isa.NumPred {
 		t.Errorf("pred pressure %d exceeds file size", res.MaxPressure.Pred)
+	}
+}
+
+// pressureProgram defines 40 GPR virtuals before reading any of them,
+// so the 32-register file must steal.
+func pressureProgram() *ir.Program {
+	var instrs []*ir.Instr
+	for v := 0; v < 40; v++ {
+		instrs = append(instrs, &ir.Instr{Type: isa.TypeInt, Code: isa.OpLDI, Imm: int32(v), Dest: gpr(v), Pred: ir.PredTrue})
+	}
+	for v := 39; v > 0; v-- {
+		instrs = append(instrs, &ir.Instr{Type: isa.TypeInt, Code: isa.OpADD, Src1: gpr(v), Src2: gpr(v - 1), Dest: gpr(40 + v), Pred: ir.PredTrue})
+	}
+	b := &ir.Block{Instrs: instrs, TakenTarget: ir.NoTarget, FallTarget: ir.NoTarget, Callee: ir.NoTarget}
+	return ir.NewProgram("pressure", []*ir.Func{{Name: "main", Blocks: []*ir.Block{b}}})
+}
+
+// TestAllocateIgnoresVirtualNumbering pins that allocation depends only
+// on which references name the same virtual register, never on the
+// numbers: renaming every virtual to huge, negative or gapped numbers
+// (p0 kept) must give the same physical registers and the same Result,
+// on gcc and on a program that steals. Tables sized by the largest
+// number could not hold these.
+func TestAllocateIgnoresVirtualNumbering(t *testing.T) {
+	rename := func(r *ir.Reg) {
+		switch r.Class {
+		case ir.ClassGPR:
+			r.N = math.MaxInt - 3*r.N // huge, descending, gaps of 3
+		case ir.ClassFPR:
+			r.N = math.MinInt + 5*r.N // negative, gaps of 5
+		case ir.ClassPred:
+			if r.N != isa.PredAlways {
+				r.N = -r.N // negative, no gaps
+			}
+		}
+	}
+	gcc := func() *ir.Program {
+		p, err := workload.GenerateBenchmark("gcc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, mk := range []func() *ir.Program{gcc, pressureProgram} {
+		want, renamed := mk(), mk()
+		for _, b := range renamed.Blocks() {
+			for _, in := range b.Instrs {
+				rename(&in.Src1)
+				rename(&in.Src2)
+				rename(&in.Dest)
+				rename(&in.Pred)
+			}
+		}
+		wantRes, err := Allocate(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotRes, err := Allocate(renamed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotRes != wantRes {
+			t.Errorf("%s: renamed Result %+v, want %+v", want.Name, gotRes, wantRes)
+		}
+		if want.Name == "pressure" && wantRes.Steals == 0 {
+			t.Error("pressure program allocated without a steal")
+		}
+		for i, b := range renamed.Blocks() {
+			for j, in := range b.Instrs {
+				if w := want.Block(i).Instrs[j]; *in != *w {
+					t.Fatalf("%s block %d instr %d: renamed allocates to %v, want %v", want.Name, i, j, in, w)
+				}
+			}
+		}
 	}
 }

@@ -13,8 +13,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/isa"
@@ -101,33 +102,68 @@ func (p *Program) Density() float64 {
 // already be register-allocated: any register number outside the
 // architectural files is rejected.
 func Schedule(p *ir.Program) (*Program, error) {
-	sp := &Program{Name: p.Name}
-	for _, f := range p.Funcs {
-		sp.FuncEntries = append(sp.FuncEntries, f.Entry().ID)
+	sp := &Program{
+		Name:        p.Name,
+		Blocks:      make([]*Block, p.NumBlocks()),
+		FuncEntries: make([]int, len(p.Funcs)),
 	}
-	for _, b := range p.Blocks() {
-		sb, err := scheduleBlock(b)
-		if err != nil {
+	for i, f := range p.Funcs {
+		sp.FuncEntries[i] = f.Entry().ID
+	}
+	// Every block and every op of the program live in one array each;
+	// a block's Ops is a capped window of the op array.
+	blocks := make([]Block, p.NumBlocks())
+	ops := make([]isa.Op, p.NumOps())
+	var s scheduler
+	for i, b := range p.Blocks() {
+		n := len(b.Instrs)
+		if err := s.scheduleBlock(&blocks[i], b, ops[:n:n]); err != nil {
 			return nil, fmt.Errorf("sched: block %d: %w", b.ID, err)
 		}
-		sp.Blocks = append(sp.Blocks, sb)
+		sp.Blocks[i] = &blocks[i]
+		ops = ops[n:]
 	}
 	return sp, nil
 }
 
-// dep tracks the dependence graph node for one instruction.
+// regSlots sizes the dependence builder's per-register tables: one slot
+// per architectural register of every class, at regSlot(r).
+const regSlots = (int(ir.ClassPred) + 1) * 32
+
+// regSlot is r's index into the per-register tables. lower has checked
+// that r is architectural, so the index is in range.
+func regSlot(r ir.Reg) int { return int(r.Class)*32 + r.N }
+
+// depNode is the dependence graph node for one instruction; a block's
+// nodes are indexed by instruction position, which is also the
+// tie-breaking priority.
 type depNode struct {
-	in     *ir.Instr
-	preds  []int // indices this node depends on
-	nsucc  int
-	height int // critical-path height (priority)
-	ready  bool
+	preds  []int // positions this node depends on, a window of scheduler.preds
+	lat    int   // the op's latency
+	height int   // critical-path height (priority)
 	done   bool
-	pos    int // original position, for stable tie-breaking
 }
 
-func scheduleBlock(b *ir.Block) (*Block, error) {
-	sb := &Block{
+// scheduler holds the scratch state scheduleBlock reuses from block to
+// block, so scheduling a program allocates per block only its MOP list.
+// The zero value is ready to use.
+type scheduler struct {
+	lowered []isa.Op // lowered[i] is instruction i through ToISA
+	nodes   []depNode
+	preds   []int     // every node's predecessors, node after node
+	mops    []isa.MOP // the block's MOPs, copied out when it is done
+	ready   []int
+	// lastDef holds 1 + the position of the register's last definition
+	// (0: none so far); lastUses the positions that read it since. Both
+	// are back at their zero state between blocks.
+	lastDef  [regSlots]int
+	lastUses [regSlots][]int
+}
+
+// scheduleBlock schedules b into sb, whose ops land in ops (len(b.Instrs)
+// long); every MOP of sb is a capped window of that array.
+func (s *scheduler) scheduleBlock(sb *Block, b *ir.Block, ops []isa.Op) error {
+	*sb = Block{
 		ID:          b.ID,
 		Fn:          b.Fn,
 		TakenTarget: b.TakenTarget,
@@ -137,35 +173,45 @@ func scheduleBlock(b *ir.Block) (*Block, error) {
 	}
 	n := len(b.Instrs)
 	if n == 0 {
-		return sb, nil
+		return nil
 	}
 
-	nodes := buildDeps(b.Instrs)
+	// Lower every op before any table is indexed by its registers.
+	s.lowered = s.lowered[:0]
+	for _, in := range b.Instrs {
+		op, err := lower(in)
+		if err != nil {
+			return err
+		}
+		s.lowered = append(s.lowered, op)
+	}
+	nodes := s.buildDeps(b.Instrs)
 
 	// Critical-path heights by reverse topological sweep (positions are a
 	// topological order because dependences always point backward).
-	for i := n - 1; i >= 0; i-- {
-		h := nodes[i].in.Info().Latency
-		nodes[i].height = h
+	for i := range nodes {
+		nodes[i].lat = b.Instrs[i].Info().Latency
+		nodes[i].height = nodes[i].lat
 	}
 	for i := n - 1; i >= 0; i-- {
 		for _, p := range nodes[i].preds {
-			if nodes[p].height < nodes[i].height+nodes[p].in.Info().Latency {
-				nodes[p].height = nodes[i].height + nodes[p].in.Info().Latency
+			if h := nodes[i].height + nodes[p].lat; nodes[p].height < h {
+				nodes[p].height = h
 			}
 		}
 	}
 
-	scheduled := 0
 	branchIdx := -1
 	if b.Instrs[n-1].IsBranch() {
 		branchIdx = n - 1
 	}
 
+	scheduled := 0
+	s.mops = s.mops[:0]
 	for scheduled < n {
 		// Collect ready nodes: all predecessors issued (latency collapses
 		// to MOP ordering; the fetch-side model streams one MOP per cycle).
-		var ready []int
+		ready := s.ready[:0]
 		for i := range nodes {
 			if nodes[i].done {
 				continue
@@ -177,132 +223,138 @@ func scheduleBlock(b *ir.Block) (*Block, error) {
 					break
 				}
 			}
-			if !ok {
-				continue
+			if ok {
+				ready = append(ready, i)
 			}
-			// The branch issues only once everything else has issued or is
-			// issuing in this final MOP; handled below by scheduling it
-			// last within the ready set.
-			ready = append(ready, i)
 		}
+		s.ready = ready
 		if len(ready) == 0 {
-			return nil, fmt.Errorf("dependence cycle among %d unscheduled ops", n-scheduled)
+			return fmt.Errorf("dependence cycle among %d unscheduled ops", n-scheduled)
 		}
-		sort.Slice(ready, func(x, y int) bool {
-			a, c := nodes[ready[x]], nodes[ready[y]]
-			if a.height != c.height {
-				return a.height > c.height
+		slices.SortFunc(ready, func(x, y int) int {
+			if hx, hy := nodes[x].height, nodes[y].height; hx != hy {
+				return cmp.Compare(hy, hx)
 			}
-			return a.pos < c.pos
+			return cmp.Compare(x, y)
 		})
 
-		var mop isa.MOP
-		mem := 0
-		issuedThis := map[int]bool{}
+		var issued [isa.IssueWidth]int
+		width, mem := 0, 0
 		for _, i := range ready {
-			if len(mop) == isa.IssueWidth {
+			if width == isa.IssueWidth {
 				break
 			}
-			in := nodes[i].in
+			in := b.Instrs[i]
 			if in.IsMemory() && mem == isa.MemUnits {
 				continue
 			}
-			if i == branchIdx {
-				// Branch must land in the final MOP: only issue it if every
-				// other op is done or issuing right now.
-				allIn := true
-				for j := range nodes {
-					if j != i && !nodes[j].done && !issuedThis[j] {
-						allIn = false
-						break
-					}
-				}
-				if !allIn {
-					continue
-				}
+			// The branch must land in the final MOP: it issues only if
+			// every other unscheduled op is issuing right now.
+			if i == branchIdx && width != n-scheduled-1 {
+				continue
 			}
-			op, err := ToISA(in)
-			if err != nil {
-				return nil, err
-			}
-			mop = append(mop, op)
-			issuedThis[i] = true
+			issued[width] = i
+			width++
 			if in.IsMemory() {
 				mem++
 			}
 		}
-		if len(mop) == 0 {
-			return nil, fmt.Errorf("no issuable ops despite %d ready", len(ready))
+		if width == 0 {
+			return fmt.Errorf("no issuable ops despite %d ready", len(ready))
 		}
-		mop.SealTails()
-		for i := range issuedThis {
+		mop := isa.MOP(ops[scheduled : scheduled+width : scheduled+width])
+		for j, i := range issued[:width] {
+			mop[j] = s.lowered[i]
 			nodes[i].done = true
 		}
-		scheduled += len(mop)
-		sb.MOPs = append(sb.MOPs, mop)
+		mop.SealTails()
+		s.mops = append(s.mops, mop)
+		scheduled += width
 	}
+	sb.Ops = ops
+	sb.MOPs = slices.Clone(s.mops)
+	return nil
+}
 
-	for _, m := range sb.MOPs {
-		sb.Ops = append(sb.Ops, m...)
+// lower lowers one instruction through ToISA and also requires every
+// register it reads or writes, including fields its format does not
+// encode, to be architectural: the dependence builder indexes its
+// tables by register.
+func lower(in *ir.Instr) (isa.Op, error) {
+	op, err := ToISA(in)
+	if err != nil {
+		return op, err
 	}
-	return sb, nil
+	var buf [4]ir.Reg
+	for _, r := range append(in.AppendUses(buf[:0]), in.Def()) {
+		if r.IsValid() && (r.Class > ir.ClassPred || r.N < 0 || r.N >= 32) {
+			return isa.Op{}, fmt.Errorf("sched: unallocated register %v", r)
+		}
+	}
+	return op, nil
 }
 
 // buildDeps constructs the intra-block dependence edges: register RAW, WAR
 // and WAW; stores ordered against all memory operations; the terminating
-// branch after everything (enforced at issue time).
-func buildDeps(instrs []*ir.Instr) []*depNode {
+// branch after everything (enforced at issue time). Every register of
+// instrs must be architectural (see lower). The returned nodes and their
+// predecessor lists are scratch, valid until the next call.
+func (s *scheduler) buildDeps(instrs []*ir.Instr) []depNode {
 	n := len(instrs)
-	nodes := make([]*depNode, n)
-	for i, in := range instrs {
-		nodes[i] = &depNode{in: in, pos: i}
-	}
-	type rk struct {
-		class ir.RegClass
-		n     int
-	}
-	lastDef := map[rk]int{}
-	lastUses := map[rk][]int{}
+	nodes := slices.Grow(s.nodes[:0], n)[:n]
+	clear(nodes)
+	s.nodes = nodes
+	preds := s.preds[:0]
 	lastStore := -1
 	lastMem := -1
-	addDep := func(i, p int) {
-		if p < 0 || p == i {
-			return
-		}
-		nodes[i].preds = append(nodes[i].preds, p)
-	}
+	var buf [4]ir.Reg
 	for i, in := range instrs {
-		for _, u := range in.Uses() {
-			k := rk{u.Class, u.N}
-			if d, ok := lastDef[k]; ok {
-				addDep(i, d) // RAW
+		first := len(preds)
+		addDep := func(p int) {
+			if p >= 0 && p != i {
+				preds = append(preds, p)
 			}
-			lastUses[k] = append(lastUses[k], i)
+		}
+		for _, u := range in.AppendUses(buf[:0]) {
+			k := regSlot(u)
+			addDep(s.lastDef[k] - 1) // RAW
+			s.lastUses[k] = append(s.lastUses[k], i)
 		}
 		if d := in.Def(); d.IsValid() {
-			k := rk{d.Class, d.N}
-			if pd, ok := lastDef[k]; ok {
-				addDep(i, pd) // WAW
+			k := regSlot(d)
+			addDep(s.lastDef[k] - 1) // WAW
+			for _, u := range s.lastUses[k] {
+				addDep(u) // WAR
 			}
-			for _, u := range lastUses[k] {
-				addDep(i, u) // WAR
-			}
-			lastDef[k] = i
-			lastUses[k] = nil
+			s.lastDef[k] = i + 1
+			s.lastUses[k] = s.lastUses[k][:0]
 		}
 		if in.IsMemory() {
 			if in.Code == isa.OpST || in.Code == isa.OpFST {
 				// Stores are ordered after every prior memory op.
-				addDep(i, lastMem)
-				addDep(i, lastStore)
+				addDep(lastMem)
+				addDep(lastStore)
 				lastStore = i
 			} else {
 				// Loads are ordered after prior stores only.
-				addDep(i, lastStore)
+				addDep(lastStore)
 			}
 			lastMem = i
 		}
+		// Appends never rewrite earlier elements, so this window stays
+		// right even after preds moves to a larger array.
+		nodes[i].preds = preds[first:len(preds):len(preds)]
 	}
+	// Leave the register tables clean for the next block.
+	for _, in := range instrs {
+		for _, r := range append(in.AppendUses(buf[:0]), in.Def()) {
+			if r.IsValid() {
+				k := regSlot(r)
+				s.lastDef[k], s.lastUses[k] = 0, s.lastUses[k][:0]
+			}
+		}
+	}
+	s.preds = preds
 	return nodes
 }
 

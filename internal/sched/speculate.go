@@ -139,12 +139,13 @@ func liveness(p *ir.Program, f *ir.Func) map[int]regSet {
 			}
 			// Backward transfer through the block.
 			in := out
+			var buf [3]ir.Reg
 			for j := len(b.Instrs) - 1; j >= 0; j-- {
 				instr := b.Instrs[j]
 				if d := instr.Def(); d.IsValid() {
 					in.remove(d)
 				}
-				for _, u := range instr.Uses() {
+				for _, u := range instr.AppendUses(buf[:0]) {
 					in.add(u)
 				}
 			}
@@ -202,7 +203,8 @@ func speculateFunc(p *ir.Program, f *ir.Func) (int, error) {
 			protected = liveIn[a.TakenTarget]
 		}
 		if term != nil {
-			for _, u := range term.Uses() {
+			var buf [3]ir.Reg
+			for _, u := range term.AppendUses(buf[:0]) {
 				protected.add(u)
 			}
 		}

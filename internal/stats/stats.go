@@ -36,6 +36,26 @@ func Median(xs []float64) float64 {
 	return (ys[n/2-1] + ys[n/2]) / 2
 }
 
+// Quartiles returns the first quartile, the median and the third
+// quartile, interpolating linearly between order statistics (all 0 for
+// empty input). Its median equals Median's.
+func Quartiles(xs []float64) (q1, median, q3 float64) {
+	if len(xs) == 0 {
+		return 0, 0, 0
+	}
+	ys := append([]float64(nil), xs...)
+	sort.Float64s(ys)
+	at := func(p float64) float64 {
+		pos := p * float64(len(ys)-1)
+		lo := int(pos)
+		if lo == len(ys)-1 {
+			return ys[lo]
+		}
+		return ys[lo] + (pos-float64(lo))*(ys[lo+1]-ys[lo])
+	}
+	return at(0.25), at(0.5), at(0.75)
+}
+
 // Geomean returns the geometric mean (0 for empty or non-positive input).
 func Geomean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -27,6 +27,25 @@ func TestMedian(t *testing.T) {
 	}
 }
 
+func TestQuartiles(t *testing.T) {
+	if q1, m, q3 := Quartiles(nil); q1 != 0 || m != 0 || q3 != 0 {
+		t.Error("Quartiles(nil)")
+	}
+	if q1, m, q3 := Quartiles([]float64{7}); q1 != 7 || m != 7 || q3 != 7 {
+		t.Errorf("one-sample Quartiles = %g %g %g", q1, m, q3)
+	}
+	if q1, m, q3 := Quartiles([]float64{5, 1, 4, 2, 3}); q1 != 2 || m != 3 || q3 != 4 {
+		t.Errorf("odd Quartiles = %g %g %g, want 2 3 4", q1, m, q3)
+	}
+	xs := []float64{4, 1, 2, 3}
+	if q1, m, q3 := Quartiles(xs); q1 != 1.75 || m != Median(xs) || q3 != 3.25 {
+		t.Errorf("even Quartiles = %g %g %g, want 1.75 %g 3.25", q1, m, q3, Median(xs))
+	}
+	if xs[0] != 4 {
+		t.Error("Quartiles reordered its input")
+	}
+}
+
 func TestGeomean(t *testing.T) {
 	if Geomean(nil) != 0 {
 		t.Error("Geomean(nil)")
