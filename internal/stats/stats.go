@@ -24,21 +24,13 @@ func Mean(xs []float64) float64 {
 
 // Median returns the median (0 for empty input).
 func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	ys := append([]float64(nil), xs...)
-	sort.Float64s(ys)
-	n := len(ys)
-	if n%2 == 1 {
-		return ys[n/2]
-	}
-	return (ys[n/2-1] + ys[n/2]) / 2
+	_, m, _ := Quartiles(xs)
+	return m
 }
 
 // Quartiles returns the first quartile, the median and the third
 // quartile, interpolating linearly between order statistics (all 0 for
-// empty input). Its median equals Median's.
+// empty input).
 func Quartiles(xs []float64) (q1, median, q3 float64) {
 	if len(xs) == 0 {
 		return 0, 0, 0

@@ -38,8 +38,8 @@ func TestQuartiles(t *testing.T) {
 		t.Errorf("odd Quartiles = %g %g %g, want 2 3 4", q1, m, q3)
 	}
 	xs := []float64{4, 1, 2, 3}
-	if q1, m, q3 := Quartiles(xs); q1 != 1.75 || m != Median(xs) || q3 != 3.25 {
-		t.Errorf("even Quartiles = %g %g %g, want 1.75 %g 3.25", q1, m, q3, Median(xs))
+	if q1, m, q3 := Quartiles(xs); q1 != 1.75 || m != 2.5 || q3 != 3.25 {
+		t.Errorf("even Quartiles = %g %g %g, want 1.75 2.5 3.25", q1, m, q3)
 	}
 	if xs[0] != 4 {
 		t.Error("Quartiles reordered its input")
