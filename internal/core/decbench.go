@@ -57,6 +57,12 @@ func (dt *DecodeThroughput) PoolRounds(parts ...*DecodeThroughput) {
 	for _, p := range parts {
 		ratios = append(ratios, p.ratios...)
 	}
+	dt.setRatios(ratios)
+}
+
+// setRatios keeps ratios as dt's rounds and sets each of the three
+// ratios to its median over them, with its quartiles.
+func (dt *DecodeThroughput) setRatios(ratios []roundRatios) {
 	dt.ratios = ratios
 	dt.Rounds = len(ratios)
 	col := make([]float64, len(ratios))
@@ -78,9 +84,9 @@ func (dt *DecodeThroughput) PoolRounds(parts ...*DecodeThroughput) {
 
 // MeasureDecodeThroughput times the scheme's Huffman symbol-stream
 // decode over the whole image, at least repeats (and at least 15) times
-// per decoder, and returns the three rates plus their ratios. Schemes without a Huffman symbol
-// stream (base, tailored, dict) return (nil, nil): there is no decoder
-// to compare.
+// per decoder, and returns the three rates plus their ratios. Schemes
+// without a Huffman symbol stream (base, tailored, dict) return
+// (nil, nil): there is no decoder to compare.
 //
 // Measurement contract: the timed region of every tier charges only
 // per-symbol decode work. Decode tables, the lane kernel, and the batch
@@ -123,13 +129,13 @@ func (c *Compiled) MeasureDecodeThroughput(scheme string, repeats int) (*DecodeT
 
 	// One pass decodes every block of the image; rounds of passes repeat
 	// until the requested count, minRounds and minWindow are all met, so
-	// small images still produce stable rates.
-	// The three tiers are interleaved within each round (fast,
-	// reference, batch) rather than measured in one contiguous window
-	// per tier: slow drift in effective machine speed — frequency
-	// scaling, a noisy neighbour — then lands evenly on every tier and
-	// cancels out of each round's ratios, and the median over rounds
-	// drops the rounds a burst of noise hit in one tier only.
+	// small images still produce stable rates. The three tiers are
+	// interleaved within each round (fast, reference, batch) rather than
+	// measured in one contiguous window per tier: slow drift in effective
+	// machine speed — frequency scaling, a noisy neighbour — then lands
+	// evenly on every tier and cancels out of each round's ratios, and
+	// the median over rounds drops the rounds a burst of noise hit in
+	// one tier only.
 	const (
 		minRounds = 15                     // samples behind each median ratio
 		minWindow = 250 * time.Millisecond // span a noise burst must outlast
@@ -216,6 +222,6 @@ func (c *Compiled) MeasureDecodeThroughput(scheme string, repeats int) (*DecodeT
 		Reference: ref.Snapshot(),
 		Batch:     batch.Snapshot(),
 	}
-	dt.PoolRounds(&DecodeThroughput{ratios: ratios})
+	dt.setRatios(ratios)
 	return dt, nil
 }
