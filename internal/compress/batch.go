@@ -2,6 +2,7 @@ package compress
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitio"
 	"repro/internal/huffman"
@@ -69,46 +70,55 @@ func (e *StreamHuffman) Kernel() *huffman.LaneDecoder { return e.lane }
 
 // blockAssembler is a Huffman scheme's half of decodeBlock: its lane
 // kernel and symbol count (BatchDecoder), and how its symbols become
-// operations.
+// op words.
 type blockAssembler interface {
 	BatchDecoder
 	// unitSyms returns how many symbols of an n-op block the oracle
 	// decodes before it assembles them into operations.
 	unitSyms(n int) int
-	// assemble appends the operations of one unit's symbols to ops.
-	assemble(ops []isa.Op, syms []uint64) ([]isa.Op, error)
+	// assemble turns one unit's symbols into checked op words (see
+	// isa.CheckWord), stores them from words[0] on and returns how
+	// many it stored. words may alias syms as long as it starts at or
+	// before it: each word is stored only after its symbols are read,
+	// and a unit never yields more words than it has symbols.
+	assemble(words, syms []uint64) (int, error)
 }
 
 // decodeBlock is the block decoder of every Huffman scheme: the block's
-// BatchSymbols(n) symbols decode in one lane of the scheme's kernel,
-// then assemble turns them into operations a unit at a time. A unit is
-// what the oracle (ReferenceDecodeBlock) decodes before it assembles:
-// one operation's symbols for the stream and whole-op schemes, the
-// whole block for byte. The result matches the oracle's in operations,
-// error and reader offset. A unit that fails to assemble ends the
-// oracle's decode before any codeword error later in the block, so its
-// error wins, and the lane is re-run from the block start through that
-// unit to leave the reader where the oracle's stops. A codeword error
-// leaves the reader at the lane's terminal, which is the oracle's.
-func decodeBlock(a blockAssembler, r *bitio.Reader, n int) ([]isa.Op, error) {
-	start := r.Offset()
-	syms := make([]uint64, a.BatchSymbols(n))
+// BatchSymbols(n) symbols decode in one lane of the scheme's kernel
+// into the spare capacity of dst, then assemble turns them into op
+// words a unit at a time, in place: word i lands at or before symbol
+// i*unit, whose symbols it has already read. A unit is what the oracle
+// (ReferenceDecodeBlock) decodes before it assembles: one operation's
+// symbols for the stream and whole-op schemes, the whole block for
+// byte. The result matches the oracle's in operations, error and reader
+// offset. A unit that fails to assemble ends the oracle's decode before
+// any codeword error later in the block, so its error wins, and the
+// lane is re-run from the block start through that unit to leave the
+// reader where the oracle's stops. A codeword error leaves the reader
+// at the lane's terminal, which is the oracle's. On an error dst
+// returns with its contents untouched.
+func decodeBlock(a blockAssembler, r *bitio.Reader, n int, dst []uint64) ([]uint64, error) {
+	start, base, nsyms := r.Offset(), len(dst), a.BatchSymbols(n)
+	buf := slices.Grow(dst, nsyms)[:base+nsyms]
+	syms := buf[base:]
 	got, lerr := runLane(a.Kernel(), r, start, syms)
 	unit := a.unitSyms(n)
-	ops := make([]isa.Op, 0, n)
+	words := 0
 	for u := 0; unit > 0 && u+unit <= got; u += unit {
-		var err error
-		if ops, err = a.assemble(ops, syms[u:u+unit]); err != nil {
+		k, err := a.assemble(syms[words:], syms[u:u+unit])
+		if err != nil {
 			if _, rerr := runLane(a.Kernel(), r, start, syms[:u+unit]); rerr != nil {
-				return nil, rerr
+				return dst, rerr
 			}
-			return nil, err
+			return dst, err
 		}
+		words += k
 	}
 	if lerr != nil {
-		return nil, lerr
+		return dst, lerr
 	}
-	return ops, nil
+	return buf[:base+words], nil
 }
 
 // runLane decodes len(syms) symbols into syms through one lane of k,
@@ -134,34 +144,37 @@ func (e *ByteHuffman) unitSyms(n int) int { return e.BatchSymbols(n) }
 // assemble implements blockAssembler: each operation is its
 // isa.OpBits/8 bytes, most significant first, with isa.UnpackOps' "op i"
 // error wrapping.
-func (e *ByteHuffman) assemble(ops []isa.Op, syms []uint64) ([]isa.Op, error) {
+func (e *ByteHuffman) assemble(words, syms []uint64) (int, error) {
 	const opBytes = isa.OpBits / 8
+	k := 0
 	for i := 0; i+opBytes <= len(syms); i += opBytes {
 		var word uint64
 		for _, b := range syms[i : i+opBytes] {
 			word = word<<8 | b
 		}
-		op, err := isa.Decode(word)
+		word, err := isa.CheckWord(word)
 		if err != nil {
-			return ops, fmt.Errorf("op %d: %w", i/opBytes, err)
+			return k, fmt.Errorf("op %d: %w", k, err)
 		}
-		ops = append(ops, op)
+		words[k] = word
+		k++
 	}
-	return ops, nil
+	return k, nil
 }
 
 // unitSyms implements blockAssembler: one symbol per segment.
 func (e *StreamHuffman) unitSyms(int) int { return len(e.segs) }
 
 // assemble implements blockAssembler.
-func (e *StreamHuffman) assemble(ops []isa.Op, syms []uint64) ([]isa.Op, error) {
+func (e *StreamHuffman) assemble(words, syms []uint64) (int, error) {
 	var word uint64
 	for si, seg := range e.segs {
 		word = word<<uint(seg[1]-seg[0]) | syms[si]
 	}
-	op, err := isa.Decode(word)
+	word, err := isa.CheckWord(word)
 	if err != nil {
-		return ops, err
+		return 0, err
 	}
-	return append(ops, op), nil
+	words[0] = word
+	return 1, nil
 }

@@ -13,6 +13,7 @@ package compress
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/bitio"
@@ -27,6 +28,15 @@ import (
 // 40-bit operation size.
 const CodeLenLimit = isa.OpBits
 
+// WordDecoder is a scheme's block decoder proper, which DecodeBlock
+// lifts into operations.
+type WordDecoder interface {
+	// DecodeWords reads back a block of n operations as their 40-bit
+	// words, checked and canonical (isa.CheckWord), appended to dst. On
+	// an error it returns dst with its contents untouched.
+	DecodeWords(r *bitio.Reader, n int, dst []uint64) ([]uint64, error)
+}
+
 // Encoder encodes and decodes basic blocks under one scheme.
 type Encoder interface {
 	// Name identifies the scheme in reports ("base", "byte", "full",
@@ -37,7 +47,9 @@ type Encoder interface {
 	BlockBits(ops []isa.Op) int
 	// EncodeBlock appends the block's encoding to the bit stream.
 	EncodeBlock(w *bitio.Writer, ops []isa.Op) error
-	// DecodeBlock reads back a block of n operations.
+	WordDecoder
+	// DecodeBlock reads back a block of n operations: DecodeWords
+	// lifted into operations by LiftBlock.
 	DecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error)
 	// Tables returns the scheme's Huffman dictionaries (empty for
 	// uncompressed schemes); used by the decoder-complexity model.
@@ -64,19 +76,40 @@ func (*Base) EncodeBlock(w *bitio.Writer, ops []isa.Op) error {
 	return nil
 }
 
-// DecodeBlock implements Encoder.
-func (*Base) DecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error) {
-	ops := make([]isa.Op, 0, n)
+// DecodeWords implements Encoder.
+func (*Base) DecodeWords(r *bitio.Reader, n int, dst []uint64) ([]uint64, error) {
+	out := slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		w, err := r.ReadBits(isa.OpBits)
 		if err != nil {
+			return dst, err
+		}
+		if w, err = isa.CheckWord(w); err != nil {
+			return dst, err
+		}
+		out = append(out, w)
+	}
+	return out, nil
+}
+
+// DecodeBlock implements Encoder through LiftBlock.
+func (e *Base) DecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error) {
+	return LiftBlock(e, r, n)
+}
+
+// LiftBlock is every scheme's DecodeBlock: the block's checked words
+// from d.DecodeWords, each unpacked into an operation by isa.Decode
+// (which accepts every word CheckWord returned).
+func LiftBlock(d WordDecoder, r *bitio.Reader, n int) ([]isa.Op, error) {
+	words, err := d.DecodeWords(r, n, nil)
+	if err != nil {
+		return nil, err
+	}
+	ops := make([]isa.Op, len(words))
+	for i, w := range words {
+		if ops[i], err = isa.Decode(w); err != nil {
 			return nil, err
 		}
-		op, err := isa.Decode(w)
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, op)
 	}
 	return ops, nil
 }
@@ -87,9 +120,10 @@ func (*Base) Tables() []*huffman.Table { return nil }
 // ReferenceDecoder is implemented by the Huffman schemes, which decode
 // their hit path through the lane kernel (decodeBlock) but keep the
 // canonical bit-by-bit decoder as an oracle: ReferenceDecodeBlock is
-// DecodeBlock on the oracle, and the two must return the same
-// operations, the same error and the same reader offset on every block
-// — on every image (the differential harness) and on corrupt blocks
+// DecodeBlock on the oracle, and DecodeWords and DecodeBlock must both
+// match it — the same operations (as words, their Encode), the same
+// error and the same reader offset on every block — on every image
+// (the differential harness) and on corrupt blocks
 // (FuzzBlockDecodeEquivalence).
 type ReferenceDecoder interface {
 	ReferenceDecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error)
@@ -151,9 +185,14 @@ func (e *ByteHuffman) EncodeBlock(w *bitio.Writer, ops []isa.Op) error {
 	return nil
 }
 
-// DecodeBlock implements Encoder through decodeBlock.
+// DecodeWords implements Encoder through decodeBlock.
+func (e *ByteHuffman) DecodeWords(r *bitio.Reader, n int, dst []uint64) ([]uint64, error) {
+	return decodeBlock(e, r, n, dst)
+}
+
+// DecodeBlock implements Encoder through LiftBlock.
 func (e *ByteHuffman) DecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error) {
-	return decodeBlock(e, r, n)
+	return LiftBlock(e, r, n)
 }
 
 // ReferenceDecodeBlock implements ReferenceDecoder on the bit-by-bit
@@ -331,9 +370,14 @@ func (e *StreamHuffman) EncodeBlock(w *bitio.Writer, ops []isa.Op) error {
 	return nil
 }
 
-// DecodeBlock implements Encoder through decodeBlock.
+// DecodeWords implements Encoder through decodeBlock.
+func (e *StreamHuffman) DecodeWords(r *bitio.Reader, n int, dst []uint64) ([]uint64, error) {
+	return decodeBlock(e, r, n, dst)
+}
+
+// DecodeBlock implements Encoder through LiftBlock.
 func (e *StreamHuffman) DecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error) {
-	return decodeBlock(e, r, n)
+	return LiftBlock(e, r, n)
 }
 
 // ReferenceDecodeBlock implements ReferenceDecoder on the bit-by-bit

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitio"
@@ -105,36 +106,40 @@ func (d *Dictionary) EncodeBlock(w *bitio.Writer, ops []isa.Op) error {
 	return nil
 }
 
-// DecodeBlock implements Encoder.
-func (d *Dictionary) DecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error) {
-	ops := make([]isa.Op, 0, n)
+// DecodeWords implements Encoder.
+func (d *Dictionary) DecodeWords(r *bitio.Reader, n int, dst []uint64) ([]uint64, error) {
+	out := slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		escape, err := r.ReadBit()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		var word uint64
 		if escape == 0 {
 			slot, err := r.ReadBits(d.indexBits)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			if int(slot) >= len(d.words) {
-				return nil, fmt.Errorf("%w: dictionary slot %d of %d", ErrCorruptStream, slot, len(d.words))
+				return dst, fmt.Errorf("%w: dictionary slot %d of %d", ErrCorruptStream, slot, len(d.words))
 			}
 			word = d.words[slot]
 		} else {
 			if word, err = r.ReadBits(isa.OpBits); err != nil {
-				return nil, err
+				return dst, err
 			}
 		}
-		op, err := isa.Decode(word)
-		if err != nil {
-			return nil, err
+		if word, err = isa.CheckWord(word); err != nil {
+			return dst, err
 		}
-		ops = append(ops, op)
+		out = append(out, word)
 	}
-	return ops, nil
+	return out, nil
+}
+
+// DecodeBlock implements Encoder through LiftBlock.
+func (d *Dictionary) DecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error) {
+	return LiftBlock(d, r, n)
 }
 
 // Tables implements Encoder: the dictionary is not a Huffman code; its

@@ -72,8 +72,8 @@ func blockFromBytes(ops []isa.Op, data []byte) []isa.Op {
 }
 
 // checkRoundTrip encodes the block under every scheme and decodes it
-// back, asserting bit-exact operations and that BlockBits agrees with
-// the bits actually written.
+// back, asserting bit-exact operations and op words and that BlockBits
+// agrees with the bits actually written.
 func checkRoundTrip(t *testing.T, encs map[string]compress.Encoder, block []isa.Op) {
 	t.Helper()
 	for scheme, enc := range encs {
@@ -96,6 +96,15 @@ func checkRoundTrip(t *testing.T, encs map[string]compress.Encoder, block []isa.
 		for i := range dec {
 			if dec[i] != block[i] {
 				t.Fatalf("%s: op %d: %s != %s", scheme, i, dec[i].String(), block[i].String())
+			}
+		}
+		words, err := enc.DecodeWords(bitio.NewReader(w.Bytes()), len(block), nil)
+		if err != nil {
+			t.Fatalf("%s: decode words: %v", scheme, err)
+		}
+		for i := range words {
+			if want := block[i].Encode(); words[i] != want {
+				t.Fatalf("%s: word %d: %#x != %#x", scheme, i, words[i], want)
 			}
 		}
 	}
@@ -159,8 +168,10 @@ func corruptBlock(data []byte, blk, flips int) []byte {
 
 // FuzzBlockDecodeEquivalence decodes arbitrary bytes as an n-op block
 // under every Huffman scheme of one compiled benchmark, through
-// DecodeBlock and through the bit-by-bit ReferenceDecodeBlock. The two
-// must agree on the operations, the error text and the reader offset.
+// DecodeBlock, through DecodeWords and through the bit-by-bit
+// ReferenceDecodeBlock. All three must agree on the operations (as
+// words for DecodeWords), the error text and the reader offset, and
+// DecodeWords must leave the prefix of the dst it was handed untouched.
 // The seeds are the benchmark's own blocks with 1 to 3 bits flipped:
 // for each scheme image, the first few whose oracle decode ends
 // cleanly, on a codeword error, and on an invalid operation — the case
@@ -223,6 +234,44 @@ func FuzzBlockDecodeEquivalence(f *testing.F) {
 					t.Fatalf("%s: op %d = %s, reference %s", names[i], j, fops[j].String(), rops[j].String())
 				}
 			}
+			checkDecodeWords(t, names[i], enc, data, n, rops, rerr, rr.Offset())
 		}
 	})
+}
+
+// wordsPrefix is the dst content DecodeWords is handed in the
+// equivalence checks; it must come back untouched.
+var wordsPrefix = []uint64{0xdead, 0xbeef, 0xcafe}
+
+// checkDecodeWords decodes data as an n-op block through DecodeWords,
+// into a dst holding wordsPrefix with spare capacity after it (the
+// Huffman schemes decode their symbols there), and requires the
+// reference decode's outcome: its operations' words after the prefix,
+// its error text and its reader offset.
+func checkDecodeWords(t *testing.T, name string, enc compress.Encoder, data []byte, n int,
+	rops []isa.Op, rerr error, roff int) {
+	t.Helper()
+	dst := append(make([]uint64, 0, len(wordsPrefix)+64), wordsPrefix...)
+	wr := bitio.NewReader(data)
+	words, werr := enc.DecodeWords(wr, n, dst)
+	if (werr == nil) != (rerr == nil) || (werr != nil && werr.Error() != rerr.Error()) {
+		t.Fatalf("%s: DecodeWords error %v, reference %v", name, werr, rerr)
+	}
+	if wr.Offset() != roff {
+		t.Fatalf("%s: DecodeWords stopped at bit %d, reference %d (error %v)", name, wr.Offset(), roff, werr)
+	}
+	for j, w := range wordsPrefix {
+		if dst[j] != w || words[j] != w {
+			t.Fatalf("%s: DecodeWords changed dst[%d] from %#x to %#x (returned %#x)", name, j, w, dst[j], words[j])
+		}
+	}
+	words = words[len(wordsPrefix):]
+	if len(words) != len(rops) {
+		t.Fatalf("%s: DecodeWords %d words, reference %d ops", name, len(words), len(rops))
+	}
+	for j := range words {
+		if want := rops[j].Encode(); words[j] != want {
+			t.Fatalf("%s: word %d = %#x, reference op %s encodes to %#x", name, j, words[j], rops[j].String(), want)
+		}
+	}
 }

@@ -141,15 +141,18 @@ func TestDifferentialExecution(t *testing.T) {
 // TestFastReferenceDecodeEquivalence is the fast-decoder equivalence
 // harness: for every benchmark and every scheme built on Huffman tables,
 // each image block decoded through the table-driven fast path
-// (DecodeBlock) and through the bit-by-bit reference oracle
-// (ReferenceDecodeBlock) must yield identical operations and leave both
-// readers at the same bit offset — the whole-corpus complement to the
-// random-stream FuzzFastDecodeEquivalence.
+// (DecodeBlock and DecodeWords) and through the bit-by-bit reference
+// oracle (ReferenceDecodeBlock) must yield identical operations (as
+// words for DecodeWords) and leave every reader at the same bit offset
+// — the whole-corpus complement to the random-stream
+// FuzzFastDecodeEquivalence. DecodeWords appends to a dst that already
+// holds words, which must come back untouched.
 func TestFastReferenceDecodeEquivalence(t *testing.T) {
 	benchmarks := workload.Benchmarks
 	if testing.Short() {
 		benchmarks = benchmarks[:2]
 	}
+	prefix := []uint64{0xdead, 0xbeef}
 	d := NewDriver(0)
 	for _, name := range benchmarks {
 		c, err := d.CompileBenchmark(name)
@@ -171,31 +174,44 @@ func TestFastReferenceDecodeEquivalence(t *testing.T) {
 			}
 			fr := bitio.NewReader(im.Data)
 			rr := bitio.NewReader(im.Data)
+			wr := bitio.NewReader(im.Data)
+			dst := make([]uint64, 0, 256)
 			for i, b := range c.Prog.Blocks {
-				if err := fr.SeekBit(im.Blocks[i].Addr * 8); err != nil {
-					t.Fatalf("%s/%s block %d: %v", name, scheme, b.ID, err)
-				}
-				if err := rr.SeekBit(im.Blocks[i].Addr * 8); err != nil {
-					t.Fatalf("%s/%s block %d: %v", name, scheme, b.ID, err)
+				for _, r := range []*bitio.Reader{fr, rr, wr} {
+					if err := r.SeekBit(im.Blocks[i].Addr * 8); err != nil {
+						t.Fatalf("%s/%s block %d: %v", name, scheme, b.ID, err)
+					}
 				}
 				fops, ferr := enc.DecodeBlock(fr, len(b.Ops))
 				rops, rerr := ref.ReferenceDecodeBlock(rr, len(b.Ops))
-				if ferr != nil || rerr != nil {
-					t.Fatalf("%s/%s block %d: fast err %v, reference err %v",
-						name, scheme, b.ID, ferr, rerr)
+				dst = append(dst[:0], prefix...)
+				words, werr := enc.DecodeWords(wr, len(b.Ops), dst)
+				if ferr != nil || rerr != nil || werr != nil {
+					t.Fatalf("%s/%s block %d: fast err %v, words err %v, reference err %v",
+						name, scheme, b.ID, ferr, werr, rerr)
 				}
-				if fr.Offset() != rr.Offset() {
-					t.Errorf("%s/%s block %d: fast consumed through bit %d, reference %d",
-						name, scheme, b.ID, fr.Offset(), rr.Offset())
+				if fr.Offset() != rr.Offset() || wr.Offset() != rr.Offset() {
+					t.Errorf("%s/%s block %d: fast consumed through bit %d, words %d, reference %d",
+						name, scheme, b.ID, fr.Offset(), wr.Offset(), rr.Offset())
 				}
-				if len(fops) != len(rops) {
-					t.Fatalf("%s/%s block %d: %d ops vs reference %d",
-						name, scheme, b.ID, len(fops), len(rops))
+				if dst[0] != prefix[0] || dst[1] != prefix[1] || words[0] != prefix[0] || words[1] != prefix[1] {
+					t.Fatalf("%s/%s block %d: DecodeWords changed the dst prefix to %#x (returned %#x)",
+						name, scheme, b.ID, dst[:2], words[:2])
+				}
+				words = words[len(prefix):]
+				if len(fops) != len(rops) || len(words) != len(rops) {
+					t.Fatalf("%s/%s block %d: %d ops, %d words vs reference %d",
+						name, scheme, b.ID, len(fops), len(words), len(rops))
 				}
 				for j := range fops {
 					if fops[j] != rops[j] {
 						t.Errorf("%s/%s block %d op %d: fast %v, reference %v",
 							name, scheme, b.ID, j, fops[j].String(), rops[j].String())
+						break
+					}
+					if want := rops[j].Encode(); words[j] != want {
+						t.Errorf("%s/%s block %d op %d: word %#x, reference %#x",
+							name, scheme, b.ID, j, words[j], want)
 						break
 					}
 				}

@@ -49,3 +49,29 @@ func FuzzUnpackOps(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCheckWord: for any uint64, CheckWord is Decode followed by
+// Encode — the same canonical word on success, the identical error
+// text on rejection.
+func FuzzCheckWord(f *testing.F) {
+	f.Add(uint64(0))
+	f.Add(uint64(1)<<OpBits - 1)
+	f.Add(uint64(1) << OpBits)
+	f.Add(^uint64(0))
+	ldOp := Op{Type: TypeMemory, Code: OpLD, Src1: 31, Lat: 31, Dest: 31, Pred: 31}
+	f.Add(ldOp.Encode() | 1<<20)
+	f.Fuzz(func(t *testing.T, w uint64) {
+		got, cerr := CheckWord(w)
+		op, derr := Decode(w)
+		switch {
+		case (cerr == nil) != (derr == nil):
+			t.Fatalf("CheckWord(%#x) error %v, Decode error %v", w, cerr, derr)
+		case cerr != nil:
+			if cerr.Error() != derr.Error() {
+				t.Fatalf("CheckWord(%#x) error %q, Decode error %q", w, cerr, derr)
+			}
+		case got != op.Encode():
+			t.Fatalf("CheckWord(%#x) = %#x, Decode+Encode = %#x", w, got, op.Encode())
+		}
+	})
+}

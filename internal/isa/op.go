@@ -184,27 +184,59 @@ func (o *Op) EncodeBytes() [OpBytes]byte {
 	return b
 }
 
-// Decode unpacks a 40-bit TEPIC word (in the low 40 bits of w) into an
-// operation. The format is recovered from the OPT/OPCODE fields, which sit
-// at fixed positions in every format.
-func Decode(w uint64) (Op, error) {
+// keepMasks holds, per format, the bits of a 40-bit word that belong to
+// a named field: every bit except the format's reserved ones.
+var keepMasks = func() (m [NumFormats]uint64) {
+	for f := range m {
+		for _, fs := range Layout(Format(f)) {
+			v := uint64(1)<<uint(fs.Width) - 1
+			if fs.ID == FieldReserved {
+				v = 0
+			}
+			m[f] = m[f]<<uint(fs.Width) | v
+		}
+	}
+	return m
+}()
+
+// CheckWord validates a 40-bit TEPIC word (in the low 40 bits of w) and
+// returns it with its format's reserved bits cleared: exactly the word
+// Decode(w).Encode() yields, without building the Op. A word Decode
+// rejects is rejected with Decode's error.
+func CheckWord(w uint64) (uint64, error) {
+	w, _, err := checkWord(w)
+	return w, err
+}
+
+// checkWord is CheckWord that also returns the word's format.
+func checkWord(w uint64) (uint64, Format, error) {
 	if w >= 1<<OpBits {
-		return Op{}, fmt.Errorf("%w: word exceeds %d bits", ErrBadOp, OpBits)
+		return 0, 0, fmt.Errorf("%w: word exceeds %d bits", ErrBadOp, OpBits)
 	}
 	// T(1) S(1) OPT(2) OPCODE(5) are the leading 9 bits of every format.
 	t := OpType(w >> (OpBits - 4) & 0x3)
 	c := Opcode(w >> (OpBits - 9) & 0x1f)
-	info, ok := Lookup(t, c)
-	if !ok {
-		return Op{}, fmt.Errorf("%w: undefined opcode %v/%d", ErrBadOp, t, c)
+	info := &opcodeTable[t][c]
+	if info.Name == "" {
+		return 0, 0, fmt.Errorf("%w: undefined opcode %v/%d", ErrBadOp, t, c)
+	}
+	return w & keepMasks[info.Format], info.Format, nil
+}
+
+// Decode unpacks a 40-bit TEPIC word (in the low 40 bits of w) into an
+// operation. The format is recovered from the OPT/OPCODE fields, which sit
+// at fixed positions in every format; CheckWord validates the word first.
+func Decode(w uint64) (Op, error) {
+	w, f, err := checkWord(w)
+	if err != nil {
+		return Op{}, err
 	}
 	var o Op
 	shift := uint(OpBits)
-	for _, fs := range Layout(info.Format) {
+	for _, fs := range Layout(f) {
 		shift -= uint(fs.Width)
-		v := uint32(w >> shift & (1<<uint(fs.Width) - 1))
 		if fs.ID != FieldReserved {
-			o.setField(fs.ID, v)
+			o.setField(fs.ID, uint32(w>>shift&(1<<uint(fs.Width)-1)))
 		}
 	}
 	return o, nil

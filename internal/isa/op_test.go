@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -144,5 +145,48 @@ func TestStringForms(t *testing.T) {
 	// Tail marker and predicate guard must be visible.
 	if s := ops[6].String(); s == "" || s[len(s)-3:] != "[t]" {
 		t.Errorf("tail op string %q lacks [t] suffix", ops[6].String())
+	}
+}
+
+// TestCheckWordAllOpcodes drives CheckWord over every (type, opcode)
+// pair with every field and every reserved bit set: a defined pair
+// keeps exactly its format's non-reserved bits, which is also
+// Decode+Encode's word; an undefined pair fails with Decode's error.
+func TestCheckWordAllOpcodes(t *testing.T) {
+	const ones = uint64(1)<<OpBits - 1
+	for ty := OpType(0); ty < 4; ty++ {
+		for c := Opcode(0); c < 32; c++ {
+			// Keep T and S set, put the pair in OPT/OPCODE, and set
+			// every bit after them.
+			w := ones&^(0x7f<<(OpBits-9)) | uint64(ty)<<(OpBits-4) | uint64(c)<<(OpBits-9)
+			got, err := CheckWord(w)
+			op, derr := Decode(w)
+			info, ok := Lookup(ty, c)
+			if !ok {
+				if err == nil || derr == nil || err.Error() != derr.Error() || !errors.Is(err, ErrBadOp) {
+					t.Errorf("%v/%d: CheckWord error %v, Decode error %v", ty, c, err, derr)
+				}
+				continue
+			}
+			if err != nil || derr != nil {
+				t.Fatalf("%v/%d: CheckWord error %v, Decode error %v", ty, c, err, derr)
+			}
+			if got != op.Encode() {
+				t.Errorf("%v/%d: CheckWord = %#x, Decode+Encode = %#x", ty, c, got, op.Encode())
+			}
+			offs := FieldOffsets(info.Format)
+			for s, fs := range Layout(info.Format) {
+				want := SliceWord(w, offs[s], offs[s]+fs.Width)
+				if fs.ID == FieldReserved {
+					want = 0
+				}
+				if v := SliceWord(got, offs[s], offs[s]+fs.Width); v != want {
+					t.Errorf("%v/%d slot %d (%v): bits %#x, want %#x", ty, c, s, fs.ID, v, want)
+				}
+			}
+		}
+	}
+	if _, err := CheckWord(ones + 1); err == nil || !errors.Is(err, ErrBadOp) {
+		t.Errorf("CheckWord accepted a 41-bit word: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 
 	"repro/internal/bitio"
 	"repro/internal/compress"
@@ -24,33 +25,29 @@ type DecodeSummary struct {
 }
 
 // DecodeImage decodes every block of the image once through the
-// encoder's DecodeBlock — for the Huffman schemes, their lane kernel —
-// and digests the result. Symbols is the sum of the blocks'
-// BatchSymbols counts for schemes with a Huffman symbol stream and 0
-// for the others (base, tailored).
+// encoder's DecodeWords — for the Huffman schemes, their lane kernel —
+// and digests the checked op words it yields; no isa.Op is built.
+// Symbols is the sum of the blocks' BatchSymbols counts for schemes
+// with a Huffman symbol stream and 0 for the others (base, tailored).
 func DecodeImage(im *image.Image, enc compress.Encoder) (DecodeSummary, error) {
 	var sum DecodeSummary
 	bd, hasSymbols := enc.(compress.BatchDecoder)
 	r := bitio.NewReader(im.Data)
 	h := sha256.New()
-	var buf [8]byte
+	var words []uint64
+	var buf []byte
 	for i := range im.Blocks {
 		if err := r.SeekBit(im.Blocks[i].Addr * 8); err != nil {
 			return sum, fmt.Errorf("seek block %d: %w", i, err)
 		}
-		ops, err := enc.DecodeBlock(r, im.Blocks[i].Ops)
-		if err != nil {
+		var err error
+		if words, err = enc.DecodeWords(r, im.Blocks[i].Ops, words[:0]); err != nil {
 			return sum, fmt.Errorf("decode block %d of %s/%s: %w", i, im.Name, im.Scheme, err)
 		}
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(ops)))
-		h.Write(buf[:]) //tepic:ignore-err hash.Hash.Write never fails
-		for j := range ops {
-			binary.LittleEndian.PutUint64(buf[:], ops[j].Encode())
-			h.Write(buf[:]) //tepic:ignore-err hash.Hash.Write never fails
-		}
-		sum.Ops += len(ops)
+		buf = hashBlock(h, buf, words)
+		sum.Ops += len(words)
 		if hasSymbols {
-			sum.Symbols += int64(bd.BatchSymbols(len(ops)))
+			sum.Symbols += int64(bd.BatchSymbols(len(words)))
 		}
 	}
 	sum.OpsHash = hex.EncodeToString(h.Sum(nil))
@@ -63,14 +60,26 @@ func DecodeImage(im *image.Image, enc compress.Encoder) (DecodeSummary, error) {
 // supplies each block's operations in image placement order.
 func HashOps(blocks [][]isa.Op) string {
 	h := sha256.New()
-	var buf [8]byte
+	var words []uint64
+	var buf []byte
 	for _, ops := range blocks {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(ops)))
-		h.Write(buf[:]) //tepic:ignore-err hash.Hash.Write never fails
+		words = words[:0]
 		for j := range ops {
-			binary.LittleEndian.PutUint64(buf[:], ops[j].Encode())
-			h.Write(buf[:]) //tepic:ignore-err hash.Hash.Write never fails
+			words = append(words, ops[j].Encode())
 		}
+		buf = hashBlock(h, buf, words)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// hashBlock feeds one block to h in a single Write: its op count, then
+// each op word, all as little-endian uint64s. buf is scratch reused
+// across blocks; hashBlock returns it, grown as needed.
+func hashBlock(h hash.Hash, buf []byte, words []uint64) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(len(words)))
+	for _, w := range words {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	h.Write(buf) //tepic:ignore-err hash.Hash.Write never fails
+	return buf
 }

@@ -24,8 +24,10 @@ package tailor
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/bitio"
+	"repro/internal/compress"
 	"repro/internal/huffman"
 	"repro/internal/isa"
 	"repro/internal/sched"
@@ -278,66 +280,63 @@ func (t *Tailored) encodeOp(w *bitio.Writer, op *isa.Op) error {
 	return nil
 }
 
-// DecodeBlock implements compress.Encoder.
-func (t *Tailored) DecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error) {
-	ops := make([]isa.Op, 0, n)
+// DecodeWords implements compress.Encoder.
+func (t *Tailored) DecodeWords(r *bitio.Reader, n int, dst []uint64) ([]uint64, error) {
+	out := slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
-		op, err := t.decodeOp(r)
+		w, err := t.decodeWord(r)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		ops = append(ops, op)
+		out = append(out, w)
 	}
-	return ops, nil
+	return out, nil
 }
 
-func (t *Tailored) decodeOp(r *bitio.Reader) (isa.Op, error) {
-	var op isa.Op
-	tb, err := r.ReadBits(1)
+// DecodeBlock implements compress.Encoder through compress.LiftBlock.
+func (t *Tailored) DecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error) {
+	return compress.LiftBlock(t, r, n)
+}
+
+// decodeWord reads one tailored operation and rebuilds its original
+// 40-bit word slot by slot, checked by isa.CheckWord.
+func (t *Tailored) decodeWord(r *bitio.Reader) (uint64, error) {
+	tail, err := r.ReadBits(1)
 	if err != nil {
-		return op, err
+		return 0, err
 	}
-	op.Tail = tb == 1
 	optCode := uint64(0)
 	if t.optWidth > 0 {
 		if optCode, err = r.ReadBits(t.optWidth); err != nil {
-			return op, err
+			return 0, err
 		}
 	}
 	if int(optCode) >= len(t.types) {
-		return op, fmt.Errorf("tailor: bad OPT code %d", optCode)
+		return 0, fmt.Errorf("tailor: bad OPT code %d", optCode)
 	}
 	ty := t.types[optCode]
 	opcCode := uint64(0)
 	if t.opcWidth > 0 {
 		if opcCode, err = r.ReadBits(t.opcWidth); err != nil {
-			return op, err
+			return 0, err
 		}
 	}
 	if int(opcCode) >= len(t.opcs[ty]) {
-		return op, fmt.Errorf("tailor: bad OPCODE %d for type %v", opcCode, ty)
+		return 0, fmt.Errorf("tailor: bad OPCODE %d for type %v", opcCode, ty)
 	}
 	code := t.opcs[ty][opcCode]
-	op.Type = ty
-	op.Code = code
 
 	f := isa.FormatOf(ty, code)
-	layout := isa.Layout(f)
-	// Rebuild the original 40-bit word slotwise, then decode through the
-	// baseline decoder so every field lands in the right struct member.
 	var word uint64
-	for s := 0; s < len(layout); s++ {
-		fs := layout[s]
-		var v uint32
+	for s, fs := range isa.Layout(f) {
+		var v uint64
 		switch {
 		case fs.ID == isa.FieldT:
-			if op.Tail {
-				v = 1
-			}
+			v = tail
 		case fs.ID == isa.FieldOpt:
-			v = uint32(ty)
+			v = uint64(ty)
 		case fs.ID == isa.FieldOpcode:
-			v = uint32(code)
+			v = uint64(code)
 		case fs.ID == isa.FieldReserved:
 			// zero
 		default:
@@ -346,18 +345,16 @@ func (t *Tailored) decodeOp(r *bitio.Reader) (isa.Op, error) {
 				break // slot never occurred: decode as zero
 			}
 			if sm.width == 0 {
-				v = sm.constant
+				v = uint64(sm.constant)
 				break
 			}
-			raw, err := r.ReadBits(sm.width)
-			if err != nil {
-				return op, err
+			if v, err = r.ReadBits(sm.width); err != nil {
+				return 0, err
 			}
-			v = uint32(raw)
 		}
-		word = word<<uint(fs.Width) | uint64(v)
+		word = word<<uint(fs.Width) | v
 	}
-	return isa.Decode(word)
+	return isa.CheckWord(word)
 }
 
 // FieldReport describes one tailored slot for reporting and for the
