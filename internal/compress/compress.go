@@ -28,15 +28,6 @@ import (
 // 40-bit operation size.
 const CodeLenLimit = isa.OpBits
 
-// WordDecoder is a scheme's block decoder proper, which DecodeBlock
-// lifts into operations.
-type WordDecoder interface {
-	// DecodeWords reads back a block of n operations as their 40-bit
-	// words, checked and canonical (isa.CheckWord), appended to dst. On
-	// an error it returns dst with its contents untouched.
-	DecodeWords(r *bitio.Reader, n int, dst []uint64) ([]uint64, error)
-}
-
 // Encoder encodes and decodes basic blocks under one scheme.
 type Encoder interface {
 	// Name identifies the scheme in reports ("base", "byte", "full",
@@ -47,7 +38,10 @@ type Encoder interface {
 	BlockBits(ops []isa.Op) int
 	// EncodeBlock appends the block's encoding to the bit stream.
 	EncodeBlock(w *bitio.Writer, ops []isa.Op) error
-	WordDecoder
+	// DecodeWords reads back a block of n operations as their 40-bit
+	// words, checked and canonical (isa.CheckWord), appended to dst. On
+	// an error it returns dst with its contents untouched.
+	DecodeWords(r *bitio.Reader, n int, dst []uint64) ([]uint64, error)
 	// DecodeBlock reads back a block of n operations: DecodeWords
 	// lifted into operations by LiftBlock.
 	DecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error)
@@ -98,10 +92,10 @@ func (e *Base) DecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error) {
 }
 
 // LiftBlock is every scheme's DecodeBlock: the block's checked words
-// from d.DecodeWords, each unpacked into an operation by isa.Decode
+// from e.DecodeWords, each unpacked into an operation by isa.Decode
 // (which accepts every word CheckWord returned).
-func LiftBlock(d WordDecoder, r *bitio.Reader, n int) ([]isa.Op, error) {
-	words, err := d.DecodeWords(r, n, nil)
+func LiftBlock(e Encoder, r *bitio.Reader, n int) ([]isa.Op, error) {
+	words, err := e.DecodeWords(r, n, nil)
 	if err != nil {
 		return nil, err
 	}
