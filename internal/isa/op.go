@@ -158,19 +158,51 @@ func (o *Op) Validate() error {
 	return nil
 }
 
+// fieldPos places the field identities of one format in its word: the
+// shift of each from the word's least significant bit and its value
+// mask, zero for identities the format lacks (and for reserved bits),
+// and keep, the word's bits outside reserved fields.
+type fieldPos struct {
+	shift [NumFields]uint8
+	mask  [NumFields]uint32
+	keep  uint64
+}
+
+// formatPos is fieldPos per format, computed once from Layout.
+var formatPos = func() (p [NumFormats]fieldPos) {
+	for f := range p {
+		shift := OpBits
+		for _, fs := range Layout(Format(f)) {
+			shift -= fs.Width
+			if fs.ID != FieldReserved {
+				p[f].shift[fs.ID] = uint8(shift)
+				p[f].mask[fs.ID] = 1<<uint(fs.Width) - 1
+				p[f].keep |= (1<<uint(fs.Width) - 1) << uint(shift)
+			}
+		}
+	}
+	return p
+}()
+
 // Encode packs the operation into its 40-bit TEPIC encoding, returned in
 // the low 40 bits of a uint64 with the paper's bit 0 (the tail bit) as the
 // most significant bit.
 func (o *Op) Encode() uint64 {
-	var word uint64
-	for _, fs := range Layout(o.Format()) {
-		var v uint32
-		if fs.ID != FieldReserved {
-			v = o.field(fs.ID) & (1<<uint(fs.Width) - 1)
-		}
-		word = word<<uint(fs.Width) | uint64(v)
-	}
-	return word
+	p := &formatPos[o.Format()]
+	return p.put(FieldT, b2u(o.Tail)) | p.put(FieldS, b2u(o.Spec)) |
+		p.put(FieldOpt, uint32(o.Type)) | p.put(FieldOpcode, uint32(o.Code)) |
+		p.put(FieldSrc1, uint32(o.Src1)) | p.put(FieldSrc2, uint32(o.Src2)) |
+		p.put(FieldBHWX, uint32(o.BHWX)) | p.put(FieldD1, uint32(o.D1)) |
+		p.put(FieldSD, b2u(o.SD)) | p.put(FieldTSS, uint32(o.TSS)) |
+		p.put(FieldSCS, uint32(o.SCS)) | p.put(FieldTCS, uint32(o.TCS)) |
+		p.put(FieldLat, uint32(o.Lat)) | p.put(FieldDest, uint32(o.Dest)) |
+		p.put(FieldL1, b2u(o.L1)) | p.put(FieldImm, o.Imm) |
+		p.put(FieldCounter, uint32(o.Counter)) | p.put(FieldPred, uint32(o.Pred))
+}
+
+// put places value v of field id in the word.
+func (p *fieldPos) put(id FieldID, v uint32) uint64 {
+	return uint64(v&p.mask[id]) << p.shift[id]
 }
 
 // EncodeBytes returns the operation's 40-bit encoding as 5 bytes,
@@ -183,21 +215,6 @@ func (o *Op) EncodeBytes() [OpBytes]byte {
 	}
 	return b
 }
-
-// keepMasks holds, per format, the bits of a 40-bit word that belong to
-// a named field: every bit except the format's reserved ones.
-var keepMasks = func() (m [NumFormats]uint64) {
-	for f := range m {
-		for _, fs := range Layout(Format(f)) {
-			v := uint64(1)<<uint(fs.Width) - 1
-			if fs.ID == FieldReserved {
-				v = 0
-			}
-			m[f] = m[f]<<uint(fs.Width) | v
-		}
-	}
-	return m
-}()
 
 // CheckWord validates a 40-bit TEPIC word (in the low 40 bits of w) and
 // returns it with its format's reserved bits cleared: exactly the word
@@ -220,7 +237,7 @@ func checkWord(w uint64) (uint64, Format, error) {
 	if info.Name == "" {
 		return 0, 0, fmt.Errorf("%w: undefined opcode %v/%d", ErrBadOp, t, c)
 	}
-	return w & keepMasks[info.Format], info.Format, nil
+	return w & formatPos[info.Format].keep, info.Format, nil
 }
 
 // Decode unpacks a 40-bit TEPIC word (in the low 40 bits of w) into an
@@ -235,8 +252,9 @@ func Decode(w uint64) (Op, error) {
 	shift := uint(OpBits)
 	for _, fs := range Layout(f) {
 		shift -= uint(fs.Width)
+		v := uint32(w >> shift & (1<<uint(fs.Width) - 1))
 		if fs.ID != FieldReserved {
-			o.setField(fs.ID, uint32(w>>shift&(1<<uint(fs.Width)-1)))
+			o.setField(fs.ID, v)
 		}
 	}
 	return o, nil

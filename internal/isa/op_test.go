@@ -151,7 +151,8 @@ func TestStringForms(t *testing.T) {
 // TestCheckWordAllOpcodes drives CheckWord over every (type, opcode)
 // pair with every field and every reserved bit set: a defined pair
 // keeps exactly its format's non-reserved bits, which is also
-// Decode+Encode's word; an undefined pair fails with Decode's error.
+// Decode+Encode's word and the encoding of an op with every field
+// all-ones; an undefined pair fails with Decode's error.
 func TestCheckWordAllOpcodes(t *testing.T) {
 	const ones = uint64(1)<<OpBits - 1
 	for ty := OpType(0); ty < 4; ty++ {
@@ -173,6 +174,14 @@ func TestCheckWordAllOpcodes(t *testing.T) {
 			}
 			if got != op.Encode() {
 				t.Errorf("%v/%d: CheckWord = %#x, Decode+Encode = %#x", ty, c, got, op.Encode())
+			}
+			// Every field over-full: Encode keeps each field's own
+			// width and drops the fields the format lacks.
+			full := Op{Tail: true, Spec: true, Type: ty, Code: c, Src1: 0xff, Src2: 0xff,
+				BHWX: 0xff, D1: 0xff, SD: true, TSS: 0xff, SCS: 0xff, TCS: 0xff, Lat: 0xff,
+				Dest: 0xff, L1: true, Imm: ^uint32(0), Counter: 0xff, Pred: 0xff}
+			if full.Encode() != got {
+				t.Errorf("%v/%d: all-ones op encodes to %#x, want %#x", ty, c, full.Encode(), got)
 			}
 			offs := FieldOffsets(info.Format)
 			for s, fs := range Layout(info.Format) {
