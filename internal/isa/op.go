@@ -82,52 +82,6 @@ func (o *Op) field(id FieldID) uint32 {
 	panic(fmt.Sprintf("isa: unknown field %d", id))
 }
 
-// setField writes the value of one field identity into the operation.
-func (o *Op) setField(id FieldID, v uint32) {
-	switch id {
-	case FieldT:
-		o.Tail = v != 0
-	case FieldS:
-		o.Spec = v != 0
-	case FieldOpt:
-		o.Type = OpType(v)
-	case FieldOpcode:
-		o.Code = Opcode(v)
-	case FieldSrc1:
-		o.Src1 = uint8(v)
-	case FieldSrc2:
-		o.Src2 = uint8(v)
-	case FieldBHWX:
-		o.BHWX = uint8(v)
-	case FieldD1:
-		o.D1 = uint8(v)
-	case FieldSD:
-		o.SD = v != 0
-	case FieldTSS:
-		o.TSS = uint8(v)
-	case FieldSCS:
-		o.SCS = uint8(v)
-	case FieldTCS:
-		o.TCS = uint8(v)
-	case FieldLat:
-		o.Lat = uint8(v)
-	case FieldDest:
-		o.Dest = uint8(v)
-	case FieldL1:
-		o.L1 = v != 0
-	case FieldImm:
-		o.Imm = v
-	case FieldCounter:
-		o.Counter = uint8(v)
-	case FieldPred:
-		o.Pred = uint8(v)
-	case FieldReserved:
-		// reserved bits are dropped
-	default:
-		panic(fmt.Sprintf("isa: unknown field %d", id))
-	}
-}
-
 func b2u(b bool) uint32 {
 	if b {
 		return 1
@@ -205,6 +159,11 @@ func (p *fieldPos) put(id FieldID, v uint32) uint64 {
 	return uint64(v&p.mask[id]) << p.shift[id]
 }
 
+// get reads field id out of word w; a field the format lacks reads 0.
+func (p *fieldPos) get(w uint64, id FieldID) uint32 {
+	return uint32(w>>p.shift[id]) & p.mask[id]
+}
+
 // EncodeBytes returns the operation's 40-bit encoding as 5 bytes,
 // most significant byte first.
 func (o *Op) EncodeBytes() [OpBytes]byte {
@@ -248,16 +207,27 @@ func Decode(w uint64) (Op, error) {
 	if err != nil {
 		return Op{}, err
 	}
-	var o Op
-	shift := uint(OpBits)
-	for _, fs := range Layout(f) {
-		shift -= uint(fs.Width)
-		v := uint32(w >> shift & (1<<uint(fs.Width) - 1))
-		if fs.ID != FieldReserved {
-			o.setField(fs.ID, v)
-		}
-	}
-	return o, nil
+	p := &formatPos[f]
+	return Op{
+		Tail:    p.get(w, FieldT) != 0,
+		Spec:    p.get(w, FieldS) != 0,
+		Type:    OpType(p.get(w, FieldOpt)),
+		Code:    Opcode(p.get(w, FieldOpcode)),
+		Src1:    uint8(p.get(w, FieldSrc1)),
+		Src2:    uint8(p.get(w, FieldSrc2)),
+		BHWX:    uint8(p.get(w, FieldBHWX)),
+		D1:      uint8(p.get(w, FieldD1)),
+		SD:      p.get(w, FieldSD) != 0,
+		TSS:     uint8(p.get(w, FieldTSS)),
+		SCS:     uint8(p.get(w, FieldSCS)),
+		TCS:     uint8(p.get(w, FieldTCS)),
+		Lat:     uint8(p.get(w, FieldLat)),
+		Dest:    uint8(p.get(w, FieldDest)),
+		L1:      p.get(w, FieldL1) != 0,
+		Imm:     p.get(w, FieldImm),
+		Counter: uint8(p.get(w, FieldCounter)),
+		Pred:    uint8(p.get(w, FieldPred)),
+	}, nil
 }
 
 // DecodeBytes decodes an operation from 5 bytes, most significant first.
