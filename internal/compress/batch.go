@@ -11,7 +11,7 @@ import (
 
 // BatchDecoder is the allocation-free batch decode face of a Huffman
 // scheme: many blocks decoded in one call through the lane-parallel
-// kernel, up to huffman.MaxLanes blocks interleaved at a time. Blocks
+// kernel, four blocks interleaved at a time. Blocks
 // are the lane axis — every block starts byte-aligned (§3.3) and its
 // symbol stream is independent of every other block's, so N cursors
 // over one image decode N blocks with their table loads overlapped.
@@ -85,19 +85,19 @@ type blockAssembler interface {
 }
 
 // decodeBlock is the block decoder of every Huffman scheme: the block's
-// BatchSymbols(n) symbols decode in one lane of the scheme's kernel
-// into the spare capacity of dst, then assemble turns them into op
-// words a unit at a time, in place: word i lands at or before symbol
-// i*unit, whose symbols it has already read. A unit is what the oracle
-// (ReferenceDecodeBlock) decodes before it assembles: one operation's
-// symbols for the stream and whole-op schemes, the whole block for
-// byte. The result matches the oracle's in operations, error and reader
-// offset. A unit that fails to assemble ends the oracle's decode before
-// any codeword error later in the block, so its error wins, and the
-// lane is re-run from the block start through that unit to leave the
-// reader where the oracle's stops. A codeword error leaves the reader
-// at the lane's terminal, which is the oracle's. On an error dst
-// returns with its contents untouched.
+// BatchSymbols(n) symbols decode through the kernel's single-stream
+// face (LaneDecoder.Decode) into the spare capacity of dst, then
+// assemble turns them into op words a unit at a time, in place: word i
+// lands at or before symbol i*unit, whose symbols it has already read.
+// A unit is what the oracle (ReferenceDecodeBlock) decodes before it
+// assembles: one operation's symbols for the stream and whole-op
+// schemes, the whole block for byte. The result matches the oracle's in
+// operations, error and reader offset. A unit that fails to assemble
+// ends the oracle's decode before any codeword error later in the
+// block, so its error wins, and the kernel is re-run from the block
+// start through that unit to leave the reader where the oracle's stops.
+// A codeword error leaves the reader at the kernel's terminal, which is
+// the oracle's. On an error dst returns with its contents untouched.
 func decodeBlock(a blockAssembler, r *bitio.Reader, n int, dst []uint64) ([]uint64, error) {
 	start, base, nsyms := r.Offset(), len(dst), a.BatchSymbols(n)
 	buf := slices.Grow(dst, nsyms)[:base+nsyms]
@@ -121,20 +121,16 @@ func decodeBlock(a blockAssembler, r *bitio.Reader, n int, dst []uint64) ([]uint
 	return buf[:base+words], nil
 }
 
-// runLane decodes len(syms) symbols into syms through one lane of k,
-// starting at bit start of r's source, and leaves r after the last bit
-// the lane consumed. It returns the symbols decoded and the lane's
-// terminal error.
+// runLane decodes len(syms) symbols into syms through k's single-stream
+// face, starting at bit start of r's source, and leaves r after the
+// last bit the kernel consumed. It returns the symbols decoded and the
+// stream's terminal error.
 func runLane(k *huffman.LaneDecoder, r *bitio.Reader, start int, syms []uint64) (int, error) {
-	var lane [1]huffman.Lane
-	if err := lane[0].Init(r.Source(), start, syms); err != nil {
-		return 0, err
+	n, end, err := k.Decode(r.Source(), start, syms)
+	if serr := r.SeekBit(end); serr != nil {
+		return n, serr
 	}
-	k.Run(lane[:])
-	if err := r.SeekBit(lane[0].Offset()); err != nil {
-		return lane[0].Decoded(), err
-	}
-	return lane[0].Decoded(), lane[0].Err()
+	return n, err
 }
 
 // unitSyms implements blockAssembler: the oracle decodes every byte of

@@ -80,43 +80,49 @@ func TestBatchDecodeRunEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchDecodeRunTruncated: cutting the image's tail must produce
-// the exact terminal the sequential face produces — the failing block
-// is the last one, so group Init order cannot mask the terminal.
+// TestBatchDecodeRunTruncated: a cut image must produce the exact
+// terminal and totals the sequential face produces, summed in block
+// order through the failing block. Cutting the last byte fails the last
+// block; cutting the image in half fails a middle block and leaves the
+// addresses of the blocks after it past the end, some of them in the
+// failing block's group of four.
 func TestBatchDecodeRunTruncated(t *testing.T) {
 	for _, scheme := range batchSchemes {
 		t.Run(scheme, func(t *testing.T) {
 			bd, sd, data, addrs, counts := batchFixture(t, scheme)
-			cut := data[:len(data)-1]
-			// Sequential truth over the truncated image.
-			r := bitio.NewReader(cut)
-			wantSyms := int64(0)
-			var wantErr error
-			for i := range addrs {
-				if err := r.SeekBit(addrs[i] * 8); err != nil {
-					wantErr = err
-					break
+			for _, cut := range [][]byte{data[:len(data)-1], data[:len(data)/2]} {
+				// Sequential truth over the cut image.
+				r := bitio.NewReader(cut)
+				wantSyms, wantBits := int64(0), int64(0)
+				var wantErr error
+				for i := range addrs {
+					if err := r.SeekBit(addrs[i] * 8); err != nil {
+						wantErr = err
+						break
+					}
+					n, err := sd.DecodeBlockSymbols(r, counts[i])
+					wantSyms += int64(n)
+					wantBits += int64(r.Offset() - addrs[i]*8)
+					if err != nil {
+						wantErr = err
+						break
+					}
 				}
-				n, err := sd.DecodeBlockSymbols(r, counts[i])
-				wantSyms += int64(n)
-				if err != nil {
-					wantErr = err
-					break
+				if wantErr == nil {
+					t.Fatalf("cut to %d bytes: the sequential face decoded every block", len(cut))
 				}
-			}
-			if wantErr == nil {
-				t.Skip("truncation fell on a block boundary; nothing to compare")
-			}
-			syms, _, err := bd.DecodeRun(cut, addrs, counts)
-			if err == nil {
-				t.Fatal("DecodeRun decoded a truncated image cleanly")
-			}
-			if err.Error() != wantErr.Error() {
-				t.Fatalf("terminal error:\nbatch:      %v\nsequential: %v", err, wantErr)
-			}
-			// Both faces count the failing block's partial symbols.
-			if syms != wantSyms {
-				t.Fatalf("terminal symbol count %d, sequential %d", syms, wantSyms)
+				syms, bits, err := bd.DecodeRun(cut, addrs, counts)
+				if err == nil {
+					t.Fatalf("cut to %d bytes: DecodeRun decoded the image cleanly", len(cut))
+				}
+				if err.Error() != wantErr.Error() {
+					t.Fatalf("cut to %d bytes: terminal error:\nbatch:      %v\nsequential: %v", len(cut), err, wantErr)
+				}
+				// Both faces count the failing block's partial symbols
+				// and consumed bits.
+				if syms != wantSyms || bits != wantBits {
+					t.Fatalf("cut to %d bytes: totals (%d, %d), sequential (%d, %d)", len(cut), syms, bits, wantSyms, wantBits)
+				}
 			}
 		})
 	}

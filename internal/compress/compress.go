@@ -112,13 +112,13 @@ func LiftBlock(e Encoder, r *bitio.Reader, n int) ([]isa.Op, error) {
 func (*Base) Tables() []*huffman.Table { return nil }
 
 // ReferenceDecoder is implemented by the Huffman schemes, which decode
-// their hit path through the lane kernel (decodeBlock) but keep the
-// canonical bit-by-bit decoder as an oracle: ReferenceDecodeBlock is
-// DecodeBlock on the oracle, and DecodeWords and DecodeBlock must both
-// match it — the same operations (as words, their Encode), the same
-// error and the same reader offset on every block — on every image
-// (the differential harness) and on corrupt blocks
-// (FuzzBlockDecodeEquivalence).
+// their hit path through the kernel's single-stream LaneDecoder.Decode
+// (decodeBlock) but keep the canonical bit-by-bit decoder as an oracle:
+// ReferenceDecodeBlock is DecodeBlock on the oracle, and DecodeWords
+// and DecodeBlock must both match it — the same operations (as words,
+// their Encode), the same error and the same reader offset on every
+// block — on every image (the differential harness) and on corrupt
+// blocks (FuzzBlockDecodeEquivalence).
 type ReferenceDecoder interface {
 	ReferenceDecodeBlock(r *bitio.Reader, n int) ([]isa.Op, error)
 }
@@ -130,11 +130,11 @@ type ByteHuffman struct {
 	tab  *huffman.Table
 	dec  *huffman.Decoder     // reference (oracle) decoder
 	fast *huffman.FastDecoder // table-driven per-symbol decoder (fast tier)
-	lane *huffman.LaneDecoder // lane kernel over fast's tables: the hit path
+	lane *huffman.LaneDecoder // kernel over fast's tables: Decode is the hit path, DecodeBlocks the batch face
 }
 
 // newByteHuffman wraps a built table with both of its decoders and the
-// lane kernel (built once here, not per decode — see the measurement
+// kernel (built once here, not per decode — see the measurement
 // contract in throughput.go).
 func newByteHuffman(tab *huffman.Table) *ByteHuffman {
 	fast := tab.NewFastDecoder()
@@ -292,7 +292,7 @@ type StreamHuffman struct {
 	tabs  []*huffman.Table
 	decs  []*huffman.Decoder     // reference (oracle) decoders
 	fasts []*huffman.FastDecoder // table-driven per-symbol decoders (fast tier)
-	lane  *huffman.LaneDecoder   // lane kernel cycling the segment tables: the hit path
+	lane  *huffman.LaneDecoder   // kernel cycling the segment tables: Decode is the hit path, DecodeBlocks the batch face
 }
 
 // NewStreamHuffman builds the stream-based scheme for one configuration.

@@ -18,7 +18,7 @@ import (
 //   - Fast: the table-driven per-symbol decoder through a Reader — the
 //     pre-kernel baseline.
 //   - Batch: the lane-parallel kernel through the prebuilt DecodePlan —
-//     blocks decoded MaxLanes at a time with interleaved cursors.
+//     blocks decoded four at a time with interleaved cursors.
 //
 // Ops counts Huffman symbols — whole operations for the full scheme,
 // packed bytes for the byte scheme, one symbol per stream segment per

@@ -22,7 +22,7 @@ import "sort"
 // by the fused table iff both halves decode, and the total consumed
 // length is the sum, so any stream the per-symbol path accepts decodes
 // identically, and any stream it rejects makes the fast engine abort to
-// the grouped engine (an uncovered index reads as the invalid entry 0),
+// the per-symbol path (an uncovered index reads as the invalid entry 0),
 // which reproduces the exact reference terminals.
 
 // Fusion thresholds: the pair alphabet is the product of two segment

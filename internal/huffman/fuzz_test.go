@@ -71,14 +71,14 @@ func FuzzFastDecodeEquivalence(f *testing.F) {
 }
 
 // FuzzLaneDecodeEquivalence is the three-way differential over the
-// batched kernel: a fuzz-chosen table (optionally length-limited), a
-// fuzz-chosen raw bit stream decoded as MaxLanes independent lanes
-// (whole stream, and offset by the seed's low bits), against both the
-// per-symbol FastDecoder and the reference Decoder. Symbols, terminal
-// offsets, error text, and io.ErrUnexpectedEOF classification must all
-// be identical per lane. Raw streams make both error terminals as
-// reachable as clean decodes, and the shared stream keeps the lanes'
-// refill phases decorrelated from each other.
+// kernel's single-stream face: a fuzz-chosen table (optionally
+// length-limited) and a fuzz-chosen raw bit stream decoded from four
+// start offsets (the whole stream, and offset by the seed's low bits)
+// against both the per-symbol FastDecoder and the reference Decoder.
+// Symbols, terminal offsets, error text, and io.ErrUnexpectedEOF
+// classification must all be identical per start. Raw streams make both
+// error terminals as reachable as clean decodes, and the spread starts
+// decorrelate the refill phases.
 func FuzzLaneDecodeEquivalence(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 3, 5, 8}, []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x23}, uint8(0))
 	f.Add([]byte{7}, []byte{0xff}, uint8(0))
@@ -108,28 +108,20 @@ func FuzzLaneDecodeEquivalence(f *testing.F) {
 		refSyms, _, _ := referenceDecodeAll(ref, stream)
 		count := len(refSyms) + int(limit)%3 // also over-ask to force terminals
 
-		var lanes [MaxLanes]Lane
-		outs := make([][]uint64, MaxLanes)
-		starts := make([]int, MaxLanes)
-		for i := range lanes {
-			starts[i] = (i * int(limit)) % (8*len(stream) + 1)
-			outs[i] = make([]uint64, count)
-			if err := lanes[i].Init(stream, starts[i], outs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		kern.Run(lanes[:])
-		for i := range lanes {
+		out := make([]uint64, count)
+		for i := 0; i < 4; i++ {
+			start := (i * int(limit)) % (8*len(stream) + 1)
+			n, end, gerr := kern.Decode(stream, start, out)
 			// Per-symbol oracle from the same start: FastDecoder and
 			// reference in lockstep (their own equivalence is
 			// FuzzFastDecodeEquivalence's concern; any divergence here
 			// still fails through the fast face).
 			fr := bitio.NewReader(stream)
 			rr := bitio.NewReader(stream)
-			if err := fr.SeekBit(starts[i]); err != nil {
+			if err := fr.SeekBit(start); err != nil {
 				t.Fatal(err)
 			}
-			if err := rr.SeekBit(starts[i]); err != nil {
+			if err := rr.SeekBit(start); err != nil {
 				t.Fatal(err)
 			}
 			var wantSyms []uint64
@@ -138,39 +130,37 @@ func FuzzLaneDecodeEquivalence(f *testing.F) {
 				fsym, ferr := fast.Decode(fr)
 				rsym, rerr := ref.Decode(rr)
 				if (ferr == nil) != (rerr == nil) || fr.Offset() != rr.Offset() {
-					t.Fatalf("oracle divergence at lane %d: %v vs %v", i, ferr, rerr)
+					t.Fatalf("oracle divergence at start %d: %v vs %v", start, ferr, rerr)
 				}
 				if ferr != nil {
 					wantErr = ferr
 					break
 				}
 				if fsym != rsym {
-					t.Fatalf("oracle symbol divergence at lane %d: %d vs %d", i, fsym, rsym)
+					t.Fatalf("oracle symbol divergence at start %d: %d vs %d", start, fsym, rsym)
 				}
 				wantSyms = append(wantSyms, fsym)
 			}
-			got := outs[i][:lanes[i].Decoded()]
-			if len(got) != len(wantSyms) {
-				t.Fatalf("lane %d decoded %d symbols, oracle %d", i, len(got), len(wantSyms))
+			if n != len(wantSyms) {
+				t.Fatalf("start %d: decoded %d symbols, oracle %d", start, n, len(wantSyms))
 			}
-			for j := range got {
-				if got[j] != wantSyms[j] {
-					t.Fatalf("lane %d symbol %d = %d, oracle %d", i, j, got[j], wantSyms[j])
+			for j, want := range wantSyms {
+				if out[j] != want {
+					t.Fatalf("start %d: symbol %d = %d, oracle %d", start, j, out[j], want)
 				}
 			}
-			if lanes[i].Offset() != fr.Offset() {
-				t.Fatalf("lane %d terminal offset %d, oracle %d", i, lanes[i].Offset(), fr.Offset())
+			if end != fr.Offset() {
+				t.Fatalf("start %d: terminal offset %d, oracle %d", start, end, fr.Offset())
 			}
-			gerr := lanes[i].Err()
 			if (gerr == nil) != (wantErr == nil) {
-				t.Fatalf("lane %d error %v, oracle %v", i, gerr, wantErr)
+				t.Fatalf("start %d: error %v, oracle %v", start, gerr, wantErr)
 			}
 			if gerr != nil {
 				if gerr.Error() != wantErr.Error() {
-					t.Fatalf("lane %d error text:\nkernel: %v\noracle: %v", i, gerr, wantErr)
+					t.Fatalf("start %d: error text:\nkernel: %v\noracle: %v", start, gerr, wantErr)
 				}
 				if errors.Is(gerr, io.ErrUnexpectedEOF) != errors.Is(wantErr, io.ErrUnexpectedEOF) {
-					t.Fatalf("lane %d EOF classification differs: %v vs %v", i, gerr, wantErr)
+					t.Fatalf("start %d: EOF classification differs: %v vs %v", start, gerr, wantErr)
 				}
 			}
 		}

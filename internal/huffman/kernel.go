@@ -7,18 +7,15 @@ import (
 	"repro/internal/bitio"
 )
 
-// MaxLanes is the width of the lane-parallel decode kernel: how many
-// independent symbol streams one LaneDecoder.Run interleaves. Four
-// lanes is the vectorized-VByte sweet spot on current cores — enough
-// independent table-load chains to cover L1 latency without spilling
-// the per-lane cursor state out of registers.
-const MaxLanes = 4
-
-// LaneDecoder is the batched kernel beneath FastDecoder: it decodes up
-// to MaxLanes independent streams in one software-pipelined loop, one
-// symbol per lane per rotation, so the table lookups and word refills
-// of different lanes overlap in the core's out-of-order window instead
-// of serializing behind one stream's loads.
+// LaneDecoder is the table-schedule kernel beneath FastDecoder, with
+// two faces. Decode runs one stream with its cursor in locals: the
+// block decoder. DecodeBlocks interleaves four independent blocks in
+// one software-pipelined loop, one symbol per lane per round, so the
+// table lookups and word refills of different lanes overlap in the
+// core's out-of-order window instead of serializing behind one stream's
+// loads. Four lanes is the vectorized-VByte sweet spot on current cores
+// — enough independent table-load chains to cover L1 latency without
+// spilling the per-lane cursor state out of registers.
 //
 // The schedule is the kernel's second axis: sched lists the fast tables
 // cycled per symbol within each lane. A whole-op scheme passes one
@@ -88,127 +85,51 @@ func (k *LaneDecoder) TableEntries() int {
 	return n
 }
 
-// Lane is one stream's decode state: an independent bit cursor, an
-// output slot, and the lane's phase in the table schedule. A Lane is
-// plain value state — callers keep a [MaxLanes]Lane array alive and
-// Init it per stream, so steady-state decoding allocates nothing.
+// Decode decodes len(out) symbols of one stream into out, starting at
+// absolute bit offset bit of data with the schedule at phase 0. It
+// returns the symbols decoded, the offset of the stream's next
+// unconsumed bit and its terminal error, if decoding failed: all three
+// equal the per-symbol FastDecoder path's from the same start, the
+// terminal's consumed bits included. A start outside data decodes
+// nothing and returns bit with the cursor's ErrExhausted error.
 //
-// A lane with a nil output slot and a nonzero want discards: it decodes
-// want symbols, folding them into an xor sink instead of storing them.
-// Discard lanes do the full per-symbol work including the symbol-table
-// load, so the decode cannot be optimized into a skip.
-//
-// Lanes are the state of Run's rotation: the incremental face and the
-// grouped engine DecodeBlocks falls back to. DecodeBlocks' fast engine
-// keeps its four cursors in locals and never builds a Lane.
-type Lane struct {
-	cur  bitio.Cursor
-	out  []uint64 // nil in discard mode
-	n    int
-	want int    // symbols to decode; == len(out) when collecting
-	ti   int    // next schedule index
-	sink uint64 // xor of discarded symbols; keeps their loads live
-	err  error
-}
-
-// Init points the lane at an absolute bit offset of data, resets its
-// schedule phase, and arms it to decode len(out) symbols into out.
-func (l *Lane) Init(data []byte, bit int, out []uint64) error {
-	l.out, l.n, l.want, l.ti, l.err = out, 0, len(out), 0, nil
-	return l.cur.Init(data, bit)
-}
-
-// Decoded returns how many symbols the lane has produced into its
-// current output slot.
-func (l *Lane) Decoded() int { return l.n }
-
-// Err returns the lane's terminal error, if decoding it failed.
-func (l *Lane) Err() error { return l.err }
-
-// Done reports that the lane needs no more work: quota met or errored.
-func (l *Lane) Done() bool { return l.err != nil || l.n == l.want }
-
-// Offset returns the absolute bit offset of the lane's next unconsumed
-// bit — after a full decode, the end of the stream's last codeword,
-// identical to Reader.Offset on the per-symbol path.
-func (l *Lane) Offset() int { return l.cur.Offset() }
-
-// badLanes keeps the panic (and its fmt call) out of Run's annotated
-// body: the kernel loop must stay allocation-free.
-func badLanes(n int) {
-	panic(fmt.Sprintf("huffman: %d lanes exceed MaxLanes (%d)", n, MaxLanes))
-}
-
-// Run decodes every lane to completion: each active lane fills its
-// output slot or hits a terminal error (recorded on the lane; the
-// other lanes keep decoding). len(lanes) must be in [0, MaxLanes].
-//
-// The loop rotates over the active lanes decoding one symbol each, so
-// consecutive iterations touch independent cursors: lane 1's root-table
-// load issues while lane 0's refill is still in flight. Finished lanes
-// are swap-removed from the rotation, degrading gracefully to a
-// single-lane loop for a lone tail.
-//
-// Its production callers are decodeBlocksSlow (corrupt images) and the
-// Huffman schemes' block decoder (compress's DecodeBlock, one lane over
-// a whole block, which /v1/decode runs on every block); intact batches
-// decode in decodeBlocksFast.
+// It is the Huffman schemes' block decoder (compress's DecodeWords, one
+// call per block, which /v1/decode runs on every block). The cursor and
+// the schedule phase are locals, not fields of a caller-held struct, so
+// the per-symbol bookkeeping need not round-trip through the heap.
 //
 //tepic:hotpath
-func (k *LaneDecoder) Run(lanes []Lane) {
-	if len(lanes) > MaxLanes {
-		badLanes(len(lanes))
+func (k *LaneDecoder) Decode(data []byte, bit int, out []uint64) (n, end int, err error) {
+	var c bitio.Cursor
+	if err := c.Init(data, bit); err != nil {
+		return 0, bit, err
 	}
-	var act [MaxLanes]int8
-	na := 0
-	for i := range lanes {
-		if !lanes[i].Done() {
-			act[na] = int8(i)
-			na++
+	sched := k.sched
+	ti := 0
+	for n < len(out) {
+		fd := sched[ti]
+		if c.Buffered() < 56 {
+			c.Refill()
+		}
+		e := fd.root[c.Peek(fd.rootBits)]
+		if e&fastSubFlag != 0 {
+			bits := int(e & fastLenMask)
+			w := c.Peek(fd.rootBits + bits)
+			e = fd.sub[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(bits)-1))]
+		}
+		cl := int(e & fastLenMask)
+		if cl == 0 || cl > c.Buffered() {
+			err = laneFail(&c, fd) // before Offset: the terminal consumes bits
+			return n, c.Offset(), err
+		}
+		c.Skip(cl)
+		out[n] = fd.syms[e>>6]
+		n++
+		if ti++; ti == len(sched) {
+			ti = 0
 		}
 	}
-	nt := len(k.sched)
-	for na > 0 {
-		for j := 0; j < na; {
-			l := &lanes[act[j]]
-			fd := k.sched[l.ti]
-			c := &l.cur
-			if c.Buffered() < 56 {
-				c.Refill()
-			}
-			e := fd.root[c.Peek(fd.rootBits)]
-			if e&fastSubFlag != 0 {
-				bits := int(e & fastLenMask)
-				w := c.Peek(fd.rootBits + bits)
-				e = fd.sub[int(e>>6&(fastMaxSyms-1))+int(w&(1<<uint(bits)-1))]
-			}
-			cl := int(e & fastLenMask)
-			if cl == 0 || cl > c.Buffered() {
-				l.err = laneFail(c, fd)
-				na--
-				act[j] = act[na]
-				continue
-			}
-			c.Skip(cl)
-			s := fd.syms[e>>6]
-			if l.out != nil {
-				l.out[l.n] = s
-			} else {
-				l.sink ^= s
-			}
-			l.n++
-			l.ti++
-			if l.ti == nt {
-				l.ti = 0
-			}
-			if l.n == l.want {
-				na--
-				act[j] = act[na]
-				continue
-			}
-			j++
-		}
-	}
+	return n, c.Offset(), nil
 }
 
 // laneFail mirrors FastDecoder.fail on a cursor, consuming the same
@@ -231,9 +152,9 @@ func laneFail(c *bitio.Cursor, fd *FastDecoder) error {
 // DecodeBlocks is the allocation-free batch engine over the kernel. It
 // decodes the blocks described by parallel slices addrs (byte address
 // of each block's first codeword in data) and counts (source operations
-// per block), in groups of up to MaxLanes interleaved lanes — blocks
-// are the lane axis; every block starts byte-aligned and decodes
-// independently. A block's symbol count is the caller's affine map
+// per block), four interleaved blocks at a time — blocks are the
+// lane axis; every block starts byte-aligned and decodes independently.
+// A block's symbol count is the caller's affine map
 // need = (n*mul + add) / div, passed as constants so the hot loop needs
 // no per-scheme closure (closures are banned from the hot path and
 // would allocate per call):
@@ -242,77 +163,52 @@ func laneFail(c *bitio.Cursor, fd *FastDecoder) error {
 //	per-segment:      (n*nsegs + 0) / 1  one symbol per segment per op
 //	per-byte:         (n*opbits + 7) / 8 one symbol per packed byte
 //
-// The lanes run in discard mode: full decode work, symbols folded into
-// a sink instead of stored, the throughput-measurement shape. It
-// returns the symbols decoded and the total code bits consumed, both
-// summed in block order through the first failing block (whose partial
-// symbols count), then that block's terminal error. Steady-state calls
-// allocate nothing.
+// The symbols are discarded after the full decode work, the
+// throughput-measurement shape. It returns the symbols decoded and the
+// total code bits consumed, both summed in block order through the
+// first failing block (whose partial symbols count), then that block's
+// terminal error. Steady-state calls allocate nothing.
 //
-// Two engines sit behind this face. The happy path is
-// decodeBlocksFast: four register-resident cursors over a dynamic
-// block queue — a lane finishing its block takes the next one without
-// ever spilling its accumulator, so short blocks (the common case:
-// basic blocks run a handful of operations) still amortize into one
-// long software-pipelined loop. Any decode failure abandons the fast
-// pass and re-decodes everything through the grouped lane path, whose
-// block-ordered scan produces the exact terminal error and the exact
-// partial totals the contract promises; corrupt images pay a second
-// pass, intact ones never do.
+// The work happens in decodeBlocksFast: four register-resident cursors
+// over a dynamic block queue — a lane finishing its block takes the
+// next one without ever spilling its accumulator, so short blocks (the
+// common case: basic blocks run a handful of operations) still amortize
+// into one long software-pipelined loop. Any decode failure abandons
+// the fast pass, and decodeBlocksExact decodes the blocks again one at
+// a time, in block order, for the exact terminal error and partial
+// totals; corrupt images pay a second pass, intact ones never do.
 //
 //tepic:hotpath
 func (k *LaneDecoder) DecodeBlocks(data []byte, addrs, counts []int, mul, add, div int) (int64, int64, error) {
 	if syms, bits, _, ok := k.decodeBlocksFast(data, addrs, counts, mul, add, div); ok {
 		return syms, bits, nil
 	}
-	return k.decodeBlocksSlow(data, addrs, counts, mul, add, div)
+	return k.decodeBlocksExact(data, addrs, counts, mul, add, div)
 }
 
-// decodeBlocksSlow is the grouped lane engine behind DecodeBlocks: up
-// to MaxLanes blocks armed per group, Run to completion, totals and the
-// first terminal collected in block order. It is the path with the
-// exact documented error semantics, and the fast engine defers to it.
-//
-// The lane state is a function-local array wired by direct field
-// assignment — the reason this engine lives in this package: routing
-// the wiring through the Lane methods reads, to escape analysis, as a
-// store through a pointer deref, which it conservatively treats as a
-// heap store. For the same reason no function-local buffer may ever be
-// sliced into a lane: the terminal error is read back out of the lane
-// array and returned, and the field-insensitive escape graph would then
-// force any such buffer to the heap on every call — which is why
-// discard mode is a kernel mode and not a decode into stack scratch.
+// decodeBlocksExact is DecodeBlocks on the per-symbol path: each block
+// in turn through the schedule's FastDecoders on one stack Reader, the
+// path whose terminals define the contract. A block whose address lies
+// outside data ends the scan with the Reader's seek error, after the
+// totals of the blocks before it.
 //
 //tepic:hotpath
-func (k *LaneDecoder) decodeBlocksSlow(data []byte, addrs, counts []int, mul, add, div int) (int64, int64, error) {
-	var lanes [MaxLanes]Lane
-	syms, bits := int64(0), int64(0)
-	for base := 0; base < len(addrs); base += MaxLanes {
-		nl := len(addrs) - base
-		if nl > MaxLanes {
-			nl = MaxLanes
+func (k *LaneDecoder) decodeBlocksExact(data []byte, addrs, counts []int, mul, add, div int) (syms, bits int64, err error) {
+	r := bitio.MakeReader(data)
+	nt := len(k.sched)
+	for i, a := range addrs {
+		if err := r.SeekBit(a * 8); err != nil {
+			return syms, bits, err
 		}
-		for i := 0; i < nl; i++ {
-			lanes[i].want = (counts[base+i]*mul + add) / div
-			lanes[i].n = 0
-			lanes[i].ti = 0
-			lanes[i].err = nil
-			if err := lanes[i].cur.Init(data, addrs[base+i]*8); err != nil {
-				return syms, bits, err
+		want := (counts[i]*mul + add) / div
+		for j := 0; j < want && err == nil; j++ {
+			if _, err = k.sched[j%nt].Decode(&r); err == nil {
+				syms++
 			}
 		}
-		k.Run(lanes[:nl])
-		// Collect in block order: symbol and consumed-bit totals
-		// accumulate through the first failing block (including its
-		// partial count), then its terminal error returns — so the
-		// error reported is deterministic regardless of lane
-		// scheduling.
-		for i := 0; i < nl; i++ {
-			syms += int64(lanes[i].n)
-			bits += int64(lanes[i].cur.Offset() - addrs[base+i]*8)
-			if err := lanes[i].err; err != nil {
-				return syms, bits, err
-			}
+		bits += int64(r.Offset() - a*8)
+		if err != nil {
+			return syms, bits, err
 		}
 	}
 	return syms, bits, nil
@@ -353,7 +249,7 @@ func (k *LaneDecoder) decodeBlocksSlow(data []byte, addrs, counts []int, mul, ad
 // idiom), after which a codeword longer than the remaining bits — or
 // any unresolvable codeword, or an out-of-range block address — aborts
 // the whole pass with ok == false and no totals: the caller re-decodes
-// through the grouped engine for exact terminal semantics. The returned
+// through decodeBlocksExact for exact terminal semantics. The returned
 // sink is the xor fold of the decoded symbols; flowing it out of the
 // (never inlined) function keeps their table loads live — it is
 // otherwise meaningless and callers discard it.

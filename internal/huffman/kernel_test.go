@@ -85,65 +85,52 @@ func laneOracle(k *LaneDecoder, data []byte, start, count int) ([]uint64, int, e
 	return out, r.Offset(), nil
 }
 
-// requireLaneAgreement runs the kernel over up to MaxLanes streams at
-// once and requires every lane to match its per-symbol oracle in
+// requireLaneAgreement decodes each stream through the kernel's
+// single-stream face and requires it to match its per-symbol oracle in
 // symbols, terminal offset, error text, and EOF classification.
 func requireLaneAgreement(t *testing.T, k *LaneDecoder, streams [][]byte, count int) {
 	t.Helper()
-	var lanes [MaxLanes]Lane
-	n := len(streams)
-	if n > MaxLanes {
-		t.Fatalf("fixture has %d streams, max %d", n, MaxLanes)
-	}
-	outs := make([][]uint64, n)
-	for i := 0; i < n; i++ {
-		outs[i] = make([]uint64, count)
-		if err := lanes[i].Init(streams[i], 0, outs[i]); err != nil {
-			t.Fatal(err)
+	for i, stream := range streams {
+		out := make([]uint64, count)
+		n, off, gerr := k.Decode(stream, 0, out)
+		want, woff, werr := laneOracle(k, stream, 0, count)
+		if n != len(want) {
+			t.Fatalf("stream %d decoded %d symbols, oracle %d", i, n, len(want))
 		}
-	}
-	k.Run(lanes[:n])
-	for i := 0; i < n; i++ {
-		want, woff, werr := laneOracle(k, streams[i], 0, count)
-		got := outs[i][:lanes[i].Decoded()]
-		if len(got) != len(want) {
-			t.Fatalf("lane %d decoded %d symbols, oracle %d", i, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("lane %d symbol %d = %d, oracle %d", i, j, got[j], want[j])
+		for j := range want {
+			if out[j] != want[j] {
+				t.Fatalf("stream %d symbol %d = %d, oracle %d", i, j, out[j], want[j])
 			}
 		}
-		if lanes[i].Offset() != woff {
-			t.Fatalf("lane %d terminal offset %d, oracle %d", i, lanes[i].Offset(), woff)
+		if off != woff {
+			t.Fatalf("stream %d terminal offset %d, oracle %d", i, off, woff)
 		}
-		gerr := lanes[i].Err()
 		if (gerr == nil) != (werr == nil) {
-			t.Fatalf("lane %d error %v, oracle %v", i, gerr, werr)
+			t.Fatalf("stream %d error %v, oracle %v", i, gerr, werr)
 		}
 		if gerr != nil {
 			if gerr.Error() != werr.Error() {
-				t.Fatalf("lane %d error text:\nkernel: %v\noracle: %v", i, gerr, werr)
+				t.Fatalf("stream %d error text:\nkernel: %v\noracle: %v", i, gerr, werr)
 			}
 			if errors.Is(gerr, io.ErrUnexpectedEOF) != errors.Is(werr, io.ErrUnexpectedEOF) {
-				t.Fatalf("lane %d EOF classification differs: %v vs %v", i, gerr, werr)
+				t.Fatalf("stream %d EOF classification differs: %v vs %v", i, gerr, werr)
 			}
 		}
 	}
 }
 
-// TestLaneDecodeEquivalence: lanes vs the per-symbol FastDecoder path
-// across schedule widths, lane counts, and every truncation point of
-// the first stream.
+// TestLaneDecodeEquivalence: the single-stream face vs the per-symbol
+// FastDecoder path across schedule widths, stream counts, and every
+// truncation point of the first stream.
 func TestLaneDecodeEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 20; trial++ {
 		ntabs := 1 + rng.Intn(4)
-		nstreams := 1 + rng.Intn(MaxLanes)
+		nstreams := 1 + rng.Intn(4)
 		count := 1 + rng.Intn(600)
 		fx := buildLaneFixture(t, rng, ntabs, nstreams, count)
 		requireLaneAgreement(t, fx.kern, fx.data, count)
-		// Over-asking forces every lane into a terminal error.
+		// Over-asking forces every stream into a terminal error.
 		requireLaneAgreement(t, fx.kern, fx.data, count+1)
 		// Truncation points of stream 0 exercise both error terminals at
 		// every refill phase.
@@ -151,102 +138,105 @@ func TestLaneDecodeEquivalence(t *testing.T) {
 			requireLaneAgreement(t, fx.kern, [][]byte{fx.data[0][:cut]}, count)
 		}
 	}
-}
-
-// TestLaneDecodeUnalignedStarts: lanes initialized mid-byte (the
-// stream-scheme case: segment streams begin wherever the previous op
-// ended) must agree with the oracle from the same bit offset.
-func TestLaneDecodeUnalignedStarts(t *testing.T) {
-	rng := rand.New(rand.NewSource(92))
-	fx := buildLaneFixture(t, rng, 2, 1, 400)
-	data := fx.data[0]
-	// Decode k symbols with the oracle to find mid-stream (mid-byte)
-	// resume points, then lane-decode the remainder from each.
-	for _, skip := range []int{1, 2, 3, 5, 17} {
-		want, off, err := laneOracle(fx.kern, data, 0, skip)
-		if err != nil || len(want) != skip {
-			t.Fatalf("oracle skip %d: %v", skip, err)
-		}
-		rest := 400 - skip
-		out := make([]uint64, rest)
-		var lanes [1]Lane
-		if err := lanes[0].Init(data, off, out); err != nil {
-			t.Fatal(err)
-		}
-		// Match the oracle's schedule phase at the resume point.
-		lanes[0].ti = skip % fx.kern.Tables()
-		fx.kern.Run(lanes[:])
-		if lanes[0].Err() != nil {
-			t.Fatalf("resume at bit %d: %v", off, lanes[0].Err())
-		}
-		for j, sym := range out {
-			if sym != fx.syms[0][skip+j] {
-				t.Fatalf("resume at bit %d symbol %d = %d, want %d", off, j, sym, fx.syms[0][skip+j])
-			}
+	// A start outside the stream decodes nothing and reports it.
+	fx := buildLaneFixture(t, rng, 1, 1, 8)
+	end := 8 * len(fx.data[0])
+	for _, bit := range []int{-1, end + 1} {
+		n, off, err := fx.kern.Decode(fx.data[0], bit, make([]uint64, 8))
+		if n != 0 || off != bit || !errors.Is(err, bitio.ErrExhausted) {
+			t.Errorf("Decode from bit %d = (%d, %d, %v), want (0, %d, ErrExhausted)", bit, n, off, err, bit)
 		}
 	}
 }
 
-// TestLaneRunZeroAlloc is the dynamic half of the //tepic:hotpath
-// contract on LaneDecoder.Run: zero allocations per four-lane batch in
-// steady state (lanes held by the caller, Init between batches). The
-// companion canary below proves this harness would catch a break.
-func TestLaneRunZeroAlloc(t *testing.T) {
+// TestLaneDecodeUnalignedStarts: a decode started mid-byte (the
+// stream-scheme case: an operation's segment codewords begin wherever
+// the previous operation ended) must agree with the oracle from the
+// same bit offset. Resume points fall on operation boundaries, where
+// the schedule is back at phase 0.
+func TestLaneDecodeUnalignedStarts(t *testing.T) {
+	rng := rand.New(rand.NewSource(92))
+	for _, ntabs := range []int{1, 2} {
+		fx := buildLaneFixture(t, rng, ntabs, 1, 400)
+		data := fx.data[0]
+		unaligned := 0
+		// Decode skip symbols with the oracle to find mid-stream resume
+		// points, then decode the remainder from each.
+		for _, ops := range []int{1, 2, 3, 5, 17} {
+			skip := ops * ntabs
+			want, off, err := laneOracle(fx.kern, data, 0, skip)
+			if err != nil || len(want) != skip {
+				t.Fatalf("oracle skip %d: %v", skip, err)
+			}
+			if off%8 != 0 {
+				unaligned++
+			}
+			out := make([]uint64, 400-skip)
+			n, end, err := fx.kern.Decode(data, off, out)
+			if err != nil || n != len(out) {
+				t.Fatalf("resume at bit %d: %d symbols, %v", off, n, err)
+			}
+			if _, wend, _ := laneOracle(fx.kern, data, 0, 400); end != wend {
+				t.Fatalf("resume at bit %d: end %d, oracle %d", off, end, wend)
+			}
+			for j, sym := range out {
+				if sym != fx.syms[0][skip+j] {
+					t.Fatalf("resume at bit %d symbol %d = %d, want %d", off, j, sym, fx.syms[0][skip+j])
+				}
+			}
+		}
+		if unaligned == 0 {
+			t.Fatalf("%d tables: every resume point fell on a byte boundary", ntabs)
+		}
+	}
+}
+
+// TestLaneDecodeZeroAlloc is the dynamic half of the //tepic:hotpath
+// contract on LaneDecoder.Decode: zero allocations per decoded stream
+// in steady state (output held by the caller). The companion canary
+// below proves this harness would catch a break.
+func TestLaneDecodeZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	rng := rand.New(rand.NewSource(94))
-	fx := buildLaneFixture(t, rng, 2, MaxLanes, 512)
-	var lanes [MaxLanes]Lane
-	outs := make([][]uint64, MaxLanes)
-	for i := range outs {
-		outs[i] = make([]uint64, 512)
-	}
+	fx := buildLaneFixture(t, rng, 2, 4, 512)
+	out := make([]uint64, 512)
 	allocs := testing.AllocsPerRun(100, func() {
-		for i := range lanes {
-			if err := lanes[i].Init(fx.data[i], 0, outs[i]); err != nil {
+		for _, stream := range fx.data {
+			if _, _, err := fx.kern.Decode(stream, 0, out); err != nil {
 				t.Fatal(err)
-			}
-		}
-		fx.kern.Run(lanes[:])
-		for i := range lanes {
-			if lanes[i].Err() != nil {
-				t.Fatal(lanes[i].Err())
 			}
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("LaneDecoder.Run: %.1f allocs per 4-lane batch, want 0", allocs)
+		t.Errorf("LaneDecoder.Decode: %.1f allocs per 4 streams, want 0", allocs)
 	}
 }
 
-// brokenLaneRun mimics a hot-loop regression: the same shape as a
+// brokenLaneDecode mimics a hot-loop regression: the same shape as a
 // kernel call but with a formatting allocation inside the loop — the
 // deliberate break the zero-alloc harness must detect.
-func brokenLaneRun(k *LaneDecoder, lanes []Lane) string {
-	k.Run(lanes)
-	return fmt.Sprintf("decoded %d", lanes[0].Decoded())
+func brokenLaneDecode(k *LaneDecoder, data []byte, out []uint64) string {
+	n, _, _ := k.Decode(data, 0, out)
+	return fmt.Sprintf("decoded %d", n)
 }
 
-// TestLaneRunZeroAllocCanary proves the harness has teeth: a variant of
-// the hot loop with a deliberate allocation must be flagged by the same
-// AllocsPerRun instrument that guards the real kernel. If this canary
-// ever reports zero, the dynamic half of the contract is blind and
-// TestLaneRunZeroAlloc's passing means nothing.
-func TestLaneRunZeroAllocCanary(t *testing.T) {
+// TestLaneDecodeZeroAllocCanary proves the harness has teeth: a variant
+// of the hot loop with a deliberate allocation must be flagged by the
+// same AllocsPerRun instrument that guards the real kernel. If this
+// canary ever reports zero, the dynamic half of the contract is blind
+// and TestLaneDecodeZeroAlloc's passing means nothing.
+func TestLaneDecodeZeroAllocCanary(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	rng := rand.New(rand.NewSource(95))
 	fx := buildLaneFixture(t, rng, 1, 1, 64)
-	var lanes [1]Lane
 	out := make([]uint64, 64)
 	sink := ""
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := lanes[0].Init(fx.data[0], 0, out); err != nil {
-			t.Fatal(err)
-		}
-		sink = brokenLaneRun(fx.kern, lanes[:])
+		sink = brokenLaneDecode(fx.kern, fx.data[0], out)
 	})
 	if allocs == 0 {
 		t.Error("canary: deliberately allocating lane loop reported zero allocs — the harness is blind")
@@ -280,10 +270,6 @@ func TestLaneDecoderValidation(t *testing.T) {
 	if k.TableEntries() != 2*tab.NewFastDecoder().TableEntries() {
 		t.Errorf("TableEntries() = %d", k.TableEntries())
 	}
-	expectPanic("too many lanes", func() {
-		var lanes [MaxLanes + 1]Lane
-		k.Run(lanes[:])
-	})
 }
 
 // encodeLaneBlocks encodes nblocks byte-aligned blocks into one image:
@@ -360,10 +346,45 @@ func TestDecodeBlocksDiscardCollect(t *testing.T) {
 			if sink != xor {
 				t.Fatalf("fast sink %#x, want xor of symbols %#x", sink, xor)
 			}
-			// The grouped engine over the same blocks: same totals.
-			syms, bits, err = k.decodeBlocksSlow(data, addrs, counts, tc.mul, tc.add, tc.div)
+			// The per-symbol fallback over the same blocks: same totals.
+			syms, bits, err = k.decodeBlocksExact(data, addrs, counts, tc.mul, tc.add, tc.div)
 			if err != nil || syms != wantSyms || bits != wantBits {
-				t.Fatalf("slow = (%d, %d, %v), want (%d, %d, nil)", syms, bits, err, wantSyms, wantBits)
+				t.Fatalf("exact = (%d, %d, %v), want (%d, %d, nil)", syms, bits, err, wantSyms, wantBits)
+			}
+			// Half the image: the fast pass aborts, and DecodeBlocks must
+			// report the per-block oracle's totals through the first
+			// failing block (the one the cut truncates) and its
+			// terminal, in block order.
+			cut := data[:len(data)/2]
+			wantSyms, wantBits = 0, 0
+			var wantErr error
+			for i, a := range addrs {
+				got, off, err := laneOracle(k, cut, 8*a, (counts[i]*tc.mul+tc.add)/tc.div)
+				wantSyms += int64(len(got))
+				wantBits += int64(off - 8*a)
+				if err != nil {
+					wantErr = err
+					break
+				}
+			}
+			syms, bits, err = k.DecodeBlocks(cut, addrs, counts, tc.mul, tc.add, tc.div)
+			if err == nil || wantErr == nil || err.Error() != wantErr.Error() || syms != wantSyms || bits != wantBits {
+				t.Fatalf("half image = (%d, %d, %v), want (%d, %d, %v)", syms, bits, err, wantSyms, wantBits, wantErr)
+			}
+			// An address past the end in the middle of the first four
+			// blocks: the blocks before it still count.
+			bad := append([]int(nil), addrs...)
+			bad[2] = len(data) + 1
+			wantSyms, wantBits = 0, 0
+			for i := 0; i < 2; i++ {
+				got, off, _ := laneOracle(k, data, 8*addrs[i], (counts[i]*tc.mul+tc.add)/tc.div)
+				wantSyms += int64(len(got))
+				wantBits += int64(off - 8*addrs[i])
+			}
+			wantErr = fmt.Errorf("%w: seek to bit %d outside stream of %d bits", bitio.ErrExhausted, 8*bad[2], 8*len(data))
+			syms, bits, err = k.DecodeBlocks(data, bad, counts, tc.mul, tc.add, tc.div)
+			if err == nil || err.Error() != wantErr.Error() || syms != wantSyms || bits != wantBits {
+				t.Fatalf("block 2 past the end = (%d, %d, %v), want (%d, %d, %v)", syms, bits, err, wantSyms, wantBits, wantErr)
 			}
 		})
 	}
