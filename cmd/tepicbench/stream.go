@@ -21,12 +21,8 @@ import (
 
 	ccc "repro"
 	"repro/internal/cliio"
-	"repro/internal/simcheck"
+	"repro/internal/core"
 )
-
-// streamCheckChunk is the chunk size of the differential replay: a
-// prime, so its seams fall away from the default chunking's.
-const streamCheckChunk = 997
 
 // streamRun parameterizes one -stream invocation.
 type streamRun struct {
@@ -60,8 +56,8 @@ type streamReport struct {
 	HeapSysMB    int64 `json:"heap_sys_mb"`
 	HeapGrowthMB int64 `json:"heap_growth_mb"`
 	// SeqIdentical records the always-on differential gate: a second
-	// sequential replay of the same seed, cut into streamCheckChunk-event
-	// chunks, against the timed one.
+	// sequential replay of the same seed, cut into
+	// core.StreamCheckChunk-event chunks, against the timed one.
 	SeqIdentical  bool `json:"seq_identical"`
 	OracleChecked bool `json:"oracle_checked"`
 	OracleOK      bool `json:"oracle_ok"`
@@ -80,16 +76,8 @@ func runStreamBench(sr streamRun, w *cliio.Writer) error {
 	}
 	cfg := ccc.DefaultConfig(p.Org)
 
-	replay := func(chunkEvents int) (ccc.Result, error) {
-		sim, err := c.SimFor(p, cfg)
-		if err != nil {
-			return ccc.Result{}, err
-		}
-		st, err := c.StreamTraceOps(sr.ops, chunkEvents)
-		if err != nil {
-			return ccc.Result{}, err
-		}
-		return sim.RunStream(st)
+	mkStream := func(chunkEvents int) (ccc.Stream, error) {
+		return c.StreamTraceOps(sr.ops, chunkEvents)
 	}
 
 	before := ccc.MemSnapshot()
@@ -98,7 +86,15 @@ func runStreamBench(sr streamRun, w *cliio.Writer) error {
 		return err
 	}
 	start := time.Now()
-	res, err := replay(0)
+	sim, err := c.SimFor(p, cfg)
+	if err != nil {
+		return err
+	}
+	st, err := mkStream(0)
+	if err != nil {
+		return err
+	}
+	res, err := sim.RunStream(st)
 	if err != nil {
 		return err
 	}
@@ -110,43 +106,18 @@ func runStreamBench(sr streamRun, w *cliio.Writer) error {
 	cpuMS := float64(cpu1-cpu0) / float64(time.Millisecond)
 
 	// Differential gate, always on: the same seed replayed at another
-	// chunk size must agree in every counter.
-	seq, err := replay(streamCheckChunk)
+	// chunk size must agree in every counter; -check adds the oracle.
+	sc, err := c.CheckStream(p, cfg, res, mkStream, sr.check)
 	if err != nil {
 		return err
 	}
 	after := ccc.MemSnapshot()
-	seqIdentical := res == seq
-
-	oracleOK := true
-	if sr.check {
-		im, err := c.Image(p.CacheScheme)
-		if err != nil {
-			return err
-		}
-		var rom *ccc.Image
-		if p.ROMScheme != "" {
-			if rom, err = c.Image(p.ROMScheme); err != nil {
-				return err
-			}
-		}
-		st, err := c.StreamTraceOps(sr.ops, 0)
-		if err != nil {
-			return err
-		}
-		oracle, oerr := simcheck.ExpectedStream(p.Org, cfg, im, rom, c.Prog, st)
-		switch {
-		case errors.Is(oerr, simcheck.ErrUnsupported):
-			w.Printf("stream oracle: skipped (%v)\n", oerr)
-		case oerr != nil:
-			return oerr
-		default:
-			for _, m := range simcheck.Diff(res, oracle) {
-				oracleOK = false
-				w.Printf("stream oracle disagrees on %s: simulator %d, oracle %d\n",
-					m.Field, m.Got, m.Want)
-			}
-		}
+	if sc.Skipped != nil {
+		w.Printf("stream oracle: skipped (%v)\n", sc.Skipped)
+	}
+	for _, m := range sc.Mismatches {
+		w.Printf("stream oracle disagrees on %s: simulator %d, oracle %d\n",
+			m.Field, m.Got, m.Want)
 	}
 
 	mops := float64(res.Ops) / 1e6 / wall.Seconds()
@@ -157,10 +128,10 @@ func runStreamBench(sr streamRun, w *cliio.Writer) error {
 		mops, cpuMS, res.Cycles, res.IPC())
 	w.Printf("  heap sys %d MB (grew %d MB during the streamed replays)\n",
 		int64(after.HeapSys)>>20, growthMB)
-	if seqIdentical {
-		w.Printf("  %d-event chunks == default chunks: every counter identical\n", streamCheckChunk)
+	if sc.Identical {
+		w.Printf("  %d-event chunks == default chunks: every counter identical\n", core.StreamCheckChunk)
 	} else {
-		w.Printf("  default chunks: %+v\n  %d-event chunks: %+v\n", res, streamCheckChunk, seq)
+		w.Printf("  default chunks: %+v\n  %d-event chunks: %+v\n", res, core.StreamCheckChunk, sc.Rechunked)
 	}
 
 	if sr.jsonPath != "" {
@@ -177,9 +148,9 @@ func runStreamBench(sr streamRun, w *cliio.Writer) error {
 			CPUMS:         cpuMS,
 			HeapSysMB:     int64(after.HeapSys) >> 20,
 			HeapGrowthMB:  growthMB,
-			SeqIdentical:  seqIdentical,
+			SeqIdentical:  sc.Identical,
 			OracleChecked: sr.check,
-			OracleOK:      oracleOK,
+			OracleOK:      len(sc.Mismatches) == 0,
 			hostInfo:      currentHost(),
 		}
 		data, err := json.MarshalIndent(rep, "", "  ")
@@ -192,12 +163,12 @@ func runStreamBench(sr streamRun, w *cliio.Writer) error {
 		w.Printf("benchmark report written to %s\n", sr.jsonPath)
 	}
 
-	if !seqIdentical {
+	if !sc.Identical {
 		return errors.Join(
 			fmt.Errorf("streamed result depends on the chunk size"),
 			w.Err())
 	}
-	if !oracleOK {
+	if len(sc.Mismatches) > 0 {
 		return errors.Join(fmt.Errorf("streaming oracle found mismatches"), w.Err())
 	}
 	if sr.minMops > 0 && mops < sr.minMops {

@@ -42,7 +42,7 @@ import (
 
 	ccc "repro"
 	"repro/internal/cliio"
-	"repro/internal/simcheck"
+	"repro/internal/core"
 )
 
 func main() {
@@ -184,15 +184,11 @@ func printMetrics(w *cliio.Writer, bench string, p ccc.Pairing, cfg ccc.Config, 
 	w.Printf("ATB         %.2f%% hit rate\n", 100*r.ATBHitRate)
 }
 
-// checkChunkEvents is the second chunk size -stream -check replays at:
-// a prime, so its seams fall away from the default chunking's.
-const checkChunkEvents = 997
-
 // runStream is the -stream path: it reports the replay's throughput
 // and heap, and with check it replays the identical seed at a second
-// chunk size and through the analytical oracle's streaming face and
-// requires every counter bit-identical across all three, so the horizon
-// never materializes.
+// chunk size and through the analytical oracle's streaming face
+// (Compiled.CheckStream) and requires every counter bit-identical
+// across all three, so the horizon never materializes.
 func runStream(w *cliio.Writer, c *ccc.Compiled, p ccc.Pairing, cfg ccc.Config,
 	mkStream func(int) (ccc.Stream, error), replay func(int) (ccc.Result, error),
 	check bool, bench string) error {
@@ -213,43 +209,21 @@ func runStream(w *cliio.Writer, c *ccc.Compiled, p ccc.Pairing, cfg ccc.Config,
 	if !check {
 		return w.Err()
 	}
-
-	// The same seed cut at another chunk size must agree exactly.
-	rechunked, err := replay(checkChunkEvents)
+	sc, err := c.CheckStream(p, cfg, r, mkStream, true)
 	if err != nil {
 		return err
 	}
-	if rechunked != r {
-		w.Printf("default chunks: %+v\n%d-event chunks: %+v\n", r, checkChunkEvents, rechunked)
+	if !sc.Identical {
+		w.Printf("default chunks: %+v\n%d-event chunks: %+v\n", r, core.StreamCheckChunk, sc.Rechunked)
 		return errors.Join(
 			fmt.Errorf("streamed result depends on the chunk size"),
 			w.Err())
 	}
-
-	// The oracle's streaming face recomputes the counters analytically.
-	im, err := c.Image(p.CacheScheme)
-	if err != nil {
-		return err
-	}
-	var rom *ccc.Image
-	if p.ROMScheme != "" {
-		if rom, err = c.Image(p.ROMScheme); err != nil {
-			return err
-		}
-	}
-	st, err := mkStream(0)
-	if err != nil {
-		return err
-	}
-	oracle, err := simcheck.ExpectedStream(p.Org, cfg, im, rom, c.Prog, st)
-	switch {
-	case errors.Is(err, simcheck.ErrUnsupported):
-		w.Printf("simcheck    rechunked replay identical; oracle skipped (%v)\n", err)
+	if sc.Skipped != nil {
+		w.Printf("simcheck    rechunked replay identical; oracle skipped (%v)\n", sc.Skipped)
 		return w.Err()
-	case err != nil:
-		return err
 	}
-	if ms := simcheck.Diff(r, oracle); len(ms) > 0 {
+	if ms := sc.Mismatches; len(ms) > 0 {
 		for _, m := range ms {
 			w.Printf("oracle disagrees on %s: simulator %d, oracle %d\n", m.Field, m.Got, m.Want)
 		}

@@ -14,21 +14,30 @@ import (
 // fetches from the pairing's ROM-scheme image. Image builds share the
 // compilation's artifact cache.
 func (c *Compiled) SimFor(p scheme.Pairing, cfg cache.Config) (*cache.Sim, error) {
-	im, err := c.Image(p.CacheScheme)
+	im, rom, err := c.pairingImages(p)
 	if err != nil {
 		return nil, err
-	}
-	var rom *image.Image
-	if p.ROMScheme != "" {
-		if rom, err = c.Image(p.ROMScheme); err != nil {
-			return nil, err
-		}
 	}
 	sim, err := cache.NewOrgSim(p.Org, cfg, im, rom, c.Prog)
 	if err != nil {
 		return nil, fmt.Errorf("core: pairing %s: %w", p.Name, err)
 	}
 	return sim, nil
+}
+
+// pairingImages returns the pairing's cache-scheme image and, for
+// miss-path-decompression organizations, its ROM-scheme image (nil
+// otherwise).
+func (c *Compiled) pairingImages(p scheme.Pairing) (im, rom *image.Image, err error) {
+	if im, err = c.Image(p.CacheScheme); err != nil {
+		return nil, nil, err
+	}
+	if p.ROMScheme != "" {
+		if rom, err = c.Image(p.ROMScheme); err != nil {
+			return nil, nil, err
+		}
+	}
+	return im, rom, nil
 }
 
 // replayPairings replays the suite's trace of c through every pairing

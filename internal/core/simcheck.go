@@ -1,10 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/image"
 	"repro/internal/scheme"
 	"repro/internal/simcheck"
 	"repro/internal/trace"
@@ -18,15 +18,9 @@ import (
 // cache. Findings land in the report; the error covers only failures to
 // run the checks at all.
 func (c *Compiled) CheckSim(p scheme.Pairing, cfg cache.Config, tr *trace.Trace) (*verify.Report, error) {
-	im, err := c.Image(p.CacheScheme)
+	im, rom, err := c.pairingImages(p)
 	if err != nil {
 		return nil, err
-	}
-	var rom *image.Image
-	if p.ROMScheme != "" {
-		if rom, err = c.Image(p.ROMScheme); err != nil {
-			return nil, err
-		}
 	}
 	rep, err := simcheck.Check(simcheck.Input{
 		Org: p.Org, Cfg: cfg, Im: im, ROM: rom, Prog: c.Prog, Tr: tr,
@@ -36,6 +30,68 @@ func (c *Compiled) CheckSim(p scheme.Pairing, cfg cache.Config, tr *trace.Trace)
 		return nil, fmt.Errorf("core: simcheck pairing %s: %w", p.Name, err)
 	}
 	return rep, nil
+}
+
+// StreamCheckChunk is the chunk size CheckStream replays at: a prime,
+// so its seams fall away from the default chunking's.
+const StreamCheckChunk = 997
+
+// StreamCheck is CheckStream's verdict on one streamed replay.
+type StreamCheck struct {
+	// Rechunked is the same trace replayed in StreamCheckChunk-event
+	// chunks; Identical reports it equal to the checked result in
+	// every counter.
+	Rechunked cache.Result
+	Identical bool
+	// Skipped, when the oracle ran but does not model the pairing,
+	// wraps simcheck.ErrUnsupported.
+	Skipped error
+	// Mismatches lists each counter the streaming oracle computes
+	// differently from the checked result.
+	Mismatches []simcheck.Mismatch
+}
+
+// CheckStream checks got, one streamed replay of pairing p at geometry
+// cfg over the trace mkStream yields: it replays the same trace cut
+// into StreamCheckChunk-event chunks and, with oracle set, recomputes
+// the counters through the analytical oracle's streaming face. Neither
+// pass materializes the trace. Disagreements land in the verdict; the
+// error covers only failures to run the checks at all.
+func (c *Compiled) CheckStream(p scheme.Pairing, cfg cache.Config, got cache.Result,
+	mkStream func(chunkEvents int) (trace.Stream, error), oracle bool) (StreamCheck, error) {
+	var sc StreamCheck
+	sim, err := c.SimFor(p, cfg)
+	if err != nil {
+		return sc, err
+	}
+	st, err := mkStream(StreamCheckChunk)
+	if err != nil {
+		return sc, err
+	}
+	if sc.Rechunked, err = sim.RunStream(st); err != nil {
+		return sc, err
+	}
+	sc.Identical = sc.Rechunked == got
+	if !oracle {
+		return sc, nil
+	}
+	im, rom, err := c.pairingImages(p)
+	if err != nil {
+		return sc, err
+	}
+	if st, err = mkStream(0); err != nil {
+		return sc, err
+	}
+	want, err := simcheck.ExpectedStream(p.Org, cfg, im, rom, c.Prog, st)
+	switch {
+	case errors.Is(err, simcheck.ErrUnsupported):
+		sc.Skipped = err
+	case err != nil:
+		return sc, err
+	default:
+		sc.Mismatches = simcheck.Diff(got, want)
+	}
+	return sc, nil
 }
 
 // SimLint is the dynamic counterpart of Lint: it replays one trace of

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/cache"
@@ -117,5 +118,56 @@ func TestStreamEquivalenceMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCheckStream pins CheckStream's verdicts on compress under
+// CodePack (a pairing with a ROM image): a true
+// replay passes both checks, a counter off by one fails both, and a
+// predictor outside the oracle's model skips the oracle while the
+// rechunked replay still runs.
+func TestCheckStream(t *testing.T) {
+	c, err := CompileBenchmark("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ok := scheme.PairingByName("CodePack")
+	if !ok {
+		t.Fatal("no CodePack pairing")
+	}
+	mkStream := func(chunkEvents int) (trace.Stream, error) { return c.StreamTraceOps(50_000, chunkEvents) }
+	for _, pred := range []cache.PredictorKind{cache.PredictorDefault, cache.PredictorGShare} {
+		cfg := cache.DefaultConfig(p.Org)
+		cfg.Predictor = pred
+		sim, err := c.SimFor(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := mkStream(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sim.RunStream(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		modelled := pred == cache.PredictorDefault
+		sc, err := c.CheckStream(p, cfg, got, mkStream, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sc.Identical || sc.Rechunked != got || len(sc.Mismatches) != 0 || (sc.Skipped == nil) != modelled {
+			t.Fatalf("%v: true replay: %+v", pred, sc)
+		}
+		if !modelled && !errors.Is(sc.Skipped, simcheck.ErrUnsupported) {
+			t.Fatalf("%v: skipped oracle reports %v", pred, sc.Skipped)
+		}
+		got.Cycles++
+		if sc, err = c.CheckStream(p, cfg, got, mkStream, modelled); err != nil {
+			t.Fatal(err)
+		}
+		if sc.Identical || (len(sc.Mismatches) == 0) == modelled {
+			t.Fatalf("%v: perturbed replay: %+v", pred, sc)
+		}
 	}
 }
