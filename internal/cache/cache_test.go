@@ -624,16 +624,19 @@ func TestRunStreamMatchesRun(t *testing.T) {
 
 // TestStreamStartsNoGoroutine pins that trace production runs on the
 // consumer's goroutine: creating a walker stream, draining part of it,
-// closing it, and a full RunStream drain leave the goroutine count
-// where it was.
+// closing it, and a full RunStream drain never raise the goroutine
+// count above where it was.
 func TestStreamStartsNoGoroutine(t *testing.T) {
 	sp, ims := pipeline(t, "compress")
 	prof := workload.MustProfile("compress")
+	// Only a rise counts: a goroutine an earlier test left behind may
+	// exit while this one runs, and streaming's contract is that it
+	// starts none.
 	base := runtime.NumGoroutine()
 	check := func(stage string) {
 		t.Helper()
-		if n := runtime.NumGoroutine(); n != base {
-			t.Fatalf("%s: %d goroutines, want %d", stage, n, base)
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%s: %d goroutines, want at most %d", stage, n, base)
 		}
 	}
 	st, err := emu.StochasticStreamOps(sp, prof.Seed, 1_000_000, prof.Phases, 256)
