@@ -11,10 +11,10 @@ import (
 
 // BatchDecoder is the allocation-free batch decode face of a Huffman
 // scheme: many blocks decoded in one call through the lane-parallel
-// kernel, four blocks interleaved at a time. Blocks
-// are the lane axis — every block starts byte-aligned (§3.3) and its
-// symbol stream is independent of every other block's, so N cursors
-// over one image decode N blocks with their table loads overlapped.
+// kernel, four blocks interleaved at a time. Blocks are the lane axis —
+// every block starts byte-aligned (§3.3) and its symbol stream is
+// independent of every other block's, so N cursors over one image
+// decode N blocks with their table loads overlapped.
 //
 // DecodeRun decodes the blocks described by parallel slices addrs
 // (byte address of each block's first codeword in data) and counts
