@@ -174,13 +174,6 @@ var RunStream = cache.RunStream
 // NewMachine returns a fresh TEPIC interpreter.
 func NewMachine() *Machine { return emu.NewMachine() }
 
-// DecodePlan is a scheme's prebuilt batch-decode geometry: the
-// scheme's Huffman kernel, whose four-lane DecodeBlocks engine it
-// drives, plus flattened block addresses, memoized in the artifact store
-// (Compiled.DecodePlan); see core.DecodePlan. The three-tier decode
-// throughput measurement is Compiled.MeasureDecodeThroughput.
-type DecodePlan = core.DecodePlan
-
 // Trace streaming.
 type (
 	// Stream delivers a dynamic trace as a bounded sequence of reusable

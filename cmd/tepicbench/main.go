@@ -76,9 +76,9 @@ type benchReport struct {
 	SimOK      bool `json:"sim_ok"`
 	// DecodeThroughput is the measured entropy-decode rate per Huffman
 	// scheme, aggregated over every benchmark in the run: the bit-by-bit
-	// reference oracle, the table-driven fast decoder and the
-	// lane-parallel batch kernel over identical symbol streams, with the
-	// fast/ref and batch/ref speedups and the batch/fast lane gain.
+	// reference oracle, the table-driven fast decoder and the served
+	// block kernel over identical symbol streams, with the fast/ref and
+	// batch/ref speedups and the batch/fast lane gain.
 	DecodeThroughput map[string]core.DecodeThroughput `json:"decode_throughput,omitempty"`
 	hostInfo
 }
@@ -101,8 +101,6 @@ func run(args []string, out io.Writer) error {
 	warm := fs.Bool("warm", false, "re-run the workload on the warm cache and report the hit rate")
 	decodeMin := fs.Float64("decodemin", 0,
 		"minimum batch/reference decode speedup on the full scheme; non-zero exit below it (0 = no check)")
-	laneMin := fs.Float64("lanemin", 0,
-		"minimum lane-kernel gain (batch/fast) on the stream scheme; non-zero exit below it (0 = no check)")
 	serveMode := fs.Bool("serve", false,
 		"service benchmark: boot an in-process tepicd and drive the zipf-skewed client fleet against it")
 	serveWorkers := fs.Int("serveworkers", 4, "client fleet goroutine count (-serve)")
@@ -251,10 +249,10 @@ func run(args []string, out io.Writer) error {
 
 	// Decode-throughput measurement: every Huffman scheme's symbol
 	// stream at three tiers — the bit-by-bit reference oracle, the
-	// table-driven fast decoder, and the lane-parallel batch kernel —
-	// over every benchmark.
+	// table-driven fast decoder, and the served block kernel — over
+	// every benchmark.
 	var decodeRates map[string]core.DecodeThroughput
-	if *jsonPath != "" || *decodeMin > 0 || *laneMin > 0 {
+	if *jsonPath != "" || *decodeMin > 0 {
 		benchmarks := opt.Benchmarks
 		if len(benchmarks) == 0 {
 			benchmarks = ccc.Benchmarks
@@ -345,13 +343,6 @@ func run(args []string, out io.Writer) error {
 		if got := decodeRates["full"].BatchSpeedup; got < *decodeMin {
 			return errors.Join(
 				fmt.Errorf("batch decode speedup on full scheme %.2fx below minimum %.2fx", got, *decodeMin),
-				w.Err())
-		}
-	}
-	if *laneMin > 0 {
-		if got := decodeRates["stream"].LaneGain; got < *laneMin {
-			return errors.Join(
-				fmt.Errorf("lane-kernel gain on stream scheme %.2fx below minimum %.2fx", got, *laneMin),
 				w.Err())
 		}
 	}

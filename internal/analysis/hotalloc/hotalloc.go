@@ -1,9 +1,9 @@
 // Package hotalloc enforces the repo's allocation-free hot-path
 // contract: a function whose doc comment carries the //tepic:hotpath
 // directive (the Huffman fast decoder's Decode, the lane kernel's
-// single-stream Decode and DecodeBlocks engines, the bitio peek/consume/refill primitives,
-// the simulator's replay path: Sim's replayWindow and step and the
-// stage methods they call) must not
+// block decoder Decode and its batch loop DecodeBlocks, the bitio
+// peek/consume/refill primitives, the simulator's replay path: Sim's
+// replayWindow and step and the stage methods they call) must not
 // contain any construct the compiler can turn into a heap allocation —
 // growth via append, make/new, map/slice/pointer composite literals,
 // closures, go/defer, fmt-class calls, string/[]byte conversions,

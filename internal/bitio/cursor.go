@@ -9,9 +9,8 @@ import (
 // a register-resident bit window that many cursors can hold over the
 // same backing slice at once. Where Reader owns its stream — seeking,
 // reading, and error-checking one position — Cursor is the primitive
-// beneath lane-parallel decoding: a batch kernel keeps N cursors live
-// in one loop so their table lookups and word refills overlap instead
-// of serializing.
+// beneath the Huffman lane kernel, which keeps it in locals so the
+// per-symbol bookkeeping need not round-trip through the heap.
 //
 // The representation is the Giesen branchless-refill window: buf holds
 // the next stream bits left-aligned (the next unconsumed bit is buf's

@@ -10,11 +10,10 @@ import (
 )
 
 // BatchDecoder is the allocation-free batch decode face of a Huffman
-// scheme: many blocks decoded in one call through the lane-parallel
-// kernel, four blocks interleaved at a time. Blocks are the lane axis —
-// every block starts byte-aligned (§3.3) and its symbol stream is
-// independent of every other block's, so N cursors over one image
-// decode N blocks with their table loads overlapped.
+// scheme: many blocks decoded in one call, one after another, through
+// the lane kernel's block decoder — the one every served block decode
+// runs. Every block starts byte-aligned (§3.3), so each decodes from its
+// own address with the schedule at phase 0.
 //
 // DecodeRun decodes the blocks described by parallel slices addrs
 // (byte address of each block's first codeword in data) and counts
@@ -35,8 +34,8 @@ type BatchDecoder interface {
 	Kernel() *huffman.LaneDecoder
 }
 
-// The DecodeRun implementations below are thin adapters over the
-// kernel's huffman.(*LaneDecoder).DecodeBlocks engine: each passes its
+// The DecodeRun implementations below are thin adapters over
+// huffman.(*LaneDecoder).DecodeBlocks: each passes its
 // scheme's affine symbol-count map need = (n*mul + add) / div as
 // constants (see DecodeBlocks for why it is not a closure):
 //
@@ -58,9 +57,8 @@ func (e *ByteHuffman) Kernel() *huffman.LaneDecoder { return e.lane }
 func (e *StreamHuffman) BatchSymbols(n int) int { return n * len(e.tabs) }
 
 // DecodeRun implements BatchDecoder. The kernel's schedule cycles the
-// per-segment tables within each lane (segment codewords interleave in
-// one bit stream per block), while the lanes themselves run over
-// independent blocks — the axis that actually parallelizes.
+// per-segment tables (segment codewords interleave in one bit stream
+// per block).
 func (e *StreamHuffman) DecodeRun(data []byte, addrs, counts []int) (int64, int64, error) {
 	return e.lane.DecodeBlocks(data, addrs, counts, len(e.tabs), 0, 1)
 }

@@ -47,8 +47,9 @@ func batchFixture(tb testing.TB, scheme string) (compress.BatchDecoder, compress
 
 // TestBatchDecodeRunEquivalence proves the batch face count-for-count,
 // bit-for-bit against the sequential per-block fast face on a real
-// image. The symbols themselves are pinned below the face, by
-// huffman.TestDecodeBlocksDiscardCollect's sink check.
+// image. The symbols themselves are pinned below the face: DecodeBlocks
+// runs LaneDecoder.Decode, which huffman's lane equivalence tests and
+// FuzzLaneDecodeEquivalence check symbol by symbol.
 func TestBatchDecodeRunEquivalence(t *testing.T) {
 	for _, scheme := range batchSchemes {
 		t.Run(scheme, func(t *testing.T) {
@@ -129,11 +130,9 @@ func TestBatchDecodeRunTruncated(t *testing.T) {
 }
 
 // TestBatchDecodeRunZeroAlloc is the dynamic half of the
-// //tepic:hotpath contract on the kernel's DecodeBlocks engines: zero
-// allocations per whole-image batch decode, on every body of the fast
-// engine — single-table per-byte (byte) and whole-op (full), fused
-// lockstep (stream), and generic (stream_1, whose two 20-bit tables do
-// not fuse).
+// //tepic:hotpath contract on the kernel's DecodeBlocks: zero
+// allocations per whole-image batch decode on every batch scheme, so
+// its stack chunk buffer never escapes whatever the schedule length.
 func TestBatchDecodeRunZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")

@@ -130,7 +130,7 @@ type ByteHuffman struct {
 	tab  *huffman.Table
 	dec  *huffman.Decoder     // reference (oracle) decoder
 	fast *huffman.FastDecoder // table-driven per-symbol decoder (fast tier)
-	lane *huffman.LaneDecoder // kernel over fast's tables: Decode is the hit path, DecodeBlocks the batch face
+	lane *huffman.LaneDecoder // kernel over fast's tables: the block decoder
 }
 
 // newByteHuffman wraps a built table with both of its decoders and the
@@ -292,7 +292,7 @@ type StreamHuffman struct {
 	tabs  []*huffman.Table
 	decs  []*huffman.Decoder     // reference (oracle) decoders
 	fasts []*huffman.FastDecoder // table-driven per-symbol decoders (fast tier)
-	lane  *huffman.LaneDecoder   // kernel cycling the segment tables: Decode is the hit path, DecodeBlocks the batch face
+	lane  *huffman.LaneDecoder   // kernel cycling the segment tables: the block decoder
 }
 
 // NewStreamHuffman builds the stream-based scheme for one configuration.

@@ -28,8 +28,8 @@ import (
 // The three faces measured per scheme are deliberately distinct tiers:
 // reference (bit-by-bit oracle), fast (FastDecoder.Decode one symbol at
 // a time through a Reader, the baseline the lane gain is quoted
-// against), and batch (BatchDecoder.DecodeRun, the lane-parallel kernel
-// over whole-image block batches).
+// against), and batch (BatchDecoder.DecodeRun, the served block kernel
+// over every block of the image in turn).
 type SymbolDecoder interface {
 	DecodeBlockSymbols(r *bitio.Reader, n int) (int, error)
 	ReferenceDecodeBlockSymbols(r *bitio.Reader, n int) (int, error)

@@ -9,13 +9,12 @@ import (
 // BenchmarkDecodeTiers times, for every batch-capable scheme, a whole
 // benchmark image decoded block by block through the fast per-symbol
 // face (SeekBit + DecodeBlockSymbols, the pre-kernel decode path) and
-// through the lane-kernel batch face (DecodeRun), each tier warm and
-// alone. It is not the lane-gain ratchet: tepicbench's lane gain, which
-// CI gates with -lanemin, is measured by core.MeasureDecodeThroughput,
-// which interleaves the fast, reference and batch passes in every round
-// and times the batch through DecodePlan.DecodeSymbols. The two shapes
-// can disagree on a kernel change, so check one with
-// MeasureDecodeThroughput too.
+// through the batch face (DecodeRun, the served block kernel one block
+// after another), each tier warm and alone. tepicbench's lane gain is
+// measured by core.MeasureDecodeThroughput instead, which interleaves
+// the fast, reference and batch passes in every round and times the
+// batch through DecodePlan.DecodeSymbols. The two shapes can disagree
+// on a kernel change, so check one with MeasureDecodeThroughput too.
 func BenchmarkDecodeTiers(b *testing.B) {
 	for _, scheme := range batchSchemes {
 		bd, sd, data, addrs, counts := batchFixture(b, scheme)

@@ -17,14 +17,15 @@ import (
 //     oracle and the denominator of every speedup.
 //   - Fast: the table-driven per-symbol decoder through a Reader — the
 //     pre-kernel baseline.
-//   - Batch: the lane-parallel kernel through the prebuilt DecodePlan —
-//     blocks decoded four at a time with interleaved cursors.
+//   - Batch: the served block kernel (huffman.LaneDecoder.Decode, what
+//     /v1/decode runs per block) through the prebuilt DecodePlan, one
+//     block after another.
 //
 // Ops counts Huffman symbols — whole operations for the full scheme,
 // packed bytes for the byte scheme, one symbol per stream segment per
 // op for the stream schemes. Speedup and BatchSpeedup are fast/ref and
 // batch/ref by decoded bits per second; LaneGain is batch/fast — the
-// kernel's gain over the already-table-driven baseline. Each ratio is
+// served kernel's gain over the per-symbol table-driven decoder. Each ratio is
 // the median of the per-round ratios (every round decodes the same bits
 // in all three tiers, so a round's ratio is its ratio of pass times),
 // and its quartiles over the rounds show the spread: one descheduled

@@ -30,8 +30,8 @@ type DecodePlan struct {
 // Blocks returns the number of blocks the plan decodes.
 func (p *DecodePlan) Blocks() int { return len(p.Addrs) }
 
-// DecodeSymbols batch-decodes every block of data through the lane
-// kernel, discarding symbols — the throughput shape. A nil data decodes
+// DecodeSymbols decodes every block of data in turn through the lane
+// kernel's block decoder, discarding symbols — the throughput shape. A nil data decodes
 // the plan's own image. It returns symbols decoded and code bits
 // consumed, with the reference decoder's exact terminal error on a
 // malformed stream.

@@ -263,6 +263,12 @@ func TestLaneDecoderValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	long := make([]*FastDecoder, blockChunk+1)
+	for i := range long {
+		long[i] = tab.NewFastDecoder()
+	}
+	expectPanic("schedule longer than blockChunk", func() { NewLaneDecoder(long...) })
+	NewLaneDecoder(long[:blockChunk]...)
 	k := NewLaneDecoder(tab.NewFastDecoder(), tab.NewFastDecoder())
 	if k.Tables() != 2 {
 		t.Errorf("Tables() = %d, want 2", k.Tables())
@@ -274,15 +280,15 @@ func TestLaneDecoderValidation(t *testing.T) {
 
 // encodeLaneBlocks encodes nblocks byte-aligned blocks into one image:
 // block i holds (counts[i]*mul + add) / div symbols cycling the fixture's
-// schedule from phase 0, the DecodeBlocks block shape. It returns the
-// image, the block queues, every symbol in block order, and the total
-// code bits.
-func encodeLaneBlocks(t *testing.T, rng *rand.Rand, fx *laneFixture, nblocks, mul, add, div int) (data []byte, addrs, counts []int, syms []uint64, bits int64) {
+// schedule from phase 0, the DecodeBlocks block shape, with counts[i]
+// drawn from [0, maxOps). It returns the image, the block queues, every
+// symbol in block order, and the total code bits.
+func encodeLaneBlocks(t *testing.T, rng *rand.Rand, fx *laneFixture, nblocks, maxOps, mul, add, div int) (data []byte, addrs, counts []int, syms []uint64, bits int64) {
 	t.Helper()
 	var w bitio.Writer
 	for b := 0; b < nblocks; b++ {
 		w.AlignByte()
-		ops := rng.Intn(40)
+		ops := rng.Intn(maxOps)
 		addrs = append(addrs, w.BitLen()/8)
 		counts = append(counts, ops)
 		for i := 0; i < (ops*mul+add)/div; i++ {
@@ -299,37 +305,32 @@ func encodeLaneBlocks(t *testing.T, rng *rand.Rand, fx *laneFixture, nblocks, mu
 	return w.Bytes(), addrs, counts, syms, bits
 }
 
-// TestDecodeBlocksDiscardCollect covers each schedule shape, and with
-// them each of decodeBlocksFast's three bodies. DecodeBlocks must report
-// the encoded totals, and the fast engine's sink must be the xor of the
-// encoded symbols — the symbol-level check on the batch engine, whose
-// symbols are otherwise never observed.
+// TestDecodeBlocksDiscardCollect covers each schedule shape: DecodeBlocks
+// must report the encoded totals on an intact image, and the per-block
+// oracle's totals and terminal on a cut one or past a bad address. The
+// seven-table case runs blocks over several stack-buffer chunks with a
+// schedule length that does not divide the buffer, so a chunk that
+// broke the schedule phase would decode the wrong codewords.
 func TestDecodeBlocksDiscardCollect(t *testing.T) {
 	cases := []struct {
 		name          string
 		sizes         []int
+		maxOps        int
 		mul, add, div int
-		fused         bool
 	}{
-		{"single-table", []int{0}, 1, 0, 1, false},
-		{"single-table-bytes", []int{0}, 5, 7, 8, false},
-		{"fused-2", []int{9, 40}, 2, 0, 1, true},
-		{"fused-4", []int{12, 30, 7, 50}, 4, 0, 1, true},
-		{"unfused-2", []int{150, 120}, 2, 0, 1, false},
-		{"not-op-aligned", []int{9, 40}, 3, 1, 2, true},
+		{"single-table", []int{0}, 40, 1, 0, 1},
+		{"single-table-bytes", []int{0}, 40, 5, 7, 8},
+		{"small-2", []int{9, 40}, 40, 2, 0, 1},
+		{"small-4", []int{12, 30, 7, 50}, 40, 4, 0, 1},
+		{"large-2", []int{150, 120}, 40, 2, 0, 1},
+		{"not-op-aligned", []int{9, 40}, 40, 3, 1, 2},
+		{"multi-chunk-7", []int{9, 40, 3, 120, 17, 5, 60}, 120, 7, 0, 1},
 	}
 	rng := rand.New(rand.NewSource(100))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fx := buildSizedLaneFixture(t, rng, tc.sizes, 0, 0)
-			if got := fx.kern.fused != nil; got != tc.fused {
-				t.Fatalf("schedule fused = %v, want %v", got, tc.fused)
-			}
-			data, addrs, counts, want, wantBits := encodeLaneBlocks(t, rng, fx, 37, tc.mul, tc.add, tc.div)
-			var xor uint64
-			for _, s := range want {
-				xor ^= s
-			}
+			data, addrs, counts, want, wantBits := encodeLaneBlocks(t, rng, fx, 37, tc.maxOps, tc.mul, tc.add, tc.div)
 			wantSyms := int64(len(want))
 			k := fx.kern
 
@@ -337,24 +338,9 @@ func TestDecodeBlocksDiscardCollect(t *testing.T) {
 			if err != nil || syms != wantSyms || bits != wantBits {
 				t.Fatalf("DecodeBlocks = (%d, %d, %v), want (%d, %d, nil)", syms, bits, err, wantSyms, wantBits)
 			}
-			// The fast engine directly: it must decode the intact image
-			// without falling back, folding exactly the encoded symbols.
-			syms, bits, sink, ok := k.decodeBlocksFast(data, addrs, counts, tc.mul, tc.add, tc.div)
-			if !ok || syms != wantSyms || bits != wantBits {
-				t.Fatalf("fast = (%d, %d, ok %v), want (%d, %d, ok)", syms, bits, ok, wantSyms, wantBits)
-			}
-			if sink != xor {
-				t.Fatalf("fast sink %#x, want xor of symbols %#x", sink, xor)
-			}
-			// The per-symbol fallback over the same blocks: same totals.
-			syms, bits, err = k.decodeBlocksExact(data, addrs, counts, tc.mul, tc.add, tc.div)
-			if err != nil || syms != wantSyms || bits != wantBits {
-				t.Fatalf("exact = (%d, %d, %v), want (%d, %d, nil)", syms, bits, err, wantSyms, wantBits)
-			}
-			// Half the image: the fast pass aborts, and DecodeBlocks must
-			// report the per-block oracle's totals through the first
-			// failing block (the one the cut truncates) and its
-			// terminal, in block order.
+			// Half the image: DecodeBlocks must report the per-block
+			// oracle's totals through the first failing block (the one
+			// the cut truncates) and its terminal, in block order.
 			cut := data[:len(data)/2]
 			wantSyms, wantBits = 0, 0
 			var wantErr error
@@ -371,8 +357,9 @@ func TestDecodeBlocksDiscardCollect(t *testing.T) {
 			if err == nil || wantErr == nil || err.Error() != wantErr.Error() || syms != wantSyms || bits != wantBits {
 				t.Fatalf("half image = (%d, %d, %v), want (%d, %d, %v)", syms, bits, err, wantSyms, wantBits, wantErr)
 			}
-			// An address past the end in the middle of the first four
-			// blocks: the blocks before it still count.
+			// An address past the end at block 2: the blocks before it
+			// still count, and the seek error ends the scan even when the
+			// bad block has no symbols to decode.
 			bad := append([]int(nil), addrs...)
 			bad[2] = len(data) + 1
 			wantSyms, wantBits = 0, 0
@@ -382,9 +369,13 @@ func TestDecodeBlocksDiscardCollect(t *testing.T) {
 				wantBits += int64(off - 8*addrs[i])
 			}
 			wantErr = fmt.Errorf("%w: seek to bit %d outside stream of %d bits", bitio.ErrExhausted, 8*bad[2], 8*len(data))
-			syms, bits, err = k.DecodeBlocks(data, bad, counts, tc.mul, tc.add, tc.div)
-			if err == nil || err.Error() != wantErr.Error() || syms != wantSyms || bits != wantBits {
-				t.Fatalf("block 2 past the end = (%d, %d, %v), want (%d, %d, %v)", syms, bits, err, wantSyms, wantBits, wantErr)
+			for _, n := range []int{counts[2], 0} {
+				cnt := append([]int(nil), counts...)
+				cnt[2] = n
+				syms, bits, err = k.DecodeBlocks(data, bad, cnt, tc.mul, tc.add, tc.div)
+				if err == nil || err.Error() != wantErr.Error() || syms != wantSyms || bits != wantBits {
+					t.Fatalf("block 2 of %d ops past the end = (%d, %d, %v), want (%d, %d, %v)", n, syms, bits, err, wantSyms, wantBits, wantErr)
+				}
 			}
 		})
 	}
