@@ -307,8 +307,10 @@ func encodeLaneBlocks(t *testing.T, rng *rand.Rand, fx *laneFixture, nblocks, ma
 
 // TestDecodeBlocksDiscardCollect covers each schedule shape: DecodeBlocks
 // must report the encoded totals on an intact image, and the per-block
-// oracle's totals and terminal on a cut one or past a bad address. The
-// seven-table case runs blocks over several stack-buffer chunks with a
+// oracle's totals and terminal on a cut one or past a bad address.
+// fused-2 and fused-4 are schedules of small alphabets whose adjacent
+// pairs fit a few thousand entries, unfused-2 one of large alphabets.
+// The seven-table case runs blocks over several stack-buffer chunks with a
 // schedule length that does not divide the buffer, so a chunk that
 // broke the schedule phase would decode the wrong codewords.
 func TestDecodeBlocksDiscardCollect(t *testing.T) {
@@ -320,9 +322,9 @@ func TestDecodeBlocksDiscardCollect(t *testing.T) {
 	}{
 		{"single-table", []int{0}, 40, 1, 0, 1},
 		{"single-table-bytes", []int{0}, 40, 5, 7, 8},
-		{"small-2", []int{9, 40}, 40, 2, 0, 1},
-		{"small-4", []int{12, 30, 7, 50}, 40, 4, 0, 1},
-		{"large-2", []int{150, 120}, 40, 2, 0, 1},
+		{"fused-2", []int{9, 40}, 40, 2, 0, 1},
+		{"fused-4", []int{12, 30, 7, 50}, 40, 4, 0, 1},
+		{"unfused-2", []int{150, 120}, 40, 2, 0, 1},
 		{"not-op-aligned", []int{9, 40}, 40, 3, 1, 2},
 		{"multi-chunk-7", []int{9, 40, 3, 120, 17, 5, 60}, 120, 7, 0, 1},
 	}
