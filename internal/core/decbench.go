@@ -25,11 +25,11 @@ import (
 // packed bytes for the byte scheme, one symbol per stream segment per
 // op for the stream schemes. Speedup and BatchSpeedup are fast/ref and
 // batch/ref by decoded bits per second; LaneGain is batch/fast — the
-// served kernel's gain over the per-symbol table-driven decoder. Each ratio is
-// the median of the per-round ratios (every round decodes the same bits
-// in all three tiers, so a round's ratio is its ratio of pass times),
-// and its quartiles over the rounds show the spread: one descheduled
-// pass moves one round's ratio, not the reported one.
+// served kernel's gain over the per-symbol table-driven decoder. Each
+// ratio is the median of the per-round ratios (every round decodes the
+// same bits in all three tiers, so a round's ratio is its ratio of pass
+// times), and its quartiles over the rounds show the spread: one
+// descheduled pass moves one round's ratio, not the reported one.
 type DecodeThroughput struct {
 	Scheme       string                   `json:"-"`
 	Fast         stats.ThroughputSnapshot `json:"fast"`

@@ -31,10 +31,10 @@ type DecodePlan struct {
 func (p *DecodePlan) Blocks() int { return len(p.Addrs) }
 
 // DecodeSymbols decodes every block of data in turn through the lane
-// kernel's block decoder, discarding symbols — the throughput shape. A nil data decodes
-// the plan's own image. It returns symbols decoded and code bits
-// consumed, with the reference decoder's exact terminal error on a
-// malformed stream.
+// kernel's block decoder, discarding symbols — the throughput shape. A
+// nil data decodes the plan's own image. It returns symbols decoded and
+// code bits consumed, with the reference decoder's exact terminal error
+// on a malformed stream.
 func (p *DecodePlan) DecodeSymbols(data []byte) (int64, int64, error) {
 	if data == nil {
 		data = p.Data

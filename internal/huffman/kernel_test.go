@@ -310,9 +310,9 @@ func encodeLaneBlocks(t *testing.T, rng *rand.Rand, fx *laneFixture, nblocks, ma
 // oracle's totals and terminal on a cut one or past a bad address.
 // fused-2 and fused-4 are schedules of small alphabets whose adjacent
 // pairs fit a few thousand entries, unfused-2 one of large alphabets.
-// The seven-table case runs blocks over several stack-buffer chunks with a
-// schedule length that does not divide the buffer, so a chunk that
-// broke the schedule phase would decode the wrong codewords.
+// The seven-table case runs blocks over several stack-buffer chunks
+// with a schedule length that does not divide the buffer, so a chunk
+// that broke the schedule phase would decode the wrong codewords.
 func TestDecodeBlocksDiscardCollect(t *testing.T) {
 	cases := []struct {
 		name          string
